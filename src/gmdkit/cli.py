@@ -10,8 +10,9 @@ Input documents are UTF-8 JSON.  The kind is detected from the keys:
 
 Reports embed the convention, method, and certificate statuses used and are
 byte-identical for identical inputs and flags regardless of --jobs.  Exit
-codes: 0 ok, 1 verification failure, 2 malformed input, 3 operation outside
-its mathematical hypotheses.
+codes: 0 ok, 1 verification failure (a failed internal invariant check
+included), 2 malformed input, 3 operation outside its mathematical
+hypotheses.
 """
 
 from __future__ import annotations

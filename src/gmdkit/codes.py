@@ -9,11 +9,19 @@ equals the distance function of the ideal at that degree and count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, kernel_basis, rank, rref, subspace_count
+from .gflinalg import (
+    FieldMatrix,
+    FieldSpec,
+    SubspaceIterator,
+    kernel_basis,
+    rank,
+    rref,
+    scan_in_chunks,
+    subspace_count,
+)
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import Polynomial, RingSpec, graded_piece_basis
@@ -231,19 +239,10 @@ def _enum_scan(generator: FieldMatrix, r: int, start: int, stop: int):
     return best, best_index
 
 
-def _enum_scan_star(args):
-    return _enum_scan(*args)
-
-
 def _ghw_enumerate(code: LinearCode, r: int, jobs: int) -> GhwResult:
     g = code.generator
-    chunks = SubspaceIterator(code.dimension, r, code.field).split(max(1, jobs))
-    tasks = [(g, r, c.start, c.stop) for c in chunks if c.stop > c.start]
-    if jobs <= 1 or len(tasks) <= 1:
-        partials = [_enum_scan_star(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_enum_scan_star, tasks))
+    it = SubspaceIterator(code.dimension, r, code.field)
+    partials = scan_in_chunks(it, jobs, _enum_scan, (g, r))
     best = None
     best_index = None
     for weight, index in partials:

@@ -24,3 +24,11 @@ class ParseError(ValueError):
 
 class HypothesisError(RuntimeError):
     """An operation was invoked outside its mathematical hypotheses."""
+
+
+class InvariantError(RuntimeError):
+    """A fact the computation relies on does not hold.
+
+    These checks stand where ``assert`` would vanish under ``python -O``;
+    the CLI reports them like a failed cross-check.
+    """

@@ -10,11 +10,15 @@ can be partitioned by index range for parallel scans.
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_right
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import InvariantError
 
 
 def _is_prime(p: int) -> bool:
@@ -192,7 +196,8 @@ def gaussian_binomial(m: int, l: int, p: int) -> int:
     for i in range(l):
         num *= p ** (m - i) - 1
         den *= p ** (l - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Gaussian binomial [{m} choose {l}]_{p} is not an integer")
     return num // den
 
 
@@ -275,6 +280,26 @@ class SubspaceIterator:
 
     def __len__(self):
         return self.stop - self.start
+
+
+def _run_task(task):
+    return task[0](*task[1:])
+
+
+def scan_in_chunks(it: SubspaceIterator, jobs: int, scan, args: tuple) -> list:
+    """Results of ``scan(*args, start, stop)`` over contiguous chunks of ``it``.
+
+    The worker count is clamped to min(jobs, cpu count, subspace count)
+    before the range is split or any process starts, so every chunk is
+    nonempty.  Results come back in index order; with one worker the
+    chunk runs in this process.
+    """
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(it)))
+    tasks = [(scan, *args, c.start, c.stop) for c in it.split(workers)]
+    if workers == 1:
+        return [_run_task(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def enumerate_subspaces(m: int, l: int, field: FieldSpec) -> SubspaceIterator:

@@ -22,11 +22,10 @@ quotient at its own dimension.  The default everywhere is fixed-dim.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import HypothesisError
-from .gflinalg import FieldMatrix, SubspaceIterator, subspace_count
+from .errors import HypothesisError, InvariantError
+from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks, subspace_count
 from .groebner import (
     IdealPresentation,
     colon,
@@ -106,11 +105,37 @@ def ann_nonzero(profile: RingProfile, polys, mode: str = "auto") -> bool:
             raise HypothesisError("prime-based annihilator test needs a certified profile")
         for prime in profile.primes:
             gb = groebner_basis(prime.ideal)
-            if all(normal_form(f, gb).is_zero() for f in polys):
+            if all(_in_ideal(f, gb) for f in polys):
                 return True
         return False
     quotient = colon(profile.ideal, polys)
     return not ideal_contains(profile.ideal, quotient)
+
+
+# Largest number of monomial normal forms memoised on one basis.  The brute
+# scan only asks about the degree-t standard monomials of S/I, far fewer.
+NF_MEMO_LIMIT = 1 << 12
+
+
+def _in_ideal(f: Polynomial, gb) -> bool:
+    """Whether f lies in the ideal of gb.
+
+    Normal forms are linear, so NF(f) is the sum of c_m * NF(x^m) over the
+    terms of f; the monomial normal forms are memoised on the basis.
+    """
+    ring = f.ring
+    p = ring.field.p
+    memo = gb.monomial_normal_forms
+    acc: dict = {}
+    for m, c in f.terms.items():
+        nf = memo.get(m)
+        if nf is None:
+            if len(memo) >= NF_MEMO_LIMIT:
+                memo.clear()
+            nf = memo[m] = normal_form(Polynomial._raw(ring, {m: 1}), gb).terms
+        for e, a in nf.items():
+            acc[e] = (acc.get(e, 0) + c * a) % p
+    return not any(acc.values())
 
 
 def _quotient_multiplicity(profile: RingProfile, polys, convention: str) -> int:
@@ -144,10 +169,6 @@ def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, s
     return best, best_index, qualifying
 
 
-def _brute_scan_star(args):
-    return _brute_scan(*args)
-
-
 def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> DeltaResult:
     """Distance value by direct subspace enumeration.
 
@@ -165,17 +186,12 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
             e_total, query.t, query.ell, query.convention, "brute", "empty", None
         )
     total = subspace_count(m, query.ell, profile.ring.field)
-    chunks = SubspaceIterator(m, query.ell, profile.ring.field).split(max(1, jobs))
-    tasks = [
-        (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials, c.start, c.stop)
-        for c in chunks
-        if c.stop > c.start
-    ]
-    if jobs <= 1 or len(tasks) <= 1:
-        partials = [_brute_scan_star(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_brute_scan_star, tasks))
+    partials = scan_in_chunks(
+        SubspaceIterator(m, query.ell, profile.ring.field),
+        jobs,
+        _brute_scan,
+        (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
+    )
     best = None
     best_index = None
     for value, index, _count in partials:
@@ -296,7 +312,8 @@ def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
                 s = sum(mults[i] for i in range(a) if mask & (1 << i))
                 if s >= ell and (best is None or s < best):
                     best = s
-            assert best is not None
+            if best is None:
+                raise InvariantError(f"no proper prime subset has multiplicity sum >= {ell}")
             return StabilizationResult(
                 best, 4, "one-dimensional, minimal prime-subset multiplicity sum"
             )
@@ -383,7 +400,8 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
     if cls == "mixed_low_dim_ge2":
         family = profile.intersect_family(profile.top_indices())
         t = _first_degree_reaching(profile, family, ell)
-        assert t is not None, "top-prime intersection has dimension >= 2"
+        if t is None:
+            raise InvariantError("the top-prime intersection never reaches l dimensions")
         s = stabilization_value(profile, ell).value
         return RegularityResult(t, True, "closed-form-mixed", stable_value=s)
 
@@ -397,7 +415,8 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
                 continue
             family = profile.intersect_family([j for j in range(a) if j != i])
             t = _first_degree_reaching(profile, family, ell)
-            assert t is not None, "complementary intersection has dimension >= 2"
+            if t is None:
+                raise InvariantError("a complementary intersection never reaches l dimensions")
             if best is None or t < best:
                 best = t
         s = stabilization_value(profile, ell).value

@@ -1,14 +1,16 @@
 """Buchberger's algorithm, normal forms, intersections and colon ideals.
 
-The engine keeps basis elements monic and applies the two classical pair
-criteria (coprime leading terms, chain criterion) with normal selection,
-then interreduces, so the returned basis is the unique reduced Groebner
+The engine keeps basis elements monic, computes each leading term once,
+keeps pending pairs in a heap and applies the two classical pair criteria
+(coprime leading terms, chain criterion) with normal selection, then
+interreduces, so the returned basis is the unique reduced Groebner
 basis for the (ideal, order) pair.  Elimination runs in an extended ring
 with one auxiliary variable in front under a two-block order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,23 +76,44 @@ class GroebnerBasis:
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(g.leading(self.order)[0] for g in self.elements)
 
+    @cached_property
+    def reducers(self) -> list:
+        """(leading exponent, inverse leading coefficient, terms) per element."""
+        inv = self.ring.field.inv
+        return [
+            (lt, inv(g.terms[lt]), g.terms)
+            for lt, g in zip(self.leading_exponents, self.elements)
+        ]
+
+    @cached_property
+    def monomial_normal_forms(self) -> dict:
+        """Memo {monomial: terms of its normal form}; its users bound its size."""
+        return {}
+
     @property
     def is_unit_ideal(self) -> bool:
         return any(sum(e) == 0 for e in self.leading_exponents)
 
+    def __getstate__(self):
+        # memos are rebuilt on demand; pickles carry only the basis itself
+        return {"ring": self.ring, "order": self.order, "elements": self.elements}
 
-def _reduce_terms(terms, reducers, order, p):
-    """Full normal form of a coefficient dict against (lt, lc_inv, terms) reducers."""
+
+def _reduce_terms(terms, reducers, keys, p):
+    """Full normal form of a coefficient dict against (lt, lc_inv, terms) reducers.
+
+    ``keys`` maps a monomial to its order key (``MonomialOrder.keys``).
+    """
     work = dict(terms)
     out = {}
-    key = order.key
+    key = keys.__getitem__
     while work:
         mu = max(work, key=key)
         c = work.pop(mu)
         hit = None
-        for lt, lc_inv, gterms in reducers:
-            if monomial_divides(lt, mu):
-                hit = (lt, lc_inv, gterms)
+        for reducer in reducers:
+            if monomial_divides(reducer[0], mu):
+                hit = reducer
                 break
         if hit is None:
             out[mu] = c
@@ -110,21 +133,10 @@ def _reduce_terms(terms, reducers, order, p):
     return out
 
 
-def _reducers_of(polys, order):
-    out = []
-    for g in polys:
-        lt, lc = g.leading(order)
-        out.append((lt, g.ring.field.inv(lc), g.terms))
-    return out
-
-
-def _spoly(f, g, order, p):
-    lt_f, lc_f = f.leading(order)
-    lt_g, lc_g = g.leading(order)
+def _spoly(f, lt_f, g, lt_g):
+    """S-polynomial of two monic polynomials with the given leading exponents."""
     lcm = monomial_lcm(lt_f, lt_g)
-    a = f.term_mul(monomial_div(lcm, lt_f), f.ring.field.inv(lc_f))
-    b = g.term_mul(monomial_div(lcm, lt_g), g.ring.field.inv(lc_g))
-    return a - b
+    return f.term_mul(monomial_div(lcm, lt_f), 1) - g.term_mul(monomial_div(lcm, lt_g), 1)
 
 
 def buchberger(
@@ -137,9 +149,12 @@ def buchberger(
 
     strategy "normal" picks the pending pair with the smallest lcm in the
     order; "first" processes pairs in creation order.  Both give the same
-    reduced basis.  ``groebner_prefix`` marks the first k generators as
-    already a Groebner basis, so their mutual pairs are skipped (used when
-    extending a cached basis by new elements).
+    reduced basis.  Pending pairs sit in a heap keyed by (lcm key, i, j)
+    for "normal" and by (j, i, j) for "first"; the chain criterion consults
+    the set of pending pairs.
+    ``groebner_prefix`` marks the first k generators as already a Groebner
+    basis, so their mutual pairs are skipped (used when extending a cached
+    basis by new elements).
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -148,25 +163,27 @@ def buchberger(
         return []
     ring = basis[0].ring
     p = ring.field.p
-    key = order.key
+    keys = order.keys
+    normal = strategy == "normal"
     lts = [g.leading(order)[0] for g in basis]
+    # every element is monic, so each inverse leading coefficient is 1
+    reducers = [(lt, 1, g.terms) for lt, g in zip(lts, basis)]
 
     pending = set()
-    for j in range(len(basis)):
+    heap = []
+
+    def add_pair(i, j):
+        pending.add((i, j))
+        rank = keys[monomial_lcm(lts[i], lts[j])] if normal else j
+        heapq.heappush(heap, (rank, i, j))
+
+    for j in range(groebner_prefix, len(basis)):
         for i in range(j):
-            if j >= groebner_prefix:
-                pending.add((i, j))
+            add_pair(i, j)
 
-    def lcm_key(pair):
-        return key(monomial_lcm(lts[pair[0]], lts[pair[1]]))
-
-    while pending:
-        if strategy == "normal":
-            pair = min(pending, key=lambda pr: (lcm_key(pr), pr))
-        else:
-            pair = min(pending, key=lambda pr: (pr[1], pr[0]))
-        pending.discard(pair)
-        i, j = pair
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
         lt_i, lt_j = lts[i], lts[j]
         lcm = monomial_lcm(lt_i, lt_j)
         # coprime leading terms: S-polynomial reduces to zero
@@ -184,41 +201,46 @@ def buchberger(
                 break
         if skip:
             continue
-        s = _spoly(basis[i], basis[j], order, p)
-        reduced = _reduce_terms(s.terms, _reducers_of(basis, order), order, p)
+        s = _spoly(basis[i], lt_i, basis[j], lt_j)
+        reduced = _reduce_terms(s.terms, reducers, keys, p)
         if not reduced:
             continue
-        h = Polynomial(ring, reduced).monic(order)
+        # the first term of a normal form is its leading term
+        lt, lc = next(iter(reduced.items()))
+        h = Polynomial._raw(ring, reduced)
+        if lc != 1:
+            h = h.monic(order)
         basis.append(h)
-        lts.append(h.leading(order)[0])
+        lts.append(lt)
+        reducers.append((lt, 1, h.terms))
         new = len(basis) - 1
         for m in range(new):
-            pending.add((m, new))
-    return _interreduce(basis, order)
+            add_pair(m, new)
+    return _interreduce(basis, lts, keys)
 
 
-def _interreduce(basis, order):
+def _interreduce(basis, lts, keys):
+    """Reduced basis from monic elements with the given leading exponents."""
     if not basis:
         return []
-    ring = basis[0].ring
-    p = ring.field.p
+    p = basis[0].ring.field.p
     # minimal leading terms, smallest first; duplicates drop
-    ordered = sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
+    ordered = sorted(zip(lts, basis), key=lambda pair: keys[pair[0]])
     kept = []
-    for g in ordered:
-        lt = g.leading(order)[0]
-        if any(monomial_divides(h.leading(order)[0], lt) for h in kept):
+    for lt, g in ordered:
+        if any(monomial_divides(k_lt, lt) for k_lt, _ in kept):
             continue
-        kept.append(g)
+        kept.append((lt, g))
+    reducers = [(lt, 1, g.terms) for lt, g in kept]
     out = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
+    for idx, (lt, g) in enumerate(kept):
+        others = reducers[:idx] + reducers[idx + 1 :]
         if others:
-            reduced = _reduce_terms(g.terms, _reducers_of(others, order), order, p)
-            g = Polynomial(ring, reduced)
-        out.append(g.monic(order))
-    out.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return out
+            # no other leading term divides lt, so the result keeps lt and stays monic
+            g = Polynomial._raw(g.ring, _reduce_terms(g.terms, others, keys, p))
+        out.append((lt, g))
+    out.sort(key=lambda pair: keys[pair[0]], reverse=True)
+    return [g for _, g in out]
 
 
 def groebner_basis(
@@ -237,10 +259,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the Groebner basis."""
     if f.is_zero() or not gb.elements:
         return f
-    reduced = _reduce_terms(
-        f.terms, _reducers_of(gb.elements, gb.order), gb.order, f.ring.field.p
-    )
-    return Polynomial(f.ring, reduced)
+    reduced = _reduce_terms(f.terms, gb.reducers, gb.order.keys, f.ring.field.p)
+    return Polynomial._raw(f.ring, reduced)
 
 
 def ideal_contains(ideal: IdealPresentation, other: IdealPresentation, order=GREVLEX) -> bool:
@@ -319,7 +339,7 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = GREVLEX) -
     inv = ring.field.inv(lc_f)
     work = dict(g.terms)
     quotient = {}
-    key = order.key
+    key = order.keys.__getitem__
     while work:
         mu = max(work, key=key)
         c = work.pop(mu)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisError
+from .errors import HypothesisError, InvariantError
 from .groebner import GroebnerBasis, IdealPresentation, groebner_basis
 from .polyring import GREVLEX, Monomial, MonomialOrder, graded_piece_basis, monomial_divides
 
@@ -52,7 +52,8 @@ def _divide_by_one_minus_t(a: IntPoly) -> IntPoly:
     for c in a[:-1]:
         acc += c
         out.append(acc)
-    assert acc + a[-1] == 0, "not divisible by (1 - t)"
+    if acc + a[-1] != 0:
+        raise InvariantError(f"{a} is not divisible by (1 - t)")
     return _trim(out)
 
 
@@ -161,7 +162,8 @@ def hilbert_data(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> Hi
         q = _divide_by_one_minus_t(q)
         d -= 1
     e = _poly_eval1(q)
-    assert e > 0, "multiplicity must be positive for a nonzero quotient"
+    if e <= 0:
+        raise InvariantError(f"multiplicity {e} of a nonzero quotient is not positive")
     data = HilbertData(
         nvars=n,
         series_numerator=series_num,

@@ -4,11 +4,14 @@ Monomials are plain exponent tuples.  A polynomial is a coefficient map
 {exponent tuple: residue in 1..p-1}; the zero polynomial has an empty map.
 Orders compare exponent tuples through sort keys, so ``max(terms, key=...)``
 picks leading terms and descending sorts give canonical term sequences.
+Each order memoises its keys (``MonomialOrder.keys``), so a key is computed
+once per monomial rather than on every comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,23 +60,48 @@ def monomial_degree(e: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _grevlex_key(e: Monomial):
     return (sum(e), tuple(-x for x in reversed(e)))
+
+
+# Entries per order in the key memo; a full memo is emptied and refilled, so
+# memory stays bounded however many monomials a computation meets.
+KEY_MEMO_LIMIT = 1 << 12
+
+
+class _KeyMemo(dict):
+    """Monomial -> order key, computing a missing key once with ``order.key``."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order: "MonomialOrder"):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, e):
+        if len(self) >= KEY_MEMO_LIMIT:
+            self.clear()
+        k = self[e] = self.order.key(e)
+        return k
+
+
+# One memo per distinct order, shared by equal order instances.
+_key_memos: dict[tuple, _KeyMemo] = {}
 
 
 @dataclass(frozen=True)
@@ -97,12 +125,25 @@ class MonomialOrder:
             return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
+    @cached_property
+    def keys(self) -> _KeyMemo:
+        """Memoised ``key``: ``keys[e]`` equals ``key(e)``."""
+        token = self.cache_token()
+        memo = _key_memos.get(token)
+        if memo is None:
+            memo = _key_memos[token] = _KeyMemo(self)
+        return memo
+
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def cache_token(self):
         return (self.kind, self.block)
+
+    def __reduce__(self):
+        # the key memo stays in its process; pickles carry only the order
+        return (MonomialOrder, (self.kind, self.block))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -178,11 +219,12 @@ class Polynomial:
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
+        e = max(self.terms, key=order.keys.__getitem__)
         return e, self.terms[e]
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, int]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
+        ordered = sorted(self.terms, key=order.keys.__getitem__, reverse=True)
+        return [(e, self.terms[e]) for e in ordered]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
@@ -418,4 +460,4 @@ def degree_monomials(n: int, t: int) -> list[Monomial]:
 
 def graded_piece_basis(ring: RingSpec, t: int, order: MonomialOrder = GREVLEX) -> list[Monomial]:
     """Monomial basis of the degree-t piece of the ring, descending."""
-    return sorted(degree_monomials(ring.n, t), key=order.key, reverse=True)
+    return sorted(degree_monomials(ring.n, t), key=order.keys.__getitem__, reverse=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisError
+from .errors import HypothesisError, InvariantError
 from .groebner import IdealPresentation, ideal_contains, ideals_equal, intersect
 from .hilbert import HilbertData, hilbert_data, hilbert_function
 from .polyring import Polynomial
@@ -75,7 +75,10 @@ class FamilyIntersection:
             value = hilbert_function(self._profile.ideal, t)
         else:
             value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
-        assert value >= 0
+        if value < 0:
+            raise InvariantError(
+                f"family {self.indices} has a negative degree-{t} dimension {value}"
+            )
         self._dims[t] = value
         return value
 
@@ -228,7 +231,10 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
     if _prefix_chain is not None:
         # the ideal was constructed as this very intersection; seed the
         # family cache with the chain and certify by construction
-        assert len(_prefix_chain) == len(prime_data)
+        if len(_prefix_chain) != len(prime_data):
+            raise InvariantError(
+                f"prefix chain has {len(_prefix_chain)} ideals for {len(prime_data)} primes"
+            )
         for k, meet in enumerate(_prefix_chain):
             key = tuple(range(k + 1))
             profile._families[key] = FamilyIntersection(key, False, profile, meet)

@@ -305,6 +305,56 @@ def test_jobs_do_not_change_output(capsys, ex1_file):
     assert '"jobs"' not in out1
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, monkeypatch):
+    from gmdkit import gflinalg
+
+    monkeypatch.setattr(gflinalg, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(gflinalg.os, "cpu_count", lambda: 3)
+    split_sizes = []
+    real_split = gflinalg.SubspaceIterator.split
+
+    def recording_split(self, parts):
+        split_sizes.append(parts)
+        return real_split(self, parts)
+
+    monkeypatch.setattr(gflinalg.SubspaceIterator, "split", recording_split)
+    for argv in (
+        ["delta", ex1_file, "--t-max", "2", "--ell-max", "2", "--witnesses"],
+        ["ghw", points_file, "--t-max", "2", "--strategy", "enumerate", "--witnesses"],
+    ):
+        outputs = []
+        for jobs in (1, 2, 10**6):
+            SerialPool.sizes.clear()
+            split_sizes.clear()
+            status, out, err = run(capsys, *argv, "--jobs", str(jobs))
+            assert status == 0, err
+            outputs.append(out)
+            assert split_sizes and max(split_sizes) <= min(jobs, 3)
+            if jobs == 1:
+                assert SerialPool.sizes == []
+            else:
+                assert SerialPool.sizes and max(SerialPool.sizes) <= min(jobs, 3)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_ell_and_ell_max_are_exclusive(capsys, ex1_file):
     with pytest.raises(SystemExit) as exc:
         cli.main(["delta", ex1_file, "--ell", "1", "--ell-max", "2"])

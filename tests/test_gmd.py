@@ -1,9 +1,12 @@
 """Distance values, stabilization case analysis, regularity indices."""
 
+import math
+
 import pytest
 
+from gmdkit import gmd
 from gmdkit.errors import HypothesisError
-from gmdkit.gflinalg import FieldSpec
+from gmdkit.gflinalg import FieldSpec, SubspaceIterator, subspace_count
 from gmdkit.gmd import (
     FIXED_DIM,
     OWN_DIM,
@@ -14,10 +17,12 @@ from gmdkit.gmd import (
     delta_fast,
     regularity_index,
     stabilization_value,
+    subspace_to_polys,
     verify_theorems,
 )
-from gmdkit.groebner import IdealPresentation
-from gmdkit.polyring import RingSpec, parse_polynomial
+from gmdkit.groebner import IdealPresentation, groebner_basis
+from gmdkit.hilbert import graded_piece_of_quotient
+from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
 from gmdkit.schemes import build_profile
 from gmdkit.suites import sr_context
 
@@ -93,6 +98,50 @@ def test_annihilator_modes_agree(ex1_profile):
         assert colon_answer == prime_answer, text
     with pytest.raises(ValueError):
         ann_nonzero(ex1_profile, [], "oracle")
+
+
+# Subspaces checked per (t, l) cell; smaller cells are checked whole.
+GRID_CELL_CAP = 75
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "f2-onedim-three-primes",  # EXAMPLE1
+        "f3-plane-with-two-lines",
+        "f2-plane-and-line",
+        "f2-triangle-boundary",
+        "f3-points5-seed14",
+    ],
+)
+def test_annihilator_modes_agree_over_grid(ring_cases, name):
+    profile = ring_cases[name].build()
+    assert profile.reduced_certified
+    answers = set()
+    for t in (1, 2):
+        basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+        for ell in (1, 2):
+            if ell > len(basis):
+                continue
+            count = subspace_count(len(basis), ell, profile.ring.field)
+            it = SubspaceIterator(len(basis), ell, profile.ring.field)
+            for index in range(0, count, math.ceil(count / GRID_CELL_CAP)):
+                polys = subspace_to_polys(profile, basis, it.matrix_at(index))
+                prime = ann_nonzero(profile, polys, "prime")
+                assert prime == ann_nonzero(profile, polys, "colon"), (t, ell, index)
+                answers.add(prime)
+    assert answers == {True, False}
+
+
+def test_monomial_normal_form_memo_stays_bounded(ex1_profile, monkeypatch):
+    monkeypatch.setattr(gmd, "NF_MEMO_LIMIT", 4)
+    gb = groebner_basis(ex1_profile.primes[0].ideal)
+    gb.monomial_normal_forms.clear()
+    basis = graded_piece_of_quotient(ex1_profile.ideal, 3)
+    polys = [Polynomial(ex1_profile.ring, {e: 1 for e in basis})]
+    assert len(basis) > 4
+    assert ann_nonzero(ex1_profile, polys, "prime") == ann_nonzero(ex1_profile, polys, "colon")
+    assert 0 < len(gb.monomial_normal_forms) <= 4
 
 
 def test_fast_path_requires_certificate_and_fixed_dim():

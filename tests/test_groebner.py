@@ -1,11 +1,15 @@
 """Groebner engine: bases, normal forms, intersections, colons."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.groebner import (
+    GroebnerBasis,
     IdealPresentation,
+    buchberger,
     colon,
     colon_single,
     exact_divide,
@@ -23,6 +27,7 @@ from gmdkit.polyring import (
     Polynomial,
     RingSpec,
     degree_monomials,
+    elimination_order,
     monomial_div,
     monomial_lcm,
     parse_polynomial,
@@ -92,6 +97,32 @@ def test_normal_form_is_idempotent_and_compatible_with_sums(ideal_):
     nf = normal_form(f, gb)
     assert normal_form(nf, gb) == nf
     assert normal_form(f + g, gb) == normal_form(normal_form(f, gb) + normal_form(g, gb), gb)
+
+
+QUEUE_ORDERS = [GREVLEX, LEX, elimination_order(1)]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(homogeneous_ideals(), st.sampled_from(QUEUE_ORDERS), st.data())
+def test_pair_queue_gives_one_reduced_basis(ideal_, order, data):
+    gens = list(ideal_.gens)
+    reduced = buchberger(gens, order, "normal")
+    assert buchberger(gens, order, "first") == reduced
+    assert buchberger(data.draw(st.permutations(gens)), order) == reduced
+    k = data.draw(st.integers(min_value=0, max_value=len(gens)))
+    seed = GroebnerBasis(ideal_.ring, order, tuple(buchberger(gens[:k], order)))
+    extended = groebner_basis_extending(seed, gens[k:], order)
+    assert list(extended.elements) == reduced
+
+
+def test_basis_pickles_without_its_memos():
+    gb = groebner_basis(ideal(R3, "x*y+z^2", "y^2"))
+    assert gb.reducers and gb.leading_exponents
+    gb.monomial_normal_forms[(1, 2, 0)] = {}
+    clone = pickle.loads(pickle.dumps(gb))
+    assert clone == gb
+    assert not {"reducers", "leading_exponents", "monomial_normal_forms"} & set(clone.__dict__)
+    assert clone.reducers == gb.reducers
 
 
 def test_known_basis_leading_exponents():
