@@ -9,6 +9,7 @@ equals the distance function of the ideal at that degree and count.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,10 @@ from .polyring import Polynomial, RingSpec, graded_piece_basis
 from .schemes import RingProfile, build_profile_from_primes
 
 ENUMERATE_LIMIT = 20000
+
+# Largest number of per-row support bitmasks memoised by one GHW enumeration
+# scan.  Rows of RREF subspace bases repeat heavily, so far fewer are needed.
+SUPPORT_MEMO_LIMIT = 1 << 16
 
 _SHORT_NAMES = ("x", "y", "z", "w")
 
@@ -100,6 +105,18 @@ class ProjectivePointSet:
     def ring(self) -> RingSpec:
         return standard_ring(self.field, self.ambient)
 
+    def evaluation_vectors(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """Values of the degree-t monomials at each point, one vector per point.
+
+        Monomials are in ``graded_piece_basis`` order; the degree-t
+        evaluation matrix is the transpose of this table.
+        """
+        p = self.field.p
+        monos = graded_piece_basis(self.ring(), t)
+        return tuple(
+            tuple(evaluate_monomial(mono, pt, p) for mono in monos) for pt in self.points
+        )
+
     def point_prime(self, ring: RingSpec, index: int) -> IdealPresentation:
         """Linear forms vanishing at one point: the kernel of evaluation."""
         row = FieldMatrix(self.field, [list(self.points[index])])
@@ -136,25 +153,26 @@ class PointFamilyBackend:
 
     The degree-t piece of S/J for a subset of the points has dimension
     equal to the rank of the monomial-evaluation matrix at those points,
-    and it equals the subset size from degree (size - 1) on.  Agreement
-    with the Groebner route is covered by the property suite.
+    and it equals the subset size from degree (size - 1) on.  That rank is
+    the rank of the subset's evaluation vectors, which are built once per
+    degree.  Agreement with the Groebner route is covered by the property
+    suite.
     """
 
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         self._points = points
         self._profile = profile
-        self._ring = points.ring()
+        self._vectors: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
         full = hilbert_function(self._profile.ideal, t)
         if not indices:
             return full
-        p = self._points.field.p
-        rows = [
-            [evaluate_monomial(mono, self._points.points[i], p) for i in indices]
-            for mono in graded_piece_basis(self._ring, t)
-        ]
-        return full - rank(FieldMatrix(self._points.field, rows))
+        vectors = self._vectors.get(t)
+        if vectors is None:
+            vectors = self._vectors[t] = self._points.evaluation_vectors(t)
+        rows = tuple(vectors[i] for i in indices)
+        return full - rank(FieldMatrix._raw(self._points.field, rows, len(rows[0])))
 
     def regime(self, indices: tuple[int, ...]) -> int:
         if not indices:
@@ -198,22 +216,16 @@ def evaluation_code(points: ProjectivePointSet, t: int) -> LinearCode:
     """Code spanned by degree-t monomial evaluations at the fixed representatives."""
     if t < 1:
         raise ValueError("degree t must be at least 1")
-    ring = points.ring()
-    p = points.field.p
-    rows = [
-        [evaluate_monomial(mono, pt, p) for pt in points.points]
-        for mono in graded_piece_basis(ring, t)
-    ]
-    reduced, rk, _ = rref(FieldMatrix(points.field, rows))
+    rows = tuple(zip(*points.evaluation_vectors(t)))
+    reduced, rk, _ = rref(FieldMatrix._raw(points.field, rows, len(points)))
     if rk == 0:
         raise ValueError("all degree-t monomials vanish on the point set")
-    basis_rows = reduced.to_lists()[:rk]
-    return LinearCode(points.field, FieldMatrix(points.field, basis_rows))
+    basis = FieldMatrix._raw(points.field, reduced.data[:rk], len(points))
+    return LinearCode(points.field, basis)
 
 
 def support_size(matrix: FieldMatrix) -> int:
-    rows = matrix.to_lists()
-    return sum(1 for j in range(matrix.cols) if any(row[j] for row in rows))
+    return sum(1 for col in zip(*matrix.data) if any(col))
 
 
 @dataclass(frozen=True)
@@ -225,14 +237,33 @@ class GhwResult:
 
 
 def _enum_scan(generator: FieldMatrix, r: int, start: int, stop: int):
+    """Least support size over subcodes [start, stop) and its first index.
+
+    The support of a subcode is the union of the supports of its basis
+    codewords, so each basis row u contributes the bitmask of the nonzero
+    coordinates of u*G, memoised per row.
+    """
     field = generator.field
-    k = generator.rows
-    it = SubspaceIterator(k, r, field, start, stop)
+    p = field.p
+    columns = tuple(zip(*generator.data))
+    it = SubspaceIterator(generator.rows, r, field, start, stop)
+    masks: dict[tuple[int, ...], int] = {}
     best = None
     best_index = None
     for index in range(start, stop):
-        u = it.matrix_at(index)
-        weight = support_size(u.matmul(generator))
+        support = 0
+        for row in it.matrix_at(index).data:
+            mask = masks.get(row)
+            if mask is None:
+                if len(masks) >= SUPPORT_MEMO_LIMIT:
+                    masks.clear()
+                mask = masks[row] = sum(
+                    1 << j
+                    for j, col in enumerate(columns)
+                    if sum(map(operator.mul, row, col)) % p
+                )
+            support |= mask
+        weight = support.bit_count()
         if best is None or weight < best:
             best = weight
             best_index = index
@@ -270,7 +301,7 @@ def _ghw_shorten(code: LinearCode, r: int) -> GhwResult:
             sub = g.column_submatrix(zset)
             if rank(sub) <= k - r:
                 left = kernel_basis(sub.transpose())
-                u = FieldMatrix(code.field, left.to_lists()[:r])
+                u = FieldMatrix._raw(code.field, left.data[:r], k)
                 witness = rref(u.matmul(g))[0].to_lists()
                 return GhwResult(n - size, r, "shorten", witness)
     raise AssertionError("unreachable: the empty column set always qualifies")

@@ -1,6 +1,6 @@
 """Exact linear algebra over prime fields F_p.
 
-Matrices are dense numpy int64 arrays with entries reduced mod p.  Everything
+Matrices are tuples of row tuples of Python ints reduced mod p.  Everything
 here is exact integer arithmetic; no floating point is ever involved.  The
 subspace enumerator emits each l-dimensional subspace of F_p^m exactly once,
 as the unique reduced row echelon basis matrix, in a fixed global order that
@@ -10,13 +10,12 @@ can be partitioned by index range for parallel scans.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import InvariantError
 
@@ -58,78 +57,99 @@ class FieldSpec:
 
 
 class FieldMatrix:
-    """Immutable matrix over a prime field."""
+    """Immutable matrix over a prime field, stored as a tuple of row tuples.
 
-    __slots__ = ("field", "data")
+    Entries are reduced mod p on construction.  ``data`` holds the rows;
+    ``cols`` is kept separately so 0 x n matrices keep their width.
+    """
+
+    __slots__ = ("field", "data", "cols")
 
     def __init__(self, field: FieldSpec, data):
-        arr = np.array(data, dtype=np.int64)
-        if arr.ndim != 2:
-            arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
-        arr %= field.p
-        arr.flags.writeable = False
+        p = field.p
+        rows = tuple(tuple(x % p for x in row) for row in data)
+        widths = {len(row) for row in rows}
+        if len(widths) > 1:
+            raise ValueError(f"ragged rows: lengths {sorted(widths)}")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", rows)
+        object.__setattr__(self, "cols", widths.pop() if widths else 0)
+
+    @classmethod
+    def _raw(cls, field: FieldSpec, rows: tuple, cols: int) -> "FieldMatrix":
+        """Wrap rows that are already reduced tuples of one width ``cols``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "data", rows)
+        object.__setattr__(out, "cols", cols)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
 
     def __getstate__(self):
-        return (self.field, self.data.shape, self.data.flatten().tolist())
+        return (self.field, self.data, self.cols)
 
     def __setstate__(self, state):
-        field, shape, flat = state
-        arr = np.array(flat, dtype=np.int64).reshape(shape)
-        arr.flags.writeable = False
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr)
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._raw(field, ((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls._raw(field, rows, n)
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+        return len(self.data)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.data[i])
+        return self.data[i]
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.data]
+        return [list(row) for row in self.data]
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.field.p != other.field.p:
             raise ValueError("field mismatch")
-        return FieldMatrix(self.field, (self.data @ other.data) % self.field.p)
+        if self.cols != other.rows:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
+            )
+        p = self.field.p
+        columns = other.transpose().data
+        rows = tuple(
+            tuple(sum(map(operator.mul, row, col)) % p for col in columns)
+            for row in self.data
+        )
+        return FieldMatrix._raw(self.field, rows, other.cols)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.data.T)
+        rows = tuple(zip(*self.data)) or ((),) * self.cols
+        return FieldMatrix._raw(self.field, rows, self.rows)
 
     def column_submatrix(self, cols) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.data[:, list(cols)])
+        cols = tuple(cols)
+        rows = tuple(tuple(row[j] for j in cols) for row in self.data)
+        return FieldMatrix._raw(self.field, rows, len(cols))
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
             and self.field.p == other.field.p
-            and self.data.shape == other.data.shape
-            and bool(np.array_equal(self.data, other.data))
+            and self.cols == other.cols
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.data.shape, self.data.tobytes()))
+        return hash((self.field.p, self.cols, self.data))
 
     def __repr__(self):
-        return f"FieldMatrix(p={self.field.p}, {self.data.tolist()})"
+        return f"FieldMatrix(p={self.field.p}, {self.to_lists()})"
 
 
 def rref(matrix: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
@@ -138,30 +158,35 @@ def rref(matrix: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     Returns (R, rank, pivot_columns).  Pivot entries are 1, pivot columns are
     cleared above and below, and the pivot columns are strictly increasing.
     """
-    p = matrix.field.p
-    a = matrix.data.copy()
-    rows, cols = a.shape
+    field = matrix.field
+    p = field.p
+    inverses = field.inverses
+    a = [list(row) for row in matrix.data]
+    nrows = len(a)
     pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(matrix.cols):
+        if r == nrows:
             break
-        hit = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                hit = i
-                break
+        hit = next((i for i in range(r, nrows) if a[i][c]), None)
         if hit is None:
             continue
         if hit != r:
-            a[[r, hit]] = a[[hit, r]]
-        a[r] = (a[r] * matrix.field.inv(int(a[r, c]))) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+            a[r], a[hit] = a[hit], a[r]
+        top = a[r]
+        lead = top[c]
+        if lead != 1:
+            inv = inverses[lead]
+            top = a[r] = [x * inv % p for x in top]
+        # the pivot row is zero left of c, so only the tails change
+        tail = top[c:]
+        for i, row in enumerate(a):
+            factor = row[c]
+            if factor and i != r:
+                row[c:] = [(x - factor * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return FieldMatrix(matrix.field, a), r, tuple(pivots)
+    return FieldMatrix._raw(field, tuple(map(tuple, a)), matrix.cols), r, tuple(pivots)
 
 
 def rank(matrix: FieldMatrix) -> int:
@@ -178,13 +203,17 @@ def kernel_basis(matrix: FieldMatrix) -> FieldMatrix:
     p = matrix.field.p
     reduced, rk, pivots = rref(matrix)
     cols = matrix.cols
-    free = [c for c in range(cols) if c not in set(pivots)]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        out[k, f] = 1
+    pivot_set = set(pivots)
+    out = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        vec = [0] * cols
+        vec[f] = 1
         for i, c in enumerate(pivots):
-            out[k, c] = (-int(reduced.data[i, f])) % p
-    return FieldMatrix(matrix.field, out)
+            vec[c] = -reduced.data[i][f] % p
+        out.append(tuple(vec))
+    return FieldMatrix._raw(matrix.field, tuple(out), cols)
 
 
 def gaussian_binomial(m: int, l: int, p: int) -> int:
@@ -219,19 +248,19 @@ class SubspaceIterator:
         self.l = l
         self.field = field
         self._combos = list(itertools.combinations(range(m), l)) if l <= m else []
-        self._free_counts = []
+        # free (row, column) positions of each pivot combination, row-major
+        self._free = []
         self._cum = [0]
-        p = field.p
         for combo in self._combos:
             pivot_set = set(combo)
-            nf = sum(
-                1
+            free = [
+                (i, j)
                 for i in range(l)
-                for j in range(m)
-                if j > combo[i] and j not in pivot_set
-            )
-            self._free_counts.append(nf)
-            self._cum.append(self._cum[-1] + p**nf)
+                for j in range(combo[i] + 1, m)
+                if j not in pivot_set
+            ]
+            self._free.append(free)
+            self._cum.append(self._cum[-1] + field.p ** len(free))
         self.count = self._cum[-1]
         self.start = start
         self.stop = self.count if stop is None else stop
@@ -242,23 +271,15 @@ class SubspaceIterator:
         if not (0 <= index < self.count):
             raise IndexError(index)
         b = bisect_right(self._cum, index) - 1
-        combo = self._combos[b]
         offset = index - self._cum[b]
         p = self.field.p
-        pivot_set = set(combo)
-        free_positions = [
-            (i, j)
-            for i in range(self.l)
-            for j in range(self.m)
-            if j > combo[i] and j not in pivot_set
-        ]
-        nf = len(free_positions)
-        mat = np.zeros((self.l, self.m), dtype=np.int64)
-        for i, c in enumerate(combo):
-            mat[i, c] = 1
-        for idx, (i, j) in enumerate(free_positions):
-            mat[i, j] = (offset // p ** (nf - 1 - idx)) % p
-        return FieldMatrix(self.field, mat)
+        rows = [[0] * self.m for _ in range(self.l)]
+        for i, c in enumerate(self._combos[b]):
+            rows[i][c] = 1
+        # base-p digits of the offset, most significant at the first free position
+        for i, j in reversed(self._free[b]):
+            offset, rows[i][j] = divmod(offset, p)
+        return FieldMatrix._raw(self.field, tuple(map(tuple, rows)), self.m)
 
     def split(self, parts: int) -> list["SubspaceIterator"]:
         if parts < 1:
@@ -273,10 +294,6 @@ class SubspaceIterator:
             out.append(SubspaceIterator(self.m, self.l, self.field, pos, pos + size))
             pos += size
         return out
-
-    def __iter__(self):
-        for index in range(self.start, self.stop):
-            yield self.matrix_at(index)
 
     def __len__(self):
         return self.stop - self.start
@@ -300,11 +317,6 @@ def scan_in_chunks(it: SubspaceIterator, jobs: int, scan, args: tuple) -> list:
         return [_run_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks))
-
-
-def enumerate_subspaces(m: int, l: int, field: FieldSpec) -> SubspaceIterator:
-    """All l-dimensional subspaces of F_p^m; empty stream when l > m."""
-    return SubspaceIterator(m, l, field)
 
 
 def subspace_count(m: int, l: int, field: FieldSpec) -> int:

@@ -79,7 +79,7 @@ def subspace_to_polys(profile: RingProfile, basis_monomials, matrix: FieldMatrix
     """Lift the rows of an RREF coefficient matrix to polynomials in S."""
     ring = profile.ring
     polys = []
-    for row in matrix.to_lists():
+    for row in matrix.data:
         terms = {}
         for c, mono in zip(row, basis_monomials):
             if c:

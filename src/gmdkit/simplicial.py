@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .gflinalg import FieldMatrix, FieldSpec, rref
 from .groebner import IdealPresentation
 from .polyring import Polynomial, RingSpec
@@ -185,11 +183,11 @@ def _boundary_rank(by_dim, k: int, field: FieldSpec) -> int:
     if not rows or not cols:
         return 0
     index = {face: i for i, face in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    mat = [[0] * len(cols) for _ in rows]
     for j, face in enumerate(cols):
         for drop in range(len(face)):
             sub = face[:drop] + face[drop + 1 :]
-            mat[index[sub], j] = 1 if drop % 2 == 0 else -1
+            mat[index[sub]][j] = 1 if drop % 2 == 0 else -1
     return rref(FieldMatrix(field, mat))[1]
 
 

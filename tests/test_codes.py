@@ -1,10 +1,14 @@
 """Evaluation codes, generalized weights, and the distance bridge."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmdkit.codes import (
     ENUMERATE_LIMIT,
+    _enum_scan,
+    _ghw_enumerate,
     LinearCode,
     ProjectivePointSet,
     bridge_check,
@@ -14,8 +18,9 @@ from gmdkit.codes import (
     projective_points,
     support_size,
 )
-from gmdkit.gflinalg import FieldMatrix, FieldSpec, rank
+from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, rref
 from gmdkit.groebner import groebner_basis, normal_form
+from gmdkit.hilbert import hilbert_function
 from gmdkit.polyring import graded_piece_basis
 
 from oracles import P1_F2, ghw_by_span_enumeration
@@ -93,25 +98,27 @@ def test_vanishing_profile_shape_and_memoization():
 
 
 def test_backend_piece_dims_match_groebner_route():
-    ps = ProjectivePointSet(F3, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 2), (1, 2, 1)])
+    # five points of P^2(F_3), no four on a line
+    ps = ProjectivePointSet(
+        F3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)]
+    )
     profile = ps.vanishing_profile()
-    backend = profile.family_backend
-    for indices in [(0,), (1, 2), (0, 3), (0, 1, 2), (0, 1, 2, 3)]:
-        fam = profile.intersect_family(indices)
-        for t in range(1, 5):
-            got = fam.quotient_dim(t)
-            # drop to the Groebner route by differencing Hilbert functions
-            from gmdkit.hilbert import hilbert_function
-
-            expected = hilbert_function(profile.ideal, t) - hilbert_function(
-                fam.ideal, t
-            )
-            assert got == expected, (indices, t)
-    # functions vanishing on j of the 4 points stabilize at 4 - j dimensions
-    for j in range(1, 5):
+    assert profile.family_backend is not None
+    for size in range(1, 6):
+        for indices in itertools.combinations(range(5), size):
+            fam = profile.intersect_family(indices)
+            for t in range(0, 5):
+                got = fam.quotient_dim(t)
+                # the Groebner route: difference of Hilbert functions
+                expected = hilbert_function(profile.ideal, t) - hilbert_function(
+                    fam.ideal, t
+                )
+                assert got == expected, (indices, t)
+    # functions vanishing on j of the 5 points stabilize at 5 - j dimensions
+    for j in range(1, 6):
         fam = profile.intersect_family(tuple(range(j)))
         t = fam.regime() + 1
-        assert fam.quotient_dim(t) == 4 - j, j
+        assert fam.quotient_dim(t) == 5 - j, j
 
 
 def test_evaluation_code_shape():
@@ -190,6 +197,76 @@ def test_weights_strictly_increase(p, rows):
     ]
     assert all(a < b for a, b in zip(weights, weights[1:]))
     assert weights[-1] == support_size(code.generator)
+
+
+def _per_index_scan(generator, r, start, stop):
+    """(best, best_index) from the support of u*G for every basis u."""
+    it = SubspaceIterator(generator.rows, r, generator.field, start, stop)
+    best = best_index = None
+    for index in range(start, stop):
+        weight = support_size(it.matrix_at(index).matmul(generator))
+        if best is None or weight < best:
+            best, best_index = weight, index
+    return best, best_index
+
+
+def generator_codes(max_k=4, max_n=6):
+    def build(p):
+        return st.integers(1, max_k).flatmap(
+            lambda k: st.integers(k, max_n).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                    min_size=k,
+                    max_size=k,
+                ).map(lambda rows: FieldMatrix(FieldSpec(p), rows))
+            )
+        )
+
+    return st.sampled_from([2, 3, 5]).flatmap(build)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(generator_codes(), st.data())
+def test_support_union_scan_matches_per_index_weights(g, data):
+    r = data.draw(st.integers(1, g.rows))
+    it = SubspaceIterator(g.rows, r, g.field)
+    assert _enum_scan(g, r, 0, it.count) == _per_index_scan(g, r, 0, it.count)
+    # the chunks a two-worker scan would get
+    for part in it.split(2):
+        assert _enum_scan(g, r, part.start, part.stop) == _per_index_scan(
+            g, r, part.start, part.stop
+        )
+    if rank(g) == g.rows:
+        code = LinearCode(g.field, g)
+        best, index = _per_index_scan(g, r, 0, it.count)
+        witness = it.matrix_at(index).matmul(g)
+        result = _ghw_enumerate(code, r, jobs=1)
+        assert result.value == best == support_size(witness)
+        assert FieldMatrix(g.field, result.witness) == rref(witness)[0]
+
+
+def test_support_union_scan_with_two_workers():
+    for p, rows in HAND_CODES:
+        field = FieldSpec(p)
+        code = LinearCode(field, FieldMatrix(field, rows))
+        for r in range(1, code.dimension + 1):
+            count = SubspaceIterator(code.dimension, r, field).count
+            oracle = _per_index_scan(code.generator, r, 0, count)
+            single = _ghw_enumerate(code, r, jobs=1)
+            double = _ghw_enumerate(code, r, jobs=2)
+            assert single == double
+            assert single.value == oracle[0]
+
+
+def test_support_memo_stays_bounded(monkeypatch):
+    import gmdkit.codes as codes_mod
+
+    monkeypatch.setattr(codes_mod, "SUPPORT_MEMO_LIMIT", 2)
+    for p, rows in HAND_CODES:
+        g = FieldMatrix(FieldSpec(p), rows)
+        for r in range(1, g.rows + 1):
+            count = SubspaceIterator(g.rows, r, g.field).count
+            assert _enum_scan(g, r, 0, count) == _per_index_scan(g, r, 0, count)
 
 
 def test_ghw_argument_validation():

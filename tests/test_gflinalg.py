@@ -1,4 +1,7 @@
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,6 @@ from gmdkit.gflinalg import (
     FieldMatrix,
     FieldSpec,
     SubspaceIterator,
-    enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
     rank,
@@ -85,8 +87,30 @@ def test_matrix_shapes_and_immutability():
     assert (m.rows, m.cols) == (2, 2)
     with pytest.raises(AttributeError):
         m.data = None
+    with pytest.raises(AttributeError):
+        m.cols = 5
+    with pytest.raises(TypeError):
+        m.data[0][0] = 2
+    assert m.data == ((1, 2), (0, 1))
     empty = FieldMatrix(f, [])
     assert (empty.rows, empty.cols) == (0, 0)
+    assert empty.to_lists() == []
+    # entries are reduced mod p, negative ones included
+    assert FieldMatrix(f, [[4, -1, 3]]).to_lists() == [[1, 2, 0]]
+
+
+def test_ragged_rows_and_inner_dimension_mismatch_raise():
+    f = FieldSpec(2)
+    with pytest.raises(ValueError):
+        FieldMatrix(f, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        FieldMatrix(f, [[], [1]])
+    a = FieldMatrix(f, [[1, 0, 1]])
+    with pytest.raises(ValueError):
+        a.matmul(FieldMatrix(f, [[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        a.matmul(FieldMatrix(FieldSpec(3), [[1], [0], [1]]))
+    assert a.matmul(FieldMatrix(f, [[1], [1], [1]])).to_lists() == [[0]]
 
 
 def test_matrix_pickle_round_trip():
@@ -94,7 +118,46 @@ def test_matrix_pickle_round_trip():
     m = FieldMatrix(f, [[1, 2, 3], [4, 0, 1]])
     again = pickle.loads(pickle.dumps(m))
     assert again == m
+    assert hash(again) == hash(m)
     assert again.field.p == 5
+    assert (again.rows, again.cols) == (2, 3)
+    # a matrix without rows keeps its width through a pickle
+    kernel = kernel_basis(FieldMatrix.identity(f, 3))
+    assert (kernel.rows, kernel.cols) == (0, 3)
+    again = pickle.loads(pickle.dumps(kernel))
+    assert (again.rows, again.cols) == (0, 3)
+    with pytest.raises(AttributeError):
+        again.data = None
+
+
+def test_matrix_equality_and_hash():
+    f3 = FieldSpec(3)
+    m = FieldMatrix(f3, [[1, 2], [0, 1]])
+    same = FieldMatrix(f3, [[4, -1], [3, 1]])
+    assert m == same and hash(m) == hash(same)
+    assert len({m, same}) == 1
+    assert m != FieldMatrix(FieldSpec(5), [[1, 2], [0, 1]])
+    assert m != FieldMatrix(f3, [[1, 2], [0, 2]])
+    assert m != [[1, 2], [0, 1]]
+    # equal row data but different widths are different matrices
+    assert FieldMatrix.zeros(f3, 0, 2) != FieldMatrix.zeros(f3, 0, 3)
+    assert FieldMatrix.zeros(f3, 2, 2) == FieldMatrix(f3, [[0, 0], [0, 0]])
+    assert FieldMatrix.identity(f3, 2).matmul(m) == m
+    assert m.transpose().transpose() == m
+    assert m.column_submatrix([1]) == FieldMatrix(f3, [[2], [1]])
+
+
+def test_import_keeps_numpy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, gmdkit.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -121,9 +184,11 @@ def test_gaussian_binomial_known_values(m, l, p, expected):
 )
 def test_subspace_enumeration_is_complete_and_canonical(p, m, l):
     f = FieldSpec(p)
+    it = SubspaceIterator(m, l, f)
     seen = set()
-    for mat in enumerate_subspaces(m, l, f):
-        assert mat.rows == l
+    for index in range(it.count):
+        mat = it.matrix_at(index)
+        assert (mat.rows, mat.cols) == (l, m)
         reduced, rk, _ = rref(mat)
         assert rk == l
         assert reduced == mat  # emitted in reduced echelon form
@@ -135,11 +200,22 @@ def test_subspace_iterator_indexing_and_split():
     f = FieldSpec(2)
     it = SubspaceIterator(4, 2, f)
     assert it.count == 35
-    listed = list(enumerate_subspaces(4, 2, f))
-    for i in (0, 1, 17, 34):
-        assert it.matrix_at(i) == listed[i]
+    # pivot combinations in lex order, free entries as base-p counters
+    expected = {
+        0: [[1, 0, 0, 0], [0, 1, 0, 0]],
+        1: [[1, 0, 0, 0], [0, 1, 0, 1]],
+        17: [[1, 0, 0, 0], [0, 0, 1, 1]],
+        34: [[0, 0, 1, 0], [0, 0, 0, 1]],
+    }
+    for i, rows in expected.items():
+        assert it.matrix_at(i) == FieldMatrix(f, rows)
+    for bad in (-1, 35):
+        with pytest.raises(IndexError):
+            it.matrix_at(bad)
     parts = it.split(4)
     covered = []
     for part in parts:
         covered.extend(range(part.start, part.stop))
+        for i in range(part.start, part.stop):
+            assert part.matrix_at(i) == it.matrix_at(i)
     assert covered == list(range(35))
