@@ -21,6 +21,7 @@ from .gflinalg import (
     rank,
     rref,
     scan_in_chunks,
+    subset_ranks,
     subspace_count,
 )
 from .groebner import IdealPresentation
@@ -29,10 +30,6 @@ from .polyring import Polynomial, RingSpec, graded_piece_basis
 from .schemes import RingProfile, build_profile_from_primes
 
 ENUMERATE_LIMIT = 20000
-
-# Largest number of per-row support bitmasks memoised by one GHW enumeration
-# scan.  Rows of RREF subspace bases repeat heavily, so far fewer are needed.
-SUPPORT_MEMO_LIMIT = 1 << 16
 
 _SHORT_NAMES = ("x", "y", "z", "w")
 
@@ -154,25 +151,37 @@ class PointFamilyBackend:
     The degree-t piece of S/J for a subset of the points has dimension
     equal to the rank of the monomial-evaluation matrix at those points,
     and it equals the subset size from degree (size - 1) on.  That rank is
-    the rank of the subset's evaluation vectors, which are built once per
-    degree.  Agreement with the Groebner route is covered by the property
-    suite.
+    the rank of the subset's evaluation vectors, so one table per degree
+    holds it for every subset, indexed by bitmask.  Agreement with the
+    Groebner route is covered by the property suite.
     """
 
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         self._points = points
         self._profile = profile
-        self._vectors: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._ranks: dict[int, bytes] = {}
+
+    def rank_table(self, t: int) -> bytes:
+        """Rank of the degree-t evaluation vectors of every point subset."""
+        table = self._ranks.get(t)
+        if table is None:
+            n = len(self._points)
+            if hilbert_function(self._profile.ideal, t) == n:
+                # all n vectors are independent: a subset's rank is its size
+                table = bytes(map(int.bit_count, range(1 << n)))
+            else:
+                table = subset_ranks(self._points.field, self._points.evaluation_vectors(t))
+            self._ranks[t] = table
+        return table
 
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
         full = hilbert_function(self._profile.ideal, t)
-        if not indices:
-            return full
-        vectors = self._vectors.get(t)
-        if vectors is None:
-            vectors = self._vectors[t] = self._points.evaluation_vectors(t)
-        rows = tuple(vectors[i] for i in indices)
-        return full - rank(FieldMatrix._raw(self._points.field, rows, len(rows[0])))
+        return full - self.rank_table(t)[sum(1 << i for i in indices)]
+
+    def piece_dims(self, t: int) -> bytes:
+        """``piece_dim`` of every point subset, indexed by bitmask."""
+        full = hilbert_function(self._profile.ideal, t)
+        return bytes(map(full.__sub__, self.rank_table(t)))
 
     def regime(self, indices: tuple[int, ...]) -> int:
         if not indices:
@@ -236,34 +245,39 @@ class GhwResult:
     witness: list[list[int]]  # RREF basis of a minimum-support subcode
 
 
+def _or_each(unions, masks):
+    # a function, so each generator keeps its own ``masks``: a generator
+    # expression written in the caller's loop would read the last row's
+    return (u | m for u in unions for m in masks)
+
+
 def _enum_scan(generator: FieldMatrix, r: int, start: int, stop: int):
     """Least support size over subcodes [start, stop) and its first index.
 
     The support of a subcode is the union of the supports of its basis
-    codewords, so each basis row u contributes the bitmask of the nonzero
-    coordinates of u*G, memoised per row.
+    codewords.  Within one pivot combination the bases are the product of
+    the possible rows, so each row u contributes the bitmask of the nonzero
+    coordinates of u*G once, and the product of those bitmasks is ORed as
+    it streams.  Only the inner rows' bitmasks are held; the first row's
+    stream, the longest, is read once.
     """
-    field = generator.field
-    p = field.p
+    p = generator.field.p
     columns = tuple(zip(*generator.data))
-    it = SubspaceIterator(generator.rows, r, field, start, stop)
-    masks: dict[tuple[int, ...], int] = {}
+
+    def support(u) -> int:
+        return sum(1 << j for j, col in enumerate(columns) if sum(map(operator.mul, u, col)) % p)
+
+    it = SubspaceIterator(generator.rows, r, generator.field, start, stop)
     best = None
     best_index = None
-    for index in range(start, stop):
-        support = 0
-        for row in it.matrix_at(index).data:
-            mask = masks.get(row)
-            if mask is None:
-                if len(masks) >= SUPPORT_MEMO_LIMIT:
-                    masks.clear()
-                mask = masks[row] = sum(
-                    1 << j
-                    for j, col in enumerate(columns)
-                    if sum(map(operator.mul, row, col)) % p
-                )
-            support |= mask
-        weight = support.bit_count()
+    for lo, hi, rows in it.pivot_blocks():
+        unions = map(support, rows[0])
+        for vectors in rows[1:]:
+            unions = _or_each(unions, list(map(support, vectors)))
+        first = max(start, lo)
+        unions = itertools.islice(unions, first - lo, min(stop, hi) - lo)
+        # (weight, index) pairs: min takes the least weight at its first index
+        weight, index = min(zip(map(int.bit_count, unions), itertools.count(first)))
         if best is None or weight < best:
             best = weight
             best_index = index

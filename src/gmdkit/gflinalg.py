@@ -13,7 +13,6 @@ import itertools
 import operator
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,6 +192,55 @@ def rank(matrix: FieldMatrix) -> int:
     return rref(matrix)[1]
 
 
+def subset_ranks(field: FieldSpec, vectors) -> bytearray:
+    """Rank of every subset of the vectors, indexed by bitmask.
+
+    Entry ``mask`` is the rank of the vectors whose index bit is set in
+    ``mask``.  Subsets are walked depth-first, each one adding a vector of
+    higher index than its parent's, so only that vector is reduced, against
+    the parent's echelon rows; the stack holds one row per level.  Once the
+    rows span all the vectors do, every extension keeps that rank and its
+    subtree is filled without elimination.
+    """
+    p = field.p
+    inverses = field.inverses
+    vectors = [[x % p for x in v] for v in vectors]
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of different lengths")
+    a = len(vectors)
+    ranks = bytearray(1 << a)
+    if not vectors:
+        return ranks
+    top = rank(FieldMatrix._raw(field, tuple(map(tuple, vectors)), len(vectors[0])))
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with a 1 there)
+
+    def walk(mask: int, first: int):
+        r = len(basis)
+        if r == top:
+            ranks[mask :: 1 << first] = bytes((r,)) * (1 << (a - first))
+            return
+        for i in range(first, a):
+            v = vectors[i]
+            for c, row in basis:
+                f = v[c]
+                if f:
+                    v = [(x - f * y) % p for x, y in zip(v, row)]
+            child = mask | 1 << i
+            lead = next((c for c, x in enumerate(v) if x), None)
+            if lead is None:
+                ranks[child] = r
+                walk(child, i + 1)
+                continue
+            inv = inverses[v[lead]]
+            basis.append((lead, [x * inv % p for x in v]))
+            ranks[child] = r + 1
+            walk(child, i + 1)
+            basis.pop()
+
+    walk(0, 0)
+    return ranks
+
+
 def kernel_basis(matrix: FieldMatrix) -> FieldMatrix:
     """Basis of the right null space {v : M v = 0}, one vector per row.
 
@@ -281,6 +329,34 @@ class SubspaceIterator:
             offset, rows[i][j] = divmod(offset, p)
         return FieldMatrix._raw(self.field, tuple(map(tuple, rows)), self.m)
 
+    def pivot_blocks(self):
+        """The pivot combinations overlapping [start, stop), in index order.
+
+        Yields ``(lo, hi, rows)`` per combination: its subspaces have the
+        indices lo..hi-1, and ``itertools.product(*rows)`` lists their basis
+        rows in that order.  ``rows[i]`` is an iterator over every possible
+        row i (the base-p counter over that row's free positions), built as
+        it is read.
+        """
+        if self.start >= self.stop:
+            return
+        b = bisect_right(self._cum, self.start) - 1
+        while b < len(self._combos) and self._cum[b] < self.stop:
+            rows = [
+                self._row_vectors(c, [j for k, j in self._free[b] if k == i])
+                for i, c in enumerate(self._combos[b])
+            ]
+            yield self._cum[b], self._cum[b + 1], rows
+            b += 1
+
+    def _row_vectors(self, pivot: int, free: list[int]):
+        for digits in itertools.product(range(self.field.p), repeat=len(free)):
+            row = [0] * self.m
+            row[pivot] = 1
+            for j, d in zip(free, digits):
+                row[j] = d
+            yield tuple(row)
+
     def split(self, parts: int) -> list["SubspaceIterator"]:
         if parts < 1:
             raise ValueError("parts must be positive")
@@ -315,6 +391,9 @@ def scan_in_chunks(it: SubspaceIterator, jobs: int, scan, args: tuple) -> list:
     tasks = [(scan, *args, c.start, c.stop) for c in it.split(workers)]
     if workers == 1:
         return [_run_task(task) for task in tasks]
+    # imported here so that a single-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks))
 

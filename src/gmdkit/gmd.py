@@ -217,13 +217,56 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
     )
 
 
+def _subset_table(profile: RingProfile, t: int) -> list:
+    """Best prime subset at degree t for every count l, cached on the profile.
+
+    Entry l is (largest top-multiplicity sum, first mask reaching it in
+    increasing mask order) over the nonempty subsets whose family holds at
+    least l degree-t dimensions, or None when no subset does.  One pass
+    keeps the best subset per dimension; a suffix maximum over dimensions,
+    with ties going to the smaller mask, then answers every l.
+    """
+    table = profile.subset_tables.get(t)
+    if table is not None:
+        return table
+    dims = profile.subset_dims(t)
+    tops = [p.mult if p.is_top else 0 for p in profile.primes]
+    values = [0] * len(dims)
+    best_value = [-1] * (max(dims) + 1)
+    best_mask = [0] * len(best_value)
+    for mask in range(1, len(dims)):
+        low = mask & -mask
+        value = values[mask] = values[mask ^ low] + tops[low.bit_length() - 1]
+        d = dims[mask]
+        if value > best_value[d]:
+            best_value[d] = value
+            best_mask[d] = mask
+    table = [None] * len(best_value)
+    run = None
+    for d in range(len(best_value) - 1, -1, -1):
+        value = best_value[d]
+        if value >= 0 and (
+            run is None or value > run[0] or (value == run[0] and best_mask[d] < run[1])
+        ):
+            run = (value, best_mask[d])
+        table[d] = run
+    profile.subset_tables[t] = table
+    return table
+
+
+def _best_subset(profile: RingProfile, t: int, ell: int):
+    """(top-multiplicity sum, mask) of the first best subset, or None."""
+    table = _subset_table(profile, t)
+    return table[ell] if ell < len(table) else None
+
+
 def delta_fast(query: GmdQuery) -> DeltaResult:
     """Distance value through the minimal primes (fixed-dim, certified only).
 
     Maximizes the top-prime multiplicity sum of a subset of minimal primes
     whose intersection still has at least l independent degree-t elements
-    modulo I.  Subsets are scanned in bitmask order; the first maximizer is
-    the witness.
+    modulo I.  The witness is the first maximizer in bitmask order; one
+    table per degree answers every l.
     """
     profile = query.profile
     if not profile.reduced_certified:
@@ -231,25 +274,15 @@ def delta_fast(query: GmdQuery) -> DeltaResult:
     if query.convention != FIXED_DIM:
         raise HypothesisError("fast path is defined for the fixed-dim convention")
     e_total = profile.multiplicity
-    a = len(profile.primes)
-    best = None
-    best_tau = None
-    for mask in range(1, 1 << a):
-        indices = tuple(i for i in range(a) if mask & (1 << i))
-        family = profile.intersect_family(indices)
-        if family.quotient_dim(query.t) < query.ell:
-            continue
-        value = sum(profile.primes[i].mult for i in indices if profile.primes[i].is_top)
-        if best is None or value > best:
-            best = value
-            best_tau = indices
+    best = _best_subset(profile, query.t, query.ell)
     if best is None:
         return DeltaResult(
             e_total, query.t, query.ell, query.convention, "fast", "empty", None
         )
-    witness = {"prime_subset": list(best_tau)}
+    value, mask = best
+    witness = {"prime_subset": [i for i in range(len(profile.primes)) if mask >> i & 1]}
     return DeltaResult(
-        e_total - best, query.t, query.ell, query.convention, "fast", "ok", witness
+        e_total - value, query.t, query.ell, query.convention, "fast", "ok", witness
     )
 
 
@@ -287,6 +320,20 @@ def _require_certified(profile: RingProfile):
         )
 
 
+def _least_proper_subset_sum(mults, ell: int) -> int | None:
+    """Least sum >= ell over nonempty proper subsets of the multiplicities.
+
+    Every multiplicity is at least 1, so the proper subsets are exactly
+    the subsets whose sum is below the total: the answer is the least
+    reachable subset sum s with ell <= s < total.
+    """
+    total = sum(mults)
+    sums = {0}
+    for m in mults:
+        sums |= {s + m for s in sums}
+    return min((s for s in sums if ell <= s < total), default=None)
+
+
 def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
     """Limit of the distance function in t for fixed l, by case analysis."""
     if ell < 1:
@@ -306,12 +353,7 @@ def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
         mults = [p.mult for p in profile.primes]
         e_min = min(mults)
         if ell <= e_total - e_min:
-            a = len(mults)
-            best = None
-            for mask in range(1, (1 << a) - 1):
-                s = sum(mults[i] for i in range(a) if mask & (1 << i))
-                if s >= ell and (best is None or s < best):
-                    best = s
+            best = _least_proper_subset_sum(mults, ell)
             if best is None:
                 raise InvariantError(f"no proper prime subset has multiplicity sum >= {ell}")
             return StabilizationResult(
@@ -434,8 +476,10 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
         t = _first_degree_reaching(profile, family, ell)
         if t is not None:
             cap = max(cap, t)
+    e_total = profile.multiplicity
     for t in range(1, cap + 1):
-        if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s:
+        best = _best_subset(profile, t, ell)
+        if (e_total if best is None else e_total - best[0]) == s:
             return RegularityResult(t, True, "iteration", stable_value=s)
     raise RuntimeError(
         "the distance never met its limit within the reach certificate; "

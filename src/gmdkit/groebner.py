@@ -382,11 +382,6 @@ def colon(ideal: IdealPresentation, polys) -> IdealPresentation:
     return result
 
 
-def sum_ideal(ideal: IdealPresentation, extra) -> IdealPresentation:
-    """I + (extra generators), reusing the cached basis of I as a seed."""
-    return IdealPresentation(ideal.ring, list(ideal.gens) + list(extra))
-
-
 def groebner_basis_extending(
     gb: GroebnerBasis, extra, order: MonomialOrder = GREVLEX
 ) -> GroebnerBasis:

@@ -116,6 +116,8 @@ class RingProfile:
         self.warnings = warnings
         self.family_backend = None
         self._families: dict[tuple[int, ...], FamilyIntersection] = {}
+        # per-degree best-value tables of the prime-subset scan (gmd.delta_fast)
+        self.subset_tables: dict[int, list] = {}
 
     @property
     def ring(self):
@@ -156,6 +158,20 @@ class RingProfile:
             hit = FamilyIntersection(key, not key, self)
             self._families[key] = hit
         return hit
+
+    def subset_dims(self, t: int):
+        """``quotient_dim(t)`` of the family of every prime subset, by bitmask.
+
+        Bit i of the mask selects prime i; mask 0, the empty subset, gives
+        the whole degree-t piece of S/I.
+        """
+        if self.family_backend is not None:
+            return self.family_backend.piece_dims(t)
+        a = len(self.primes)
+        return [hilbert_function(self.ideal, t)] + [
+            self.intersect_family([i for i in range(a) if mask >> i & 1]).quotient_dim(t)
+            for mask in range(1, 1 << a)
+        ]
 
     def _family_ideal(self, key: tuple[int, ...]) -> IdealPresentation:
         if not key:

@@ -324,9 +324,12 @@ class SerialPool:
 
 
 def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, monkeypatch):
+    import concurrent.futures
+
     from gmdkit import gflinalg
 
-    monkeypatch.setattr(gflinalg, "ProcessPoolExecutor", SerialPool)
+    # scan_in_chunks imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(gflinalg.os, "cpu_count", lambda: 3)
     split_sizes = []
     real_split = gflinalg.SubspaceIterator.split

@@ -102,19 +102,27 @@ def test_backend_piece_dims_match_groebner_route():
     ps = ProjectivePointSet(
         F3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)]
     )
-    profile = ps.vanishing_profile()
-    assert profile.family_backend is not None
-    for size in range(1, 6):
-        for indices in itertools.combinations(range(5), size):
-            fam = profile.intersect_family(indices)
-            for t in range(0, 5):
-                got = fam.quotient_dim(t)
-                # the Groebner route: difference of Hilbert functions
-                expected = hilbert_function(profile.ideal, t) - hilbert_function(
-                    fam.ideal, t
-                )
-                assert got == expected, (indices, t)
+    # six points on the line pair yz = 0, so HF(2) = 5, one below the count
+    on_two_lines = ProjectivePointSet(
+        F3, 3, [(0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1), (1, 0, 1), (1, 0, 2)]
+    )
+    assert hilbert_function(on_two_lines.vanishing_profile().ideal, 2) == 5
+    for points in (ps, on_two_lines):
+        profile = points.vanishing_profile()
+        assert profile.family_backend is not None
+        n = len(points)
+        for size in range(1, n + 1):
+            for indices in itertools.combinations(range(n), size):
+                fam = profile.intersect_family(indices)
+                for t in range(0, 5):
+                    got = fam.quotient_dim(t)
+                    # the Groebner route: difference of Hilbert functions
+                    expected = hilbert_function(profile.ideal, t) - hilbert_function(
+                        fam.ideal, t
+                    )
+                    assert got == expected, (points, indices, t)
     # functions vanishing on j of the 5 points stabilize at 5 - j dimensions
+    profile = ps.vanishing_profile()
     for j in range(1, 6):
         fam = profile.intersect_family(tuple(range(j)))
         t = fam.regime() + 1
@@ -231,8 +239,10 @@ def test_support_union_scan_matches_per_index_weights(g, data):
     r = data.draw(st.integers(1, g.rows))
     it = SubspaceIterator(g.rows, r, g.field)
     assert _enum_scan(g, r, 0, it.count) == _per_index_scan(g, r, 0, it.count)
-    # the chunks a two-worker scan would get
-    for part in it.split(2):
+    # the chunks a two-worker scan would get, and a range drawn at random
+    start = data.draw(st.integers(0, it.count - 1))
+    stop = data.draw(st.integers(start + 1, it.count))
+    for part in it.split(2) + [SubspaceIterator(g.rows, r, g.field, start, stop)]:
         assert _enum_scan(g, r, part.start, part.stop) == _per_index_scan(
             g, r, part.start, part.stop
         )
@@ -258,15 +268,17 @@ def test_support_union_scan_with_two_workers():
             assert single.value == oracle[0]
 
 
-def test_support_memo_stays_bounded(monkeypatch):
-    import gmdkit.codes as codes_mod
-
-    monkeypatch.setattr(codes_mod, "SUPPORT_MEMO_LIMIT", 2)
+def test_support_union_scan_on_ranges_that_cut_pivot_combinations():
+    # every [start, stop), so every cut through a pivot combination is covered
     for p, rows in HAND_CODES:
         g = FieldMatrix(FieldSpec(p), rows)
         for r in range(1, g.rows + 1):
             count = SubspaceIterator(g.rows, r, g.field).count
-            assert _enum_scan(g, r, 0, count) == _per_index_scan(g, r, 0, count)
+            for start in range(count):
+                for stop in range(start + 1, count + 1):
+                    assert _enum_scan(g, r, start, stop) == _per_index_scan(
+                        g, r, start, stop
+                    ), (p, rows, r, start, stop)
 
 
 def test_ghw_argument_validation():

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from gmdkit.gflinalg import (
     kernel_basis,
     rank,
     rref,
+    subset_ranks,
     subspace_count,
 )
 
@@ -147,9 +149,9 @@ def test_matrix_equality_and_hash():
     assert m.column_submatrix([1]) == FieldMatrix(f3, [[2], [1]])
 
 
-def test_import_keeps_numpy_out():
+def _loaded_by_cli_import(module: str) -> bool:
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, gmdkit.cli; print('numpy' in sys.modules)"
+    code = f"import sys, gmdkit.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=src,
@@ -157,7 +159,16 @@ def test_import_keeps_numpy_out():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_keeps_numpy_out():
+    assert not _loaded_by_cli_import("numpy")
+
+
+def test_import_keeps_multiprocessing_out():
+    # the process pool is imported only when a scan uses more than one worker
+    assert not _loaded_by_cli_import("multiprocessing")
 
 
 @pytest.mark.parametrize(
@@ -219,3 +230,73 @@ def test_subspace_iterator_indexing_and_split():
         for i in range(part.start, part.stop):
             assert part.matrix_at(i) == it.matrix_at(i)
     assert covered == list(range(35))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.data(),
+)
+def test_pivot_blocks_list_the_range_in_index_order(p, m, l, data):
+    f = FieldSpec(p)
+    count = SubspaceIterator(m, l, f).count
+    start = data.draw(st.integers(0, count))
+    stop = data.draw(st.integers(start, count))
+    it = SubspaceIterator(m, l, f, start, stop)
+    covered = []
+    for lo, hi, rows in it.pivot_blocks():
+        assert lo < stop and hi > start  # only combinations that overlap
+        bases = list(itertools.product(*rows))
+        assert len(bases) == hi - lo
+        for index, basis in enumerate(bases, lo):
+            assert basis == it.matrix_at(index).data
+        covered.extend(range(max(lo, start), min(hi, stop)))
+    assert covered == list(range(start, stop))
+
+
+def vector_families():
+    """Vectors over p in {2, 3, 5}, with a zero vector and a repeat mixed in."""
+
+    def build(p):
+        return st.integers(0, 4).flatmap(
+            lambda width: st.tuples(
+                st.just(p),
+                st.lists(
+                    st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
+                    max_size=6,
+                ),
+                st.booleans(),
+                st.booleans(),
+            )
+        )
+
+    def mix(args):
+        p, vectors, zero, repeat = args
+        vectors = list(vectors)
+        width = len(vectors[0]) if vectors else 0
+        if zero:
+            vectors.insert(len(vectors) // 2, [0] * width)
+        if repeat and vectors:
+            vectors.append(list(vectors[0]))
+        return p, vectors
+
+    return SMALL_PRIMES.flatmap(build).map(mix)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(vector_families())
+def test_subset_ranks_match_rank_of_every_subset(family):
+    p, vectors = family
+    f = FieldSpec(p)
+    ranks = subset_ranks(f, vectors)
+    assert len(ranks) == 1 << len(vectors)
+    for mask in range(len(ranks)):
+        rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
+        assert ranks[mask] == rank(FieldMatrix(f, rows)), (mask, rows)
+
+
+def test_subset_ranks_reject_ragged_vectors():
+    with pytest.raises(ValueError):
+        subset_ranks(FieldSpec(2), [[1, 0], [1]])

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmdkit import gmd
 from gmdkit.errors import HypothesisError
@@ -23,8 +24,9 @@ from gmdkit.gmd import (
 from gmdkit.groebner import IdealPresentation, groebner_basis
 from gmdkit.hilbert import graded_piece_of_quotient
 from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
-from gmdkit.schemes import build_profile
-from gmdkit.suites import sr_context
+from gmdkit.hilbert import hilbert_function
+from gmdkit.schemes import build_profile, build_profile_from_primes
+from gmdkit.suites import seeded_point_set, sr_context
 
 from oracles import EXAMPLE1, EXAMPLE2, PATH_FOUR, TRIANGLE_BOUNDARY, TWO_LINES_F2
 
@@ -368,3 +370,69 @@ def test_delta_table_matches_stabilization(ex1_profile):
     }
     for (t, ell), value in expected.items():
         assert delta_fast(GmdQuery(ex1_profile, t, ell, method="fast")).value == value
+
+
+def _delta_fast_by_masks(profile, t, ell):
+    """(value, status, witness) of the prime-subset scan, one mask at a time.
+
+    The reference for the per-degree table behind delta_fast: every
+    nonempty subset in increasing bitmask order, the first maximizer kept.
+    """
+    a = len(profile.primes)
+    best = best_tau = None
+    for mask in range(1, 1 << a):
+        indices = tuple(i for i in range(a) if mask & (1 << i))
+        if profile.intersect_family(indices).quotient_dim(t) < ell:
+            continue
+        value = sum(profile.primes[i].mult for i in indices if profile.primes[i].is_top)
+        if best is None or value > best:
+            best, best_tau = value, indices
+    if best is None:
+        return profile.multiplicity, "empty", None
+    return profile.multiplicity - best, "ok", {"prime_subset": list(best_tau)}
+
+
+def _line_arrangement():
+    # four lines in P^3(F_2): three pairwise skew, the fourth meets the first
+    ring = RingSpec(F2, ("x", "y", "z", "w"))
+    lines = [["x", "y"], ["z", "w"], ["x+z", "y+w"], ["x", "z"]]
+    return build_profile_from_primes(
+        [IdealPresentation.from_strings(ring, forms) for forms in lines]
+    )
+
+
+def test_subset_table_matches_mask_loop(ex1_profile, ex2_profile):
+    profiles = {
+        "example1": ex1_profile,
+        "example2": ex2_profile,
+        "lines": _line_arrangement(),
+        # the seven points of P^2(F_2): many collinear triples, many ties
+        "fano": seeded_point_set(F2, 3, 7, 0).vanishing_profile(),
+        "f3-points": seeded_point_set(FieldSpec(3), 3, 8, 11).vanishing_profile(),
+    }
+    for name, profile in profiles.items():
+        for t in range(1, 5):
+            for ell in range(1, hilbert_function(profile.ideal, t) + 2):
+                got = delta_fast(GmdQuery(profile, t, ell, method="fast"))
+                expected = _delta_fast_by_masks(profile, t, ell)
+                assert (got.value, got.status, got.witness) == expected, (name, t, ell)
+
+
+def _least_proper_subset_sum_by_masks(mults, ell):
+    """Least sum >= ell over nonempty proper subsets, one mask at a time."""
+    a = len(mults)
+    best = None
+    for mask in range(1, (1 << a) - 1):
+        s = sum(mults[i] for i in range(a) if mask & (1 << i))
+        if s >= ell and (best is None or s < best):
+            best = s
+    return best
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.data())
+def test_least_proper_subset_sum_matches_mask_loop(mults, data):
+    ell = data.draw(st.integers(1, sum(mults) + 1))
+    assert gmd._least_proper_subset_sum(mults, ell) == _least_proper_subset_sum_by_masks(
+        mults, ell
+    )

@@ -19,7 +19,6 @@ from gmdkit.groebner import (
     ideals_equal,
     intersect,
     normal_form,
-    sum_ideal,
 )
 from gmdkit.polyring import (
     GREVLEX,
@@ -269,5 +268,3 @@ def test_extending_a_cached_basis():
     ext = groebner_basis_extending(gb, [parse_polynomial("y^2", R3)])
     target = groebner_basis(ideal(R3, "x^2", "y^2"))
     assert set(ext.leading_exponents) == set(target.leading_exponents)
-    combined = sum_ideal(base, [parse_polynomial("y^2", R3)])
-    assert ideals_equal(combined, ideal(R3, "x^2", "y^2"))
