@@ -30,6 +30,7 @@ from .codes import (
     bridge_check,
     evaluation_code,
     generalized_hamming_weight,
+    standard_ring,
 )
 from .errors import HypothesisError, ParseError
 from .gflinalg import FieldMatrix, FieldSpec
@@ -44,7 +45,7 @@ from .gmd import (
 )
 from .groebner import IdealPresentation
 from .hilbert import hilbert_data, hilbert_function
-from .polyring import RingSpec, parse_polynomial
+from .polyring import MAX_VARIABLES, RingSpec, parse_polynomial
 from .schemes import RingProfile, build_profile
 from .simplicial import (
     SimplicialComplex,
@@ -147,6 +148,8 @@ def _load_complex(doc: dict, path: str) -> _Loaded:
     facets = doc.get("facets")
     if not isinstance(vertices, int) or vertices < 1:
         raise ParseError(f"{path}: \"vertices\" must be a positive integer")
+    if vertices > MAX_VARIABLES:
+        raise ParseError(f"{path}: at most {MAX_VARIABLES} vertices are supported, got {vertices}")
     if not isinstance(facets, list) or not facets:
         raise ParseError(f"{path}: \"facets\" must be a non-empty list")
     for f in facets:
@@ -165,6 +168,10 @@ def _load_points(doc: dict, path: str) -> _Loaded:
     points = doc.get("points")
     if not isinstance(ambient, int):
         raise ParseError(f"{path}: \"ambient\" must be an integer")
+    if ambient > MAX_VARIABLES:
+        raise ParseError(
+            f"{path}: at most {MAX_VARIABLES} coordinates are supported, got \"ambient\": {ambient}"
+        )
     if not isinstance(points, list) or not points:
         raise ParseError(f"{path}: \"points\" must be a non-empty list")
     for pt in points:
@@ -241,17 +248,15 @@ def _verdict_dicts(verdicts) -> list[dict]:
     return [{"name": v.name, "status": v.status, "detail": v.detail} for v in verdicts]
 
 
-def _ell_range(args, fallback_max: int) -> list[int]:
-    if getattr(args, "ell", None) is not None:
+def _ell_range(args, fallback_max: int) -> range:
+    if args.ell is not None:
         if args.ell < 1:
             raise ParseError("--ell must be at least 1")
-        return [args.ell]
-    ell_max = getattr(args, "ell_max", None)
-    if ell_max is None:
-        ell_max = fallback_max
+        return range(args.ell, args.ell + 1)
+    ell_max = fallback_max if args.ell_max is None else args.ell_max
     if ell_max < 1:
         raise ParseError("--ell-max must be at least 1")
-    return list(range(1, ell_max + 1))
+    return range(1, ell_max + 1)
 
 
 def cmd_delta(args) -> tuple[dict, int]:
@@ -335,14 +340,14 @@ def cmd_ghw(args) -> tuple[dict, int]:
     else:
         raise ParseError("the ghw command needs a points or generator input")
     for t, code in codes:
-        if getattr(args, "ell", None) is not None:
-            r_values = [args.ell]
-        elif getattr(args, "ell_max", None) is not None:
-            r_values = list(range(1, min(args.ell_max, code.dimension) + 1))
-        else:
-            r_values = list(range(1, code.dimension + 1))
+        r_values = _ell_range(args, code.dimension)
+        if r_values[0] > code.dimension:
+            where = "" if t is None else f" at degree t={t}"
+            raise ParseError(f"--ell {args.ell} exceeds the code dimension {code.dimension}{where}")
         weights = []
         for r in r_values:
+            if r > code.dimension:
+                break
             result = generalized_hamming_weight(code, r, strategy=args.strategy, jobs=args.jobs)
             row = {"r": r, "value": result.value, "strategy": result.strategy}
             if args.witnesses:
@@ -377,8 +382,7 @@ def cmd_sr_info(args) -> tuple[dict, int]:
     field = FieldSpec(loaded.char)
     table = betti_table(complex_, field)
     shelling = is_shellable(complex_)
-    ring = suites.face_ring_profile(complex_, field).ring
-    ideal = stanley_reisner_ideal(complex_, ring)
+    ideal = stanley_reisner_ideal(complex_, standard_ring(field, complex_.n))
     data = hilbert_data(ideal)
     report = {
         "command": "sr-info",
@@ -406,6 +410,29 @@ def cmd_sr_info(args) -> tuple[dict, int]:
     return report, 0
 
 
+def _bridge_rows(points, t_max: int, ells, jobs: int) -> list[dict]:
+    """Bridge check rows for t <= t_max and each l in ells up to the code dimension."""
+    rows = []
+    for t in range(1, t_max + 1):
+        dimension = evaluation_code(points, t).dimension
+        for ell in ells:
+            if ell > dimension:
+                continue
+            row = bridge_check(points, t, ell, jobs=jobs)
+            rows.append(
+                {
+                    "t": row.t,
+                    "ell": row.ell,
+                    "delta": row.delta_value,
+                    "ghw": row.ghw_value,
+                    "length": row.code_length,
+                    "dimension": row.code_dimension,
+                    "agree": row.agree,
+                }
+            )
+    return rows
+
+
 def _verify_input(args) -> tuple[dict, int]:
     loaded = load_input(args.input)
     profile = _profile_for(loaded)
@@ -425,26 +452,8 @@ def _verify_input(args) -> tuple[dict, int]:
     }
     failed = any(v.status == "fail" for v in verdicts)
     if loaded.points is not None:
-        bridge_rows = []
-        for t in range(1, args.t_max + 1):
-            code = evaluation_code(loaded.points, t)
-            for ell in ells:
-                if ell > code.dimension:
-                    continue
-                row = bridge_check(loaded.points, t, ell, jobs=args.jobs)
-                bridge_rows.append(
-                    {
-                        "t": row.t,
-                        "ell": row.ell,
-                        "delta": row.delta_value,
-                        "ghw": row.ghw_value,
-                        "length": row.code_length,
-                        "dimension": row.code_dimension,
-                        "agree": row.agree,
-                    }
-                )
-        report["bridge"] = bridge_rows
-        failed = failed or any(not r["agree"] for r in bridge_rows)
+        report["bridge"] = _bridge_rows(loaded.points, args.t_max, ells, args.jobs)
+        failed = failed or any(not r["agree"] for r in report["bridge"])
     report["pass"] = not failed
     return report, (1 if failed else 0)
 
@@ -517,24 +526,12 @@ def _verify_builtin(args) -> tuple[dict, int]:
         sections["complexes"] = entries
     if which in ("bridge", "all"):
         entries = []
+        small_ells = [ell for ell in ells if ell <= 3]
         for case in suites.bridge_suite(args.seed):
-            points = case.point_set()
-            rows = []
-            for t in range(1, min(args.t_max, 3) + 1):
-                code = evaluation_code(points, t)
-                for ell in ells:
-                    if ell > min(3, code.dimension):
-                        continue
-                    row = bridge_check(points, t, ell, jobs=args.jobs)
-                    rows.append(
-                        {
-                            "t": row.t,
-                            "ell": row.ell,
-                            "delta": row.delta_value,
-                            "ghw": row.ghw_value,
-                            "agree": row.agree,
-                        }
-                    )
+            rows = [
+                {k: row[k] for k in ("t", "ell", "delta", "ghw", "agree")}
+                for row in _bridge_rows(case.point_set(), min(args.t_max, 3), small_ells, args.jobs)
+            ]
             agree = all(r["agree"] for r in rows)
             if not agree:
                 ok = False
@@ -578,29 +575,16 @@ def _csv_text(header, rows) -> str:
 
 def render_csv(report: dict) -> str:
     command = report["command"]
-    if command == "delta":
-        return _csv_text(
-            ("t", "ell", "value", "status", "method", "convention"),
-            [
-                (c["t"], c["ell"], c["value"], c["status"], c["method"], c["convention"])
-                for c in report["cells"]
-            ],
-        )
-    if command == "stabilize":
-        return _csv_text(
+    table = {
+        "delta": ("cells", ("t", "ell", "value", "status", "method", "convention")),
+        "stabilize": (
+            "rows",
             ("ell", "value", "case", "regularity_index", "regularity_exact", "regularity_method"),
-            [
-                (
-                    r["ell"],
-                    r["value"],
-                    r["case"],
-                    r["regularity_index"],
-                    r["regularity_exact"],
-                    r["regularity_method"],
-                )
-                for r in report["rows"]
-            ],
-        )
+        ),
+    }.get(command)
+    if table is not None:
+        entries, keys = table
+        return _csv_text(keys, [[entry[k] for k in keys] for entry in report[entries]])
     if command == "ghw":
         rows = []
         for entry in report["codes"]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .gflinalg import (
     FieldMatrix,
@@ -216,10 +215,6 @@ class LinearCode:
     def dimension(self) -> int:
         return self.generator.rows
 
-    @cached_property
-    def rref_generator(self) -> FieldMatrix:
-        return rref(self.generator)[0]
-
 
 def evaluation_code(points: ProjectivePointSet, t: int) -> LinearCode:
     """Code spanned by degree-t monomial evaluations at the fixed representatives."""
@@ -353,9 +348,7 @@ class BridgeReport:
     agree: bool
 
 
-def bridge_check(
-    points: ProjectivePointSet, t: int, ell: int, jobs: int = 1, ghw_strategy: str = "auto"
-) -> BridgeReport:
+def bridge_check(points: ProjectivePointSet, t: int, ell: int, jobs: int = 1) -> BridgeReport:
     """Compare the ideal-theoretic distance with the code's Hamming weight.
 
     Both sides are computed by unrelated routes: the distance through the
@@ -370,7 +363,7 @@ def bridge_check(
     if not 1 <= ell <= code.dimension:
         raise ValueError(f"count l must lie in 1..{code.dimension} for this degree")
     d = delta_fast(GmdQuery(profile, t, ell, method="fast"))
-    w = generalized_hamming_weight(code, ell, strategy=ghw_strategy, jobs=jobs)
+    w = generalized_hamming_weight(code, ell, jobs=jobs)
     return BridgeReport(
         t=t,
         ell=ell,

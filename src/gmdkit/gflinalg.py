@@ -51,9 +51,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return self.inverses[a]
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
 
 class FieldMatrix:
     """Immutable matrix over a prime field, stored as a tuple of row tuples.

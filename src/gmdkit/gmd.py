@@ -140,10 +140,7 @@ def _in_ideal(f: Polynomial, gb) -> bool:
 
 def _quotient_multiplicity(profile: RingProfile, polys, convention: str) -> int:
     gb = groebner_basis(profile.ideal)
-    extended = groebner_basis_extending(gb, polys)
-    shell = IdealPresentation(profile.ring, list(extended.elements))
-    # reuse the just-computed basis rather than recomputing it
-    shell._gb_cache[extended.order.cache_token()] = extended
+    shell = IdealPresentation.from_basis(groebner_basis_extending(gb, polys))
     if convention == FIXED_DIM:
         return multiplicity_at_dim(shell, profile.dim)
     data = hilbert_data(shell)
@@ -509,7 +506,6 @@ def verify_theorems(
     t_max: int,
     ell_max: int,
     sr: SRContext | None = None,
-    use_fast: bool | None = None,
 ) -> list[Verdict]:
     """Check the distance-function laws on a degree/count grid.
 
@@ -518,18 +514,15 @@ def verify_theorems(
     the table against the limit value and least degree.  With face-ring
     context, the increment law needs depth >= 2, the dimension bound needs
     a connected facet graph, and the regularity bound needs shellability.
+    The table comes from the prime route on certified reduced profiles and
+    from brute force otherwise.
     """
     out: list[Verdict] = []
-    if use_fast is None:
-        use_fast = profile.reduced_certified
-    method = "fast" if use_fast else "brute"
-
-    def value(t, ell):
-        q = GmdQuery(profile, t, ell, method=method)
-        return (delta_fast(q) if use_fast else delta_bruteforce(q)).value
-
+    method = "fast" if profile.reduced_certified else "brute"
     table = {
-        (t, ell): value(t, ell) for t in range(1, t_max + 1) for ell in range(1, ell_max + 1)
+        (t, ell): delta(GmdQuery(profile, t, ell, method=method)).value
+        for t in range(1, t_max + 1)
+        for ell in range(1, ell_max + 1)
     }
 
     if profile.reduced_certified:

@@ -20,6 +20,7 @@ from .polyring import (
     Polynomial,
     RingSpec,
     elimination_order,
+    minimal_monomial_generators,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -55,6 +56,20 @@ class IdealPresentation:
     @classmethod
     def from_strings(cls, ring: RingSpec, texts) -> "IdealPresentation":
         return cls(ring, [parse_polynomial(t, ring) for t in texts])
+
+    @classmethod
+    def from_basis(cls, gb: "GroebnerBasis") -> "IdealPresentation":
+        """The ideal a Groebner basis generates, with that basis already cached.
+
+        The elements of a reduced basis of a homogeneous ideal are nonzero,
+        homogeneous and in the basis's ring, so they are not checked again.
+        """
+        ideal = cls.__new__(cls)
+        ideal.ring = gb.ring
+        ideal.gens = gb.elements
+        ideal._gb_cache = {gb.order.cache_token(): gb}
+        ideal._hilbert_cache = {}
+        return ideal
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -287,14 +302,6 @@ def _monomial_generators(ideal: IdealPresentation):
     return monos
 
 
-def _minimalize_monomials(monos):
-    kept = []
-    for e in sorted(set(monos), key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(k, e) for k in kept):
-            kept.append(e)
-    return kept
-
-
 def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     """Ideal intersection via a single auxiliary elimination variable.
 
@@ -308,9 +315,7 @@ def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     am = _monomial_generators(a)
     bm = _monomial_generators(b)
     if am is not None and bm is not None:
-        lcms = _minimalize_monomials(
-            [monomial_lcm(e, f) for e in am for f in bm]
-        )
+        lcms = minimal_monomial_generators([monomial_lcm(e, f) for e in am for f in bm])
         gens = [
             Polynomial.monomial(ring, e)
             for e in sorted(lcms, key=GREVLEX.key, reverse=True)

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError
 from .groebner import GroebnerBasis, IdealPresentation, groebner_basis
-from .polyring import GREVLEX, Monomial, MonomialOrder, graded_piece_basis, monomial_divides
+from .polyring import (
+    GREVLEX,
+    Monomial,
+    MonomialOrder,
+    graded_piece_basis,
+    minimal_monomial_generators,
+    monomial_divides,
+)
 
 IntPoly = tuple[int, ...]  # coefficient tuple, index = degree, trimmed
 
@@ -55,17 +62,6 @@ def _divide_by_one_minus_t(a: IntPoly) -> IntPoly:
     if acc + a[-1] != 0:
         raise InvariantError(f"{a} is not divisible by (1 - t)")
     return _trim(out)
-
-
-def minimal_monomial_generators(exponents) -> tuple[Monomial, ...]:
-    """Sorted minimal generating set of the monomial ideal."""
-    unique = sorted(set(exponents))
-    kept = []
-    for e in unique:
-        if any(monomial_divides(f, e) for f in unique if f != e):
-            continue
-        kept.append(e)
-    return tuple(kept)
 
 
 _numerator_memo: dict[tuple, IntPoly] = {}

@@ -55,10 +55,6 @@ class RingSpec:
         return RingSpec(self.field, (name,) + self.names)
 
 
-def monomial_degree(e: Monomial) -> int:
-    return sum(e)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 
@@ -73,6 +69,17 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
+
+
+def minimal_monomial_generators(exponents) -> tuple[Monomial, ...]:
+    """Sorted minimal generating set of the monomial ideal."""
+    unique = sorted(set(exponents))
+    kept = []
+    for e in unique:
+        if any(monomial_divides(f, e) for f in unique if f != e):
+            continue
+        kept.append(e)
+    return tuple(kept)
 
 
 def _grevlex_key(e: Monomial):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import ProjectivePointSet, projective_points
+from .codes import ProjectivePointSet, projective_points, standard_ring
 from .gflinalg import FieldSpec, subspace_count
 from .gmd import GmdQuery, SRContext, delta_bruteforce, delta_fast
 from .groebner import IdealPresentation
@@ -39,10 +39,7 @@ F3 = FieldSpec(3)
 
 @lru_cache(maxsize=None)
 def face_ring_profile(complex_: SimplicialComplex, field: FieldSpec) -> RingProfile:
-    names = tuple(f"x{i + 1}" for i in range(complex_.n))
-    if complex_.n <= 4:
-        names = ("x", "y", "z", "w")[: complex_.n]
-    ring = RingSpec(field, names)
+    ring = standard_ring(field, complex_.n)
     ideal = stanley_reisner_ideal(complex_, ring)
     primes = face_ring_minimal_primes(complex_, ring)
     return build_profile(ideal, primes)
@@ -76,14 +73,8 @@ class RingCase:
     field: FieldSpec
     data: tuple
 
+    @lru_cache(maxsize=None)
     def build(self) -> RingProfile:
-        profile = _built_profiles.get(self.name)
-        if profile is None:
-            profile = self._construct()
-            _built_profiles[self.name] = profile
-        return profile
-
-    def _construct(self) -> RingProfile:
         if self.kind == "ideal":
             names, gens, primes = self.data
             ring = RingSpec(self.field, names)
@@ -95,14 +86,6 @@ class RingCase:
             return face_ring_profile(complex_, self.field)
         ambient, size, seed = self.data
         return seeded_point_set(self.field, ambient, size, seed).vanishing_profile()
-
-    def complex(self) -> SimplicialComplex | None:
-        if self.kind == "face-ring":
-            return self.data[0]
-        return None
-
-
-_built_profiles: dict[str, RingProfile] = {}
 
 
 TRIANGLE_BOUNDARY = SimplicialComplex(3, [(0, 1), (1, 2), (0, 2)])

@@ -371,3 +371,68 @@ def test_seed_is_echoed(capsys, ex1_file):
     )
     assert status == 0
     assert report["seed"] == 77
+
+
+def test_ghw_count_out_of_range_is_exit_2(capsys, code_file, points_file):
+    for argv in (
+        ("ghw", code_file, "--ell", "0"),
+        ("ghw", code_file, "--ell-max", "0"),
+        ("ghw", points_file, "--ell-max", "0"),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: --ell") and err.count("\n") == 1
+    # the [3,2] code, and the degree-1 code of three points on P^1
+    for argv in (("ghw", code_file, "--ell", "5"), ("ghw", points_file, "--ell", "3")):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "code dimension 2" in err
+
+
+def test_ghw_ell_max_still_caps_at_the_code_dimension(capsys, code_file):
+    status, report = run_json(capsys, "ghw", code_file, "--ell-max", str(10**12))
+    assert status == 0
+    assert [w["r"] for w in report["codes"][0]["weights"]] == [1, 2]
+
+
+def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
+    from gmdkit.polyring import MAX_VARIABLES
+
+    def no_face_ring_work(*args):
+        raise AssertionError("the input should be rejected before any face-ring work")
+
+    monkeypatch.setattr(cli, "betti_table", no_face_ring_work)
+    n = MAX_VARIABLES + 1
+    complex_path = tmp_path / "big_complex.json"
+    complex_path.write_text(json.dumps({"vertices": n, "facets": [list(range(1, n + 1))]}))
+    points_path = tmp_path / "big_points.json"
+    points_path.write_text(json.dumps({"char": 2, "ambient": n, "points": [[1] + [0] * (n - 1)]}))
+    for command, path in (
+        ("sr-info", complex_path),
+        ("delta", complex_path),
+        ("verify", complex_path),
+        ("delta", points_path),
+        ("ghw", points_path),
+        ("verify", points_path),
+    ):
+        status, out, err = run(capsys, command, str(path), "--t-max", "1")
+        assert (status, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"at most {MAX_VARIABLES}" in err
+
+
+def test_readme_quick_start_table(capsys, tmp_path, monkeypatch):
+    from pathlib import Path
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = quick_start.split("```")[1::2]
+    document, command, table = (b.split("\n", 1)[1] for b in blocks[:3])
+    argv = command.split()
+    assert argv[:2] == ["gmdkit", "delta"]
+    (tmp_path / argv[2]).write_text(document)
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, *argv[1:])
+    assert (status, err) == (0, "")
+    assert out == table

@@ -268,3 +268,6 @@ def test_extending_a_cached_basis():
     ext = groebner_basis_extending(gb, [parse_polynomial("y^2", R3)])
     target = groebner_basis(ideal(R3, "x^2", "y^2"))
     assert set(ext.leading_exponents) == set(target.leading_exponents)
+    shell = IdealPresentation.from_basis(ext)
+    assert groebner_basis(shell) is ext
+    assert ideals_equal(shell, ideal(R3, "x^2", "y^2"))
