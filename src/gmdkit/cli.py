@@ -472,7 +472,10 @@ def _verify_builtin(args) -> tuple[dict, int]:
                 profile, t_cap=args.t_max, ell_cap=ell_max, jobs=args.jobs
             )
             disagreements = [
-                {"t": c.t, "ell": c.ell, "brute": c.brute_value, "fast": c.fast_value}
+                {
+                    "t": c.t, "ell": c.ell, "brute": c.brute_value, "fast": c.fast_value,
+                    "brute_status": c.brute_status, "fast_status": c.fast_status,
+                }
                 for c in cells
                 if not c.agree
             ]

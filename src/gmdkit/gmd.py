@@ -251,12 +251,6 @@ def _subset_table(profile: RingProfile, t: int) -> list:
     return table
 
 
-def _best_subset(profile: RingProfile, t: int, ell: int):
-    """(top-multiplicity sum, mask) of the first best subset, or None."""
-    table = _subset_table(profile, t)
-    return table[ell] if ell < len(table) else None
-
-
 def delta_fast(query: GmdQuery) -> DeltaResult:
     """Distance value through the minimal primes (fixed-dim, certified only).
 
@@ -271,7 +265,8 @@ def delta_fast(query: GmdQuery) -> DeltaResult:
     if query.convention != FIXED_DIM:
         raise HypothesisError("fast path is defined for the fixed-dim convention")
     e_total = profile.multiplicity
-    best = _best_subset(profile, query.t, query.ell)
+    table = _subset_table(profile, query.t)
+    best = table[query.ell] if query.ell < len(table) else None
     if best is None:
         return DeltaResult(
             e_total, query.t, query.ell, query.convention, "fast", "empty", None
@@ -387,39 +382,57 @@ def _first_degree_reaching(profile: RingProfile, family, ell: int) -> int | None
     non-constant one is unbounded, so a forward scan terminates.
     """
     regime = family.regime()
-    for t in range(1, regime + 1):
+    settled = regime + profile.dim + 1
+    cap = settled + 10 * ell + 10 * profile.multiplicity + 1000
+    for t in range(1, cap + 1):
         if family.quotient_dim(t) >= ell:
             return t
-    window = profile.dim + 1
-    values = [family.quotient_dim(regime + k) for k in range(window + 1)]
-    for k, v in enumerate(values):
-        if v >= ell:
-            return regime + k
-    if len(set(values)) == 1:
-        return None  # constant forever, below l
-    t = regime + window + 1
-    cap = regime + window + 10 * ell + 10 * profile.multiplicity + 1000
-    while t <= cap:
-        if family.quotient_dim(t) >= ell:
-            return t
-        t += 1
-    raise RuntimeError("degree scan exceeded its safety cap")
+        if t == settled and len({family.quotient_dim(u) for u in range(regime, t + 1)}) == 1:
+            return None  # constant forever, below l
+    raise InvariantError(f"degree scan of family {family.indices} hit its safety cap {cap}")
+
+
+def _top_subsets_with_sum(profile: RingProfile, target: int):
+    """Index tuples of the sets of top primes whose multiplicities sum to target.
+
+    Depth-first over the top primes in index order; a branch ends once its
+    sum reaches the target or the primes left cannot make the target up.
+    """
+    tops = [(i, p.mult) for i, p in enumerate(profile.primes) if p.is_top]
+    left = [sum(m for _, m in tops[k:]) for k in range(len(tops) + 1)]
+
+    def walk(k, chosen, total):
+        if total == target:
+            yield chosen
+        elif total < target <= total + left[k]:
+            i, m = tops[k]
+            yield from walk(k + 1, chosen + (i,), total + m)
+            yield from walk(k + 1, chosen, total)
+
+    return walk(0, (), 0)
 
 
 def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = None) -> RegularityResult:
     """Least degree where the distance function reaches its limit.
 
-    Certified profiles use closed forms where the case analysis provides
-    them and otherwise a certified iteration whose stopping degree is the
-    largest degree at which any prime-subset family first reaches l
-    dimensions.  Uncertified profiles cannot be given a sound stopping rule,
-    so only a lower bound over a scanned range is reported.
+    On a certified profile let s be the limit (``stabilization_value``) and
+    target = e(R) - s.  delta(t, l) is e(R) minus the largest top-multiplicity
+    sum of a prime subset whose family holds l dimensions in degree t, and
+    delta(t, l) >= s for every t, so delta(t, l) = s exactly when a subset of
+    top-multiplicity sum target holds l dimensions in degree t.  Removing a
+    low prime from it keeps the sum and enlarges the family, so subsets of
+    top primes are enough: r(l) is 1 when target is 0, else the least degree
+    at which such a family first holds l dimensions.  The closed forms are
+    special cases: s = 0 leaves the family of all top primes, s = e_min the
+    complements of one prime of least multiplicity.  The method label names
+    the classification in the reports' vocabulary.
+
+    Uncertified profiles cannot be given a sound stopping rule, so only a
+    lower bound over a scanned range is reported.
     """
     if ell < 1:
         raise ValueError("count l must be at least 1")
     cls = profile.classification
-    if cls == "domain":
-        return RegularityResult(1, True, "constant", stable_value=profile.multiplicity)
     if cls == "unknown":
         if scan_limit is None:
             raise HypothesisError(
@@ -436,52 +449,24 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
                 last_change = t
         return RegularityResult(last_change, False, "lower-bound-scan", scanned_to=scan_limit)
 
-    if cls == "mixed_low_dim_ge2":
-        family = profile.intersect_family(profile.top_indices())
-        t = _first_degree_reaching(profile, family, ell)
-        if t is None:
-            raise InvariantError("the top-prime intersection never reaches l dimensions")
-        s = stabilization_value(profile, ell).value
-        return RegularityResult(t, True, "closed-form-mixed", stable_value=s)
-
-    if cls == "unmixed_dim_ge2":
-        mults = [p.mult for p in profile.primes]
-        e_min = min(mults)
-        a = len(mults)
-        best = None
-        for i in range(a):
-            if mults[i] != e_min:
-                continue
-            family = profile.intersect_family([j for j in range(a) if j != i])
-            t = _first_degree_reaching(profile, family, ell)
-            if t is None:
-                raise InvariantError("a complementary intersection never reaches l dimensions")
-            if best is None or t < best:
-                best = t
-        s = stabilization_value(profile, ell).value
-        return RegularityResult(best, True, "closed-form-unmixed", stable_value=s)
-
-    # one_dimensional and mixed_low_dim1: iterate toward the limit the case
-    # analysis provides, capped by the largest degree at which any
-    # prime-subset family first holds l dimensions
+    # report vocabulary only: every certified classification takes one rule
+    label = {
+        "domain": "constant",
+        "mixed_low_dim_ge2": "closed-form-mixed",
+        "unmixed_dim_ge2": "closed-form-unmixed",
+    }.get(cls, "iteration")
     s = stabilization_value(profile, ell).value
-    a = len(profile.primes)
-    cap = 1
-    for mask in range(1, 1 << a):
-        indices = tuple(i for i in range(a) if mask & (1 << i))
-        family = profile.intersect_family(indices)
-        t = _first_degree_reaching(profile, family, ell)
-        if t is not None:
-            cap = max(cap, t)
-    e_total = profile.multiplicity
-    for t in range(1, cap + 1):
-        best = _best_subset(profile, t, ell)
-        if (e_total if best is None else e_total - best[0]) == s:
-            return RegularityResult(t, True, "iteration", stable_value=s)
-    raise RuntimeError(
-        "the distance never met its limit within the reach certificate; "
-        "the profile data is inconsistent"
-    )
+    target = profile.multiplicity - s
+    degrees = [1] if target == 0 else [
+        _first_degree_reaching(profile, profile.intersect_family(indices), ell)
+        for indices in _top_subsets_with_sum(profile, target)
+    ]
+    degrees = [t for t in degrees if t is not None]
+    if not degrees:
+        raise InvariantError(
+            f"no family of top primes with multiplicity sum {target} ever holds {ell} dimensions"
+        )
+    return RegularityResult(min(degrees), True, label, stable_value=s)
 
 
 @dataclass(frozen=True)
@@ -564,9 +549,9 @@ def verify_theorems(
         details = []
         ok = True
         for ell in range(1, ell_max + 1):
-            s = stabilization_value(profile, ell).value
-            r = regularity_index(profile, ell).value
-            r_values[ell] = r
+            result = regularity_index(profile, ell)
+            r = r_values[ell] = result.value
+            s = result.stable_value
             for t in range(1, t_max + 1):
                 v = table[(t, ell)]
                 if t >= r and v != s:

@@ -64,6 +64,9 @@ def _divide_by_one_minus_t(a: IntPoly) -> IntPoly:
     return _trim(out)
 
 
+# Largest number of numerators kept.  The memo is process-wide: the same
+# monomial ideals recur across the Hilbert computations of one command.
+NUMERATOR_MEMO_LIMIT = 1 << 12
 _numerator_memo: dict[tuple, IntPoly] = {}
 
 
@@ -109,6 +112,8 @@ def _numerator(gens: tuple[Monomial, ...], n: int) -> IntPoly:
             [tuple(max(x - 1, 0) if i == pivot else x for i, x in enumerate(e)) for e in gens]
         )
         result = _poly_add(_numerator(plus, n), _poly_shift(_numerator(quot, n), 1))
+    if len(_numerator_memo) >= NUMERATOR_MEMO_LIMIT:
+        _numerator_memo.clear()
     _numerator_memo[key] = result
     return result
 

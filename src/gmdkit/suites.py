@@ -168,10 +168,12 @@ class EquivalenceCell:
     brute_value: int
     fast_value: int
     subspaces_searched: int
+    brute_status: str
+    fast_status: str
 
     @property
     def agree(self) -> bool:
-        return self.brute_value == self.fast_value
+        return (self.brute_value, self.brute_status) == (self.fast_value, self.fast_status)
 
 
 def equivalence_cells(
@@ -185,7 +187,8 @@ def equivalence_cells(
 
     Cells whose subspace count exceeds the budget are skipped; cells with
     l beyond the piece dimension stay (both routes must report the empty
-    branch).  Values must agree cell by cell.
+    branch).  Values and statuses must agree cell by cell; a cell where
+    they do not is recorded, not raised, so the report lists it.
     """
     p = profile.ring.field
     out = []
@@ -197,11 +200,9 @@ def equivalence_cells(
                 continue
             brute = delta_bruteforce(GmdQuery(profile, t, ell, method="brute"), jobs=jobs)
             fast = delta_fast(GmdQuery(profile, t, ell, method="fast"))
-            if brute.status != fast.status:
-                raise RuntimeError(
-                    f"status mismatch at t={t}, l={ell}: {brute.status} vs {fast.status}"
-                )
-            out.append(EquivalenceCell(t, ell, brute.value, fast.value, count))
+            out.append(
+                EquivalenceCell(t, ell, brute.value, fast.value, count, brute.status, fast.status)
+            )
     return out
 
 

@@ -4,6 +4,10 @@ Everything here recomputes quantities along routes that share no code with
 the package internals: textbook row reduction on Python lists, Hilbert
 functions by spanning monomial multiples, weights by enumerating full
 subcode spans, shellings validated step by step against the definition.
+The regularity-index oracle is the exception: it is the case analysis the
+package used before its single top-prime rule, kept as the reference that
+rule is compared with, and it reads the package's distance table and
+degree scan.
 """
 
 from __future__ import annotations
@@ -179,6 +183,57 @@ def is_valid_shelling(facets, order):
             if not any(meet <= c for c in covered):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# regularity index by the four-branch case analysis
+
+
+def regularity_by_cases(profile, ell):
+    """(value, exact, method, stable value) of the regularity index, by cases.
+
+    Domains are constant.  With a low prime of dimension >= 2 the index is
+    the first degree at which the intersection of the top primes holds l
+    dimensions; on unmixed rings of dimension >= 2 it is the least such
+    degree over the complements of one prime of least multiplicity.
+    Otherwise the fast distance table is walked up to the limit, capped by
+    the largest degree at which any prime-subset family first holds l
+    dimensions.  Certified profiles only.
+    """
+    from gmdkit.gmd import GmdQuery, _first_degree_reaching, delta_fast, stabilization_value
+
+    cls = profile.classification
+    if cls == "domain":
+        return 1, True, "constant", profile.multiplicity
+    s = stabilization_value(profile, ell).value
+
+    def first(indices):
+        t = _first_degree_reaching(profile, profile.intersect_family(indices), ell)
+        if t is None:
+            raise AssertionError(f"family {indices} never reaches l={ell}")
+        return t
+
+    a = len(profile.primes)
+    if cls == "mixed_low_dim_ge2":
+        return first(profile.top_indices()), True, "closed-form-mixed", s
+    if cls == "unmixed_dim_ge2":
+        e_min = min(p.mult for p in profile.primes)
+        best = min(
+            first([j for j in range(a) if j != i])
+            for i in range(a)
+            if profile.primes[i].mult == e_min
+        )
+        return best, True, "closed-form-unmixed", s
+    cap = 1
+    for mask in range(1, 1 << a):
+        indices = tuple(i for i in range(a) if mask & (1 << i))
+        t = _first_degree_reaching(profile, profile.intersect_family(indices), ell)
+        if t is not None:
+            cap = max(cap, t)
+    for t in range(1, cap + 1):
+        if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s:
+            return t, True, "iteration", s
+    raise AssertionError("the distance never met its limit within the reach certificate")
 
 
 # ---------------------------------------------------------------------------

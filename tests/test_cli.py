@@ -174,6 +174,32 @@ def test_verify_failure_exit_code(capsys, ex1_file, monkeypatch):
     assert report["pass"] is False
 
 
+def test_status_mismatch_is_listed_in_the_rings_report(capsys, monkeypatch):
+    import dataclasses
+
+    from gmdkit import suites
+
+    real = suites.delta_fast
+
+    def flipped_status(query):
+        result = real(query)
+        flipped = "ok" if result.status == "empty" else "empty"
+        return dataclasses.replace(result, status=flipped) if query.t == 1 else result
+
+    monkeypatch.setattr(suites, "delta_fast", flipped_status)
+    status, report = run_json(
+        capsys, "verify", "--suite", "rings", "--t-max", "1", "--ell-max", "1"
+    )
+    assert status == 1
+    assert report["pass"] is False
+    entries = report["sections"]["rings"]
+    assert [e["name"] for e in entries] == [case.name for case in suites.ring_suite()]
+    for entry in entries:
+        (cell,) = entry["disagreements"]
+        assert cell["brute"] == cell["fast"], entry["name"]
+        assert {cell["brute_status"], cell["fast_status"]} == {"ok", "empty"}, entry["name"]
+
+
 def test_missing_file_is_exit_2(capsys, tmp_path):
     status, out, err = run(capsys, "delta", str(tmp_path / "absent.json"))
     assert status == 2

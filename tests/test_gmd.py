@@ -1,12 +1,15 @@
 """Distance values, stabilization case analysis, regularity indices."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmdkit import gmd
-from gmdkit.errors import HypothesisError
+from gmdkit.codes import ProjectivePointSet, projective_points
+from gmdkit.errors import HypothesisError, InvariantError
 from gmdkit.gflinalg import FieldSpec, SubspaceIterator, subspace_count
 from gmdkit.gmd import (
     FIXED_DIM,
@@ -26,9 +29,16 @@ from gmdkit.hilbert import graded_piece_of_quotient
 from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
 from gmdkit.hilbert import hilbert_function
 from gmdkit.schemes import build_profile, build_profile_from_primes
-from gmdkit.suites import seeded_point_set, sr_context
+from gmdkit.suites import bridge_suite, face_ring_profile, seeded_point_set, sr_context
 
-from oracles import EXAMPLE1, EXAMPLE2, PATH_FOUR, TRIANGLE_BOUNDARY, TWO_LINES_F2
+from oracles import (
+    EXAMPLE1,
+    EXAMPLE2,
+    PATH_FOUR,
+    TRIANGLE_BOUNDARY,
+    TWO_LINES_F2,
+    regularity_by_cases,
+)
 
 F2 = FieldSpec(2)
 
@@ -277,6 +287,97 @@ def test_regularity_face_ring_tables(complex_cases):
     path = face_ring_profile(complex_cases["path-four"].complex_, F2)
     for ell, expected in PATH_FOUR["regularity_index"].items():
         assert regularity_index(path, ell).value == expected, ell
+
+
+def _assert_rule_matches_cases(profile, name):
+    for ell in range(1, 7):
+        got = regularity_index(profile, ell)
+        assert (got.value, got.exact, got.method, got.stable_value) == regularity_by_cases(
+            profile, ell
+        ), (name, ell)
+
+
+def test_regularity_rule_matches_case_analysis(ring_cases, complex_cases):
+    profiles = {name: case.build() for name, case in ring_cases.items()}
+    profiles.update(
+        (f"complex-{name}", face_ring_profile(case.complex_, F2))
+        for name, case in complex_cases.items()
+    )
+    profiles.update(
+        (f"bridge-{case.name}", case.point_set().vanishing_profile()) for case in bridge_suite()
+    )
+    assert {p.classification for p in profiles.values()} == {
+        "domain", "mixed_low_dim_ge2", "unmixed_dim_ge2", "one_dimensional", "mixed_low_dim1",
+    }
+    for name, profile in profiles.items():
+        _assert_rule_matches_cases(profile, name)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.data())
+def test_regularity_rule_matches_case_analysis_on_point_sets(p, data):
+    field = FieldSpec(p)
+    universe = projective_points(field, 3)
+    points = data.draw(
+        st.lists(st.sampled_from(universe), min_size=2, max_size=7, unique=True)
+    )
+    profile = ProjectivePointSet(field, 3, points).vanishing_profile()
+    _assert_rule_matches_cases(profile, points)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=7), st.data())
+def test_top_subsets_with_sum_match_every_subset(primes, data):
+    profile = SimpleNamespace(
+        primes=[SimpleNamespace(mult=m, is_top=top) for m, top in primes]
+    )
+    target = data.draw(st.integers(1, sum(m for m, _ in primes) + 1))
+    tops = [i for i, (_, top) in enumerate(primes) if top]
+    expected = [
+        combo
+        for k in range(len(tops) + 1)
+        for combo in itertools.combinations(tops, k)
+        if sum(primes[i][0] for i in combo) == target
+    ]
+    got = list(gmd._top_subsets_with_sum(profile, target))
+    assert sorted(got) == sorted(expected)
+    assert len(set(got)) == len(got)
+
+
+def test_first_degree_reaching_matches_a_plain_scan(ex1_profile, ex2_profile, ring_cases):
+    profiles = [ex1_profile, ex2_profile, ring_cases["f2-hyperplane-and-plane"].build()]
+    for profile in profiles:
+        a = len(profile.primes)
+        for mask in range(1, 1 << a):
+            family = profile.intersect_family([i for i in range(a) if mask >> i & 1])
+            dims = [family.quotient_dim(t) for t in range(1, 13)]
+            for ell in range(1, 7):
+                t = gmd._first_degree_reaching(profile, family, ell)
+                reached = [u for u, d in enumerate(dims, 1) if d >= ell]
+                if t is None:
+                    assert not reached, (profile, mask, ell)
+                else:
+                    assert t == reached[0], (profile, mask, ell)
+
+
+def test_first_degree_reaching_cap_raises_invariant_error():
+    # below l = 2 forever, yet never constant: only the safety cap stops it
+    family = SimpleNamespace(
+        indices=(0,), regime=lambda: 1, quotient_dim=lambda t: t % 2
+    )
+    profile = SimpleNamespace(dim=1, multiplicity=1)
+    with pytest.raises(InvariantError, match="safety cap"):
+        gmd._first_degree_reaching(profile, family, 2)
+
+
+def test_regularity_unreachable_limit_raises_invariant_error(ex1_profile, monkeypatch):
+    # a limit of 0 asks for the family of all primes, which is I itself
+    def wrong_limit(profile, ell):
+        return gmd.StabilizationResult(0, 4, "planted")
+
+    monkeypatch.setattr(gmd, "stabilization_value", wrong_limit)
+    with pytest.raises(InvariantError, match="ever holds 1 dimensions"):
+        regularity_index(ex1_profile, 1)
 
 
 def test_regularity_uncertified_scan():

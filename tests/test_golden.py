@@ -3,8 +3,10 @@
 Every case runs ``gmdkit.cli.main`` in-process from inside ``tests/golden``
 with relative input names, because reports echo the input path, and
 compares stdout byte for byte and the exit code.  The recorded files were
-written by the code before the report layer was folded into one path, so
-this test pins that every report stayed the same.
+written by the code before the report layer was folded into one path, and
+the four ``*-stabilize`` cases (one per regularity method label) by the code
+before the regularity index became one rule, so this test pins that every
+report stayed the same.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -41,6 +43,10 @@ COMMANDS = {
     "complex-delta": ["delta", "complex.json", "--t-max", "2", "--ell-max", "2"],
     "generator-ghw-witnesses": ["ghw", "generator.json", "--witnesses"],
     "builtin-verify": ["verify", "--t-max", "2", "--ell-max", "2"],
+    "complex-stabilize": ["stabilize", "complex.json", "--ell-max", "6"],
+    "plane-two-lines-stabilize": ["stabilize", "plane_two_lines.json", "--ell-max", "6"],
+    "hyperplane-plane-stabilize": ["stabilize", "hyperplane_plane.json", "--ell-max", "6"],
+    "p2f3-stabilize": ["stabilize", "p2f3.json", "--ell-max", "6"],
 }
 FORMATS = ("json", "csv", "text")
 CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]

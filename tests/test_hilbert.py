@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmdkit import hilbert
 from gmdkit.errors import HypothesisError
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.groebner import IdealPresentation, groebner_basis, normal_form
@@ -142,6 +143,17 @@ def test_minimal_monomial_generators():
     out = minimal_monomial_generators([(2, 0), (2, 1), (0, 3), (1, 2), (2, 0)])
     assert out == ((0, 3), (1, 2), (2, 0))
     assert minimal_monomial_generators([]) == ()
+
+
+def test_numerator_memo_stays_bounded(monkeypatch):
+    ideals = [build(char, names, gens) for char, names, gens in NAMED]
+    expected = [hilbert_data(ideal).series_numerator for ideal in ideals]
+    monkeypatch.setattr(hilbert, "NUMERATOR_MEMO_LIMIT", 3)
+    monkeypatch.setattr(hilbert, "_numerator_memo", {})
+    for ideal, numerator in zip(ideals, expected):
+        exponents = groebner_basis(ideal).leading_exponents
+        assert hilbert.monomial_ideal_numerator(exponents, len(ideal.ring.names)) == numerator
+        assert len(hilbert._numerator_memo) <= 3
 
 
 def test_hf_poly_from_marks_the_polynomial_regime():
