@@ -9,9 +9,9 @@ equals the distance function of the ideal at that degree and count.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .gflinalg import (
     FieldMatrix,
     FieldSpec,
@@ -158,29 +158,30 @@ class PointFamilyBackend:
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         self._points = points
         self._profile = profile
-        self._ranks: dict[int, bytes] = {}
+        self._tables: dict[int, tuple[int, bytes]] = {}
 
-    def rank_table(self, t: int) -> bytes:
-        """Rank of the degree-t evaluation vectors of every point subset."""
-        table = self._ranks.get(t)
-        if table is None:
+    def degree_table(self, t: int) -> tuple[int, bytes]:
+        """HF_I(t) and the rank of the degree-t evaluation vectors of every point subset."""
+        entry = self._tables.get(t)
+        if entry is None:
+            full = hilbert_function(self._profile.ideal, t)
             n = len(self._points)
-            if hilbert_function(self._profile.ideal, t) == n:
+            if full == n:
                 # all n vectors are independent: a subset's rank is its size
-                table = bytes(map(int.bit_count, range(1 << n)))
+                ranks = bytes(map(int.bit_count, range(1 << n)))
             else:
-                table = subset_ranks(self._points.field, self._points.evaluation_vectors(t))
-            self._ranks[t] = table
-        return table
+                ranks = subset_ranks(self._points.field, self._points.evaluation_vectors(t))
+            entry = self._tables[t] = (full, ranks)
+        return entry
 
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
-        full = hilbert_function(self._profile.ideal, t)
-        return full - self.rank_table(t)[sum(1 << i for i in indices)]
+        full, ranks = self.degree_table(t)
+        return full - ranks[sum(1 << i for i in indices)]
 
     def piece_dims(self, t: int) -> bytes:
         """``piece_dim`` of every point subset, indexed by bitmask."""
-        full = hilbert_function(self._profile.ideal, t)
-        return bytes(map(full.__sub__, self.rank_table(t)))
+        full, ranks = self.degree_table(t)
+        return bytes(map(full.__sub__, ranks))
 
     def regime(self, indices: tuple[int, ...]) -> int:
         if not indices:
@@ -246,29 +247,96 @@ def _or_each(unions, masks):
     return (u | m for u in unions for m in masks)
 
 
+class _Packed:
+    """Vectors over F_p of one length packed into ints, for cheap sums.
+
+    Entry j takes bits [b*j, b*j + b) with b = bit_length(p) + 1, so the sum
+    of two packed vectors is one integer addition: its entries stay below
+    2p - 1, which fits in b bits.  Adding 2^(b-1) - p to every entry sets
+    the top bit of exactly the entries that reached p, and ``fold``
+    subtracts p there.  Adding 2^(b-1) - 1 to every entry sets the top bit
+    of exactly the nonzero entries, and ``support`` keeps those bits: an OR
+    of supports is the support of a span, its bit count the weight.  The
+    zero vector packs to 0.
+    """
+
+    __slots__ = ("p", "shift", "width", "mask", "tops", "reach_p", "nonzero")
+
+    def __init__(self, p: int, length: int):
+        self.p = p
+        self.shift = p.bit_length()
+        self.width = self.shift + 1
+        self.mask = (1 << self.width) - 1
+        ones = sum(1 << (self.width * j) for j in range(length))
+        self.tops = ones << self.shift
+        self.reach_p = ((1 << self.shift) - p) * ones
+        self.nonzero = ((1 << self.shift) - 1) * ones
+
+    def pack(self, vector) -> int:
+        return sum(x << (self.width * j) for j, x in enumerate(vector))
+
+    def entry(self, word: int, j: int) -> int:
+        return (word >> (self.width * j)) & self.mask
+
+    def fold(self, word: int) -> int:
+        """The sum of two packed vectors, reduced mod p."""
+        return word - (((word + self.reach_p) & self.tops) >> self.shift) * self.p
+
+    def support(self, word: int) -> int:
+        return (word + self.nonzero) & self.tops
+
+
+def _row_supports(generator: FieldMatrix):
+    """A function streaming the codeword supports of one basis row.
+
+    ``supports(pivot, free)`` yields, in the row's counter order, the
+    support of row ``pivot`` of G plus each combination of the rows in
+    ``free``.  Moving a digit by one, a wrap from p - 1 to 0 included, adds
+    its generator row once, so a codeword costs about one packed addition.
+    """
+    p = generator.field.p
+    packed = _Packed(p, generator.cols)
+    fold = packed.fold
+    support = packed.support
+    words = [packed.pack(row) for row in generator.data]
+
+    def supports(pivot: int, free: list[int]):
+        word = words[pivot]
+        yield support(word)
+        steps = [words[j] for j in free]
+        digits = [0] * len(steps)
+        for _ in range(p ** len(steps) - 1):
+            i = len(steps) - 1
+            while True:
+                word = fold(word + steps[i])
+                digits[i] += 1
+                if digits[i] < p:
+                    break
+                digits[i] = 0
+                i -= 1
+            yield support(word)
+
+    return supports
+
+
 def _enum_scan(generator: FieldMatrix, r: int, start: int, stop: int):
     """Least support size over subcodes [start, stop) and its first index.
 
     The support of a subcode is the union of the supports of its basis
     codewords.  Within one pivot combination the bases are the product of
-    the possible rows, so each row u contributes the bitmask of the nonzero
-    coordinates of u*G once, and the product of those bitmasks is ORed as
-    it streams.  Only the inner rows' bitmasks are held; the first row's
-    stream, the longest, is read once.
+    the possible rows, so each row's codeword supports are streamed once
+    (``_row_supports``) and the product of them is ORed as it streams.
+    Only the inner rows' supports are held; the first row's stream, the
+    longest, is read once.
     """
-    p = generator.field.p
-    columns = tuple(zip(*generator.data))
-
-    def support(u) -> int:
-        return sum(1 << j for j, col in enumerate(columns) if sum(map(operator.mul, u, col)) % p)
-
+    supports = _row_supports(generator)
     it = SubspaceIterator(generator.rows, r, generator.field, start, stop)
     best = None
     best_index = None
     for lo, hi, rows in it.pivot_blocks():
-        unions = map(support, rows[0])
-        for vectors in rows[1:]:
-            unions = _or_each(unions, list(map(support, vectors)))
+        unions = supports(*rows[0])
+        for row in rows[1:]:
+            unions = _or_each(unions, list(supports(*row)))
         first = max(start, lo)
         unions = itertools.islice(unions, first - lo, min(stop, hi) - lo)
         # (weight, index) pairs: min takes the least weight at its first index
@@ -296,6 +364,66 @@ def _ghw_enumerate(code: LinearCode, r: int, jobs: int) -> GhwResult:
     return GhwResult(best, r, "enumerate", witness)
 
 
+def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | None:
+    """The first largest column set, in ``combinations`` order, of rank <= bound.
+
+    Branch and bound over the columns in index order.  A column is taken
+    before it is left out, so sets of one size are reached in
+    lexicographic order, and only a strictly larger set replaces the best.
+    The taken columns' echelon rows sit on a stack, so each step reduces
+    one column.  A column in their span is always taken and gets no leave
+    branch: taking it keeps the rank, so leaving it out never gives a
+    larger set.  A column that would lift the rank above ``bound`` is left
+    out, and a branch is cut once its taken and remaining columns together
+    cannot beat the best set.
+    """
+    p = g.field.p
+    inverses = g.field.inverses
+    packed = _Packed(p, g.rows)
+    fold = packed.fold
+    entry = packed.entry
+    columns = [packed.pack(col) for col in zip(*g.data)]
+    n = len(columns)
+    # per independent taken column: its pivot entry and, for each value f
+    # there, the multiple of its row whose addition clears that entry
+    basis: list[tuple[int, list[int]]] = []
+    taken: list[int] = []
+    best = None
+
+    def walk(j: int):
+        nonlocal best
+        if best is not None and len(taken) + n - j <= len(best):
+            return
+        if j == n:
+            best = tuple(taken)
+            return
+        v = columns[j]
+        for pivot, clear in basis:
+            f = entry(v, pivot)
+            if f:
+                v = fold(v + clear[f])
+        taken.append(j)
+        if not v:
+            walk(j + 1)
+            taken.pop()
+            return
+        if len(basis) < bound:
+            low = packed.support(v)
+            pivot = ((low & -low).bit_length() - 1) // packed.width
+            multiples = [0, v]
+            for _ in range(p - 2):
+                multiples.append(fold(multiples[-1] + v))
+            inv = inverses[entry(v, pivot)]
+            basis.append((pivot, [multiples[(p - f) * inv % p] for f in range(p)]))
+            walk(j + 1)
+            basis.pop()
+        taken.pop()
+        walk(j + 1)
+
+    walk(0)
+    return best
+
+
 def _ghw_shorten(code: LinearCode, r: int) -> GhwResult:
     """Largest column set Z with rank(G_Z) <= k-r gives weight N - |Z|.
 
@@ -304,16 +432,16 @@ def _ghw_shorten(code: LinearCode, r: int) -> GhwResult:
     """
     g = code.generator
     n = code.length
-    k = code.dimension
-    for size in range(n, -1, -1):
-        for zset in itertools.combinations(range(n), size):
-            sub = g.column_submatrix(zset)
-            if rank(sub) <= k - r:
-                left = kernel_basis(sub.transpose())
-                u = FieldMatrix._raw(code.field, left.data[:r], k)
-                witness = rref(u.matmul(g))[0].to_lists()
-                return GhwResult(n - size, r, "shorten", witness)
-    raise AssertionError("unreachable: the empty column set always qualifies")
+    zset = _largest_low_rank_columns(g, code.dimension - r)
+    if zset is None:
+        raise InvariantError("no column set has rank at most k - r, not even the empty one")
+    left = kernel_basis(g.column_submatrix(zset).transpose())
+    u = FieldMatrix._raw(code.field, left.data[:r], code.dimension)
+    witness = rref(u.matmul(g))[0]
+    weight = support_size(witness)
+    if weight != n - len(zset):
+        raise InvariantError(f"shortening witness has weight {weight}, expected {n - len(zset)}")
+    return GhwResult(weight, r, "shorten", witness.to_lists())
 
 
 def generalized_hamming_weight(
@@ -321,9 +449,10 @@ def generalized_hamming_weight(
 ) -> GhwResult:
     """Minimum support size over r-dimensional subcodes.
 
-    "enumerate" walks every subcode; "shorten" scans column subsets by
-    descending size for low-rank restrictions.  "auto" enumerates when the
-    subcode count is small and shortens otherwise.  Both are exact.
+    "enumerate" walks every subcode; "shorten" searches for the largest
+    column set whose restriction has rank at most k - r.  "auto"
+    enumerates when the subcode count is small and shortens otherwise.
+    Both are exact.
     """
     if not 1 <= r <= code.dimension:
         raise ValueError(f"r must lie in 1..{code.dimension}")

@@ -330,29 +330,21 @@ class SubspaceIterator:
         """The pivot combinations overlapping [start, stop), in index order.
 
         Yields ``(lo, hi, rows)`` per combination: its subspaces have the
-        indices lo..hi-1, and ``itertools.product(*rows)`` lists their basis
-        rows in that order.  ``rows[i]`` is an iterator over every possible
-        row i (the base-p counter over that row's free positions), built as
-        it is read.
+        indices lo..hi-1.  ``rows[i]`` is ``(pivot, free)``: basis row i has
+        a 1 at column ``pivot`` and runs through a base-p counter over its
+        ``free`` columns, the last one fastest.  The product of the rows'
+        counters, row 0 outermost, lists the bases in index order.
         """
         if self.start >= self.stop:
             return
         b = bisect_right(self._cum, self.start) - 1
         while b < len(self._combos) and self._cum[b] < self.stop:
             rows = [
-                self._row_vectors(c, [j for k, j in self._free[b] if k == i])
+                (c, [j for k, j in self._free[b] if k == i])
                 for i, c in enumerate(self._combos[b])
             ]
             yield self._cum[b], self._cum[b + 1], rows
             b += 1
-
-    def _row_vectors(self, pivot: int, free: list[int]):
-        for digits in itertools.product(range(self.field.p), repeat=len(free)):
-            row = [0] * self.m
-            row[pivot] = 1
-            for j, d in zip(free, digits):
-                row[j] = d
-            yield tuple(row)
 
     def split(self, parts: int) -> list["SubspaceIterator"]:
         if parts < 1:

@@ -4,10 +4,11 @@ Everything here recomputes quantities along routes that share no code with
 the package internals: textbook row reduction on Python lists, Hilbert
 functions by spanning monomial multiples, weights by enumerating full
 subcode spans, shellings validated step by step against the definition.
-The regularity-index oracle is the exception: it is the case analysis the
-package used before its single top-prime rule, kept as the reference that
-rule is compared with, and it reads the package's distance table and
-degree scan.
+Two oracles are exceptions.  The regularity-index oracle is the case
+analysis the package used before its single top-prime rule, kept as the
+reference that rule is compared with; it reads the package's distance
+table and degree scan.  The descending column-set scan is the package's
+shortening before its branch and bound, on the package's matrices.
 """
 
 from __future__ import annotations
@@ -151,6 +152,30 @@ def ghw_by_span_enumeration(generator, p, r):
         if best is None or len(support) < best:
             best = len(support)
     return best
+
+
+def ghw_by_descending_column_sets(code, r):
+    """(value, witness) of the r-th weight by the descending column-set scan.
+
+    The package's shortening before its branch and bound, kept as the
+    reference that search is compared with: the first column set Z, by
+    descending size and then in ``combinations`` order, whose restriction
+    has rank at most k - r gives the weight N - |Z|, and r left-kernel
+    vectors of that restriction give the witness.
+    """
+    from gmdkit.gflinalg import FieldMatrix, kernel_basis, rank, rref
+
+    g = code.generator
+    n = code.length
+    k = code.dimension
+    for size in range(n, -1, -1):
+        for zset in itertools.combinations(range(n), size):
+            sub = g.column_submatrix(zset)
+            if rank(sub) <= k - r:
+                left = kernel_basis(sub.transpose())
+                u = FieldMatrix._raw(code.field, left.data[:r], k)
+                return n - size, rref(u.matmul(g))[0].to_lists()
+    raise AssertionError("the empty column set always qualifies")
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import gmdkit.codes as codes_mod
 from gmdkit.codes import (
     ENUMERATE_LIMIT,
     _enum_scan,
     _ghw_enumerate,
+    _ghw_shorten,
     LinearCode,
     ProjectivePointSet,
     bridge_check,
@@ -18,12 +20,13 @@ from gmdkit.codes import (
     projective_points,
     support_size,
 )
-from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, rref
+from gmdkit.errors import InvariantError
+from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, rref, subspace_count
 from gmdkit.groebner import groebner_basis, normal_form
 from gmdkit.hilbert import hilbert_function
 from gmdkit.polyring import graded_piece_basis
 
-from oracles import P1_F2, ghw_by_span_enumeration
+from oracles import P1_F2, ghw_by_descending_column_sets, ghw_by_span_enumeration
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -281,6 +284,70 @@ def test_support_union_scan_on_ranges_that_cut_pivot_combinations():
                     ), (p, rows, r, start, stop)
 
 
+@st.composite
+def codes_with_zero_and_repeated_columns(draw):
+    """Full-rank generators over p in {2, 3, 5} with at most 9 columns.
+
+    Up to one zero column and up to two repeated columns, plain or scaled,
+    are mixed in at drawn positions; row reduction keeps both kinds.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 4))
+    columns = draw(
+        st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k), min_size=1, max_size=6)
+    )
+    columns += [[0] * k] * draw(st.integers(0, 1))
+    for index, scale in draw(st.lists(st.tuples(st.integers(0, 8), st.integers(1, p - 1)), max_size=2)):
+        columns.append([scale * x % p for x in columns[index % len(columns)]])
+    columns = draw(st.permutations(columns))
+    field = FieldSpec(p)
+    reduced, rk, _ = rref(FieldMatrix(field, list(zip(*columns))))
+    assume(rk > 0)
+    return LinearCode(field, FieldMatrix._raw(field, reduced.data[:rk], len(columns)))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(codes_with_zero_and_repeated_columns())
+def test_shortening_matches_the_descending_column_set_scan(code):
+    for r in range(1, code.dimension + 1):
+        result = _ghw_shorten(code, r)
+        assert (result.value, result.witness) == ghw_by_descending_column_sets(code, r), r
+        assert result.strategy == "shorten"
+
+
+def test_shortening_raises_invariant_errors(monkeypatch):
+    code = LinearCode(F2, FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
+    monkeypatch.setattr(codes_mod, "_largest_low_rank_columns", lambda g, bound: None)
+    with pytest.raises(InvariantError, match="empty"):
+        generalized_hamming_weight(code, 1, strategy="shorten")
+    # the empty set is not the largest one here: its witness, the first
+    # generator row, has weight 2, not 3
+    monkeypatch.setattr(codes_mod, "_largest_low_rank_columns", lambda g, bound: ())
+    with pytest.raises(InvariantError, match="weight 2, expected 3"):
+        generalized_hamming_weight(code, 1, strategy="shorten")
+
+
+SORENSEN = [(3, 2, [9, 6, 3, 2]), (2, 3, [8, 4, 2]), (5, 2, [25, 20])]
+
+
+@pytest.mark.parametrize("p, n, expected", SORENSEN)
+def test_ghw_route_gives_sorensen_minimum_distance(p, n, expected):
+    """d_1 of the degree-t code on all of P^n(F_p), 1 <= t <= n(p - 1).
+
+    Writing t - 1 = q(p - 1) + s with 0 <= s < p - 1, Sorensen (1991) gives
+    d_1 = (p - s) * p^(n - q - 1).
+    """
+    field = FieldSpec(p)
+    points = ProjectivePointSet(field, n + 1, projective_points(field, n + 1))
+    for t, want in enumerate(expected, 1):
+        q, s = divmod(t - 1, p - 1)
+        assert (p - s) * p ** (n - q - 1) == want
+        code = evaluation_code(points, t)
+        assert generalized_hamming_weight(code, 1, strategy="shorten").value == want, t
+        if subspace_count(code.dimension, 1, field) <= ENUMERATE_LIMIT:
+            assert generalized_hamming_weight(code, 1, strategy="enumerate").value == want, t
+
+
 def test_ghw_argument_validation():
     code = LinearCode(F2, FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
     with pytest.raises(ValueError):
@@ -295,8 +362,6 @@ def test_ghw_auto_strategy_switches():
     code = LinearCode(F2, FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
     assert generalized_hamming_weight(code, 1).strategy == "enumerate"
     # force the shorten branch through a tiny limit
-    import gmdkit.codes as codes_mod
-
     old = codes_mod.ENUMERATE_LIMIT
     codes_mod.ENUMERATE_LIMIT = 0
     try:
