@@ -77,15 +77,11 @@ class DeltaResult:
 
 def subspace_to_polys(profile: RingProfile, basis_monomials, matrix: FieldMatrix):
     """Lift the rows of an RREF coefficient matrix to polynomials in S."""
-    ring = profile.ring
-    polys = []
-    for row in matrix.data:
-        terms = {}
-        for c, mono in zip(row, basis_monomials):
-            if c:
-                terms[mono] = c
-        polys.append(Polynomial(ring, terms))
-    return polys
+    return [_row_to_poly(profile.ring, basis_monomials, row) for row in matrix.data]
+
+
+def _row_to_poly(ring, basis_monomials, row) -> Polynomial:
+    return Polynomial(ring, {mono: c for c, mono in zip(row, basis_monomials) if c})
 
 
 def ann_nonzero(profile: RingProfile, polys, mode: str = "auto") -> bool:
@@ -147,23 +143,74 @@ def _quotient_multiplicity(profile: RingProfile, polys, convention: str) -> int:
     return data.multiplicity
 
 
+# Largest number of line values memoised per degree on one profile.  A
+# degree-t piece of dimension m over F_p has (p^m - 1)/(p - 1) lines; the
+# brute scan only stays affordable on pieces far below this.
+LINE_MEMO_LIMIT = 1 << 14
+
+
+def _remember_line(profile: RingProfile, t: int, row: tuple, value: int) -> int:
+    memo = profile.line_values.setdefault(t, {})
+    if len(memo) >= LINE_MEMO_LIMIT:
+        memo.clear()
+    memo[row] = value
+    return value
+
+
+def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple, ann_mode: str) -> int:
+    """Fixed-dim quotient multiplicity of the line spanned by one RREF row.
+
+    A row with zero annihilator is a nonzerodivisor: its quotient drops
+    dimension and measures 0, so the extension is skipped.  The value does
+    not depend on the annihilator mode, which only decides how fast that
+    case is recognised, so one memo per (profile, t) serves every mode.
+    """
+    value = profile.line_values.get(t, {}).get(row)
+    if value is not None:
+        return value
+    polys = [_row_to_poly(profile.ring, basis_monomials, row)]
+    if ann_nonzero(profile, polys, ann_mode):
+        value = _quotient_multiplicity(profile, polys, FIXED_DIM)
+    else:
+        value = 0
+    return _remember_line(profile, t, row, value)
+
+
 def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
-    """Scan a contiguous index range of subspaces; return (best, index, count)."""
+    """Scan a contiguous index range of subspaces; return (best, first index reaching it).
+
+    Under fixed-dim the scan is a branch and bound.  S/(I + (F)) is a
+    quotient of S/(I + (f)) for every row f of F's RREF, so its multiplicity
+    at dim(S/I) is at most each row's line value.  Once the range has a
+    best, an l >= 2 subspace with a row whose line value is at most that
+    best cannot replace it (ties keep the earlier index) and is skipped
+    before its annihilator test and extension.  l = 1 subspaces are lines:
+    they are scanned in full and leave their values in the line memo.
+    Own-dim is never pruned: its multiplicity is not monotone once the
+    dimension drops.
+    """
     it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field, start, stop)
+    bounded = convention == FIXED_DIM
     best = None
     best_index = None
-    qualifying = 0
     for index in range(start, stop):
         matrix = it.matrix_at(index)
-        polys = subspace_to_polys(profile, basis_monomials, matrix)
-        if not ann_nonzero(profile, polys, ann_mode):
+        if bounded and ell > 1 and best is not None and any(
+            _line_value(profile, t, basis_monomials, row, ann_mode) <= best
+            for row in matrix.data
+        ):
             continue
-        qualifying += 1
-        value = _quotient_multiplicity(profile, polys, convention)
-        if best is None or value > best:
+        polys = subspace_to_polys(profile, basis_monomials, matrix)
+        if ann_nonzero(profile, polys, ann_mode):
+            value = _quotient_multiplicity(profile, polys, convention)
+        else:
+            value = None
+        if bounded and ell == 1:
+            _remember_line(profile, t, matrix.data[0], value or 0)
+        if value is not None and (best is None or value > best):
             best = value
             best_index = index
-    return best, best_index, qualifying
+    return best, best_index
 
 
 def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> DeltaResult:
@@ -191,7 +238,7 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
     )
     best = None
     best_index = None
-    for value, index, _count in partials:
+    for value, index in partials:
         if value is None:
             continue
         if best is None or value > best or (value == best and index < best_index):

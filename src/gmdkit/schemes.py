@@ -118,6 +118,9 @@ class RingProfile:
         self._families: dict[tuple[int, ...], FamilyIntersection] = {}
         # per-degree best-value tables of the prime-subset scan (gmd.delta_fast)
         self.subset_tables: dict[int, list] = {}
+        # per-degree {RREF row: fixed-dim line value} memo of the brute scan's
+        # bound (gmd._brute_scan); bounded by gmd.LINE_MEMO_LIMIT per degree
+        self.line_values: dict[int, dict] = {}
 
     @property
     def ring(self):
@@ -180,6 +183,11 @@ class RingProfile:
             return self.primes[key[0]].ideal
         prefix = self.intersect_family(key[:-1])
         return intersect(prefix.ideal, self.primes[key[-1]].ideal)
+
+    def __getstate__(self):
+        # the line-value memo is rebuilt on demand; pickles sent to brute-scan
+        # workers leave it out
+        return {**self.__dict__, "line_values": {}}
 
     def __repr__(self):
         return (

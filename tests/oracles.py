@@ -8,7 +8,9 @@ Two oracles are exceptions.  The regularity-index oracle is the case
 analysis the package used before its single top-prime rule, kept as the
 reference that rule is compared with; it reads the package's distance
 table and degree scan.  The descending column-set scan is the package's
-shortening before its branch and bound, on the package's matrices.
+shortening before its branch and bound, on the package's matrices.  The
+unpruned brute scan is the package's subspace scan before its row bound,
+on the package's annihilator test and quotient multiplicity.
 """
 
 from __future__ import annotations
@@ -176,6 +178,75 @@ def ghw_by_descending_column_sets(code, r):
                 u = FieldMatrix._raw(code.field, left.data[:r], k)
                 return n - size, rref(u.matmul(g))[0].to_lists()
     raise AssertionError("the empty column set always qualifies")
+
+
+# ---------------------------------------------------------------------------
+# brute-force distance without the row bound
+
+
+def _unpruned_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
+    from gmdkit.gflinalg import SubspaceIterator
+    from gmdkit.gmd import _quotient_multiplicity, ann_nonzero, subspace_to_polys
+
+    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field, start, stop)
+    best = None
+    best_index = None
+    for index in range(start, stop):
+        polys = subspace_to_polys(profile, basis_monomials, it.matrix_at(index))
+        if not ann_nonzero(profile, polys, ann_mode):
+            continue
+        value = _quotient_multiplicity(profile, polys, convention)
+        if best is None or value > best:
+            best = value
+            best_index = index
+    return best, best_index
+
+
+def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
+    """``delta_bruteforce`` as it was before the row bound: every subspace
+    of every chunk gets its annihilator test and, when it qualifies, its
+    Groebner extension.  The reference the branch and bound is compared
+    with, value, status and witness alike.
+    """
+    from gmdkit.gflinalg import SubspaceIterator, scan_in_chunks, subspace_count
+    from gmdkit.gmd import DeltaResult
+    from gmdkit.hilbert import graded_piece_of_quotient
+    from gmdkit.polyring import monomial_to_str
+
+    profile = query.profile
+    e_total = profile.multiplicity
+    basis_monomials = tuple(graded_piece_of_quotient(profile.ideal, query.t))
+    m = len(basis_monomials)
+    field = profile.ring.field
+    empty = DeltaResult(e_total, query.t, query.ell, query.convention, "brute", "empty", None)
+    if query.ell > m:
+        return empty
+    partials = scan_in_chunks(
+        SubspaceIterator(m, query.ell, field),
+        jobs,
+        _unpruned_scan,
+        (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
+    )
+    best = None
+    best_index = None
+    for value, index in partials:
+        if value is None:
+            continue
+        if best is None or value > best or (value == best and index < best_index):
+            best = value
+            best_index = index
+    if best is None:
+        return empty
+    witness = {
+        "subspace_index": best_index,
+        "matrix": SubspaceIterator(m, query.ell, field).matrix_at(best_index).to_lists(),
+        "basis_monomials": [monomial_to_str(profile.ring, mo) for mo in basis_monomials],
+        "quotient_multiplicity": best,
+        "searched": subspace_count(m, query.ell, field),
+    }
+    return DeltaResult(
+        e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +30,14 @@ from gmdkit.hilbert import graded_piece_of_quotient
 from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
 from gmdkit.hilbert import hilbert_function
 from gmdkit.schemes import build_profile, build_profile_from_primes
-from gmdkit.suites import bridge_suite, face_ring_profile, seeded_point_set, sr_context
+from gmdkit.suites import (
+    RingCase,
+    bridge_suite,
+    face_ring_profile,
+    ring_suite,
+    seeded_point_set,
+    sr_context,
+)
 
 from oracles import (
     EXAMPLE1,
@@ -37,6 +45,7 @@ from oracles import (
     PATH_FOUR,
     TRIANGLE_BOUNDARY,
     TWO_LINES_F2,
+    delta_bruteforce_unpruned,
     regularity_by_cases,
 )
 
@@ -99,6 +108,103 @@ def test_brute_jobs_split_agrees(ex1_profile):
         assert r.witness["subspace_index"] == delta_bruteforce(
             GmdQuery(ex1_profile, 2, 2, method="brute"), jobs=1
         ).witness["subspace_index"]
+
+
+# Largest subspace count of a cell compared with the unpruned scan, per
+# annihilator mode (the colon test is the slower one).
+ORACLE_CELL_CAP = {"prime": 400, "colon": 120}
+BATTERY = [case.name for case in ring_suite()]
+
+
+def _fresh_profile(case: RingCase):
+    """The case's profile built anew, with empty memos (``build`` is cached)."""
+    return RingCase.build.__wrapped__(case)
+
+
+def _affordable_cells(profile, cap=ORACLE_CELL_CAP["prime"]):
+    for t in (1, 2, 3):
+        m = hilbert_function(profile.ideal, t)
+        for ell in (1, 2, 3):
+            if ell > m or subspace_count(m, ell, profile.ring.field) <= cap:
+                yield t, ell
+
+
+def _assert_matches_unpruned(profile, t, ell, convention, ann_mode, jobs=1):
+    query = GmdQuery(profile, t, ell, convention=convention, method="brute")
+    got = delta_bruteforce(query, jobs=jobs, ann_mode=ann_mode)
+    want = delta_bruteforce_unpruned(query, ann_mode=ann_mode)
+    assert got == want, (t, ell, convention, ann_mode, jobs)
+
+
+@pytest.mark.parametrize("ann_mode", ["prime", "colon"])
+@pytest.mark.parametrize("name", BATTERY)
+def test_row_bound_matches_unpruned_scan(ring_cases, name, ann_mode):
+    # every cell in the order the CLI asks them (l = 1 first at each t), so
+    # l >= 2 cells read line values the l = 1 cell left in the memo
+    profile = _fresh_profile(ring_cases[name])
+    for t, ell in _affordable_cells(profile, ORACLE_CELL_CAP[ann_mode]):
+        for convention in (FIXED_DIM, OWN_DIM):
+            _assert_matches_unpruned(profile, t, ell, convention, ann_mode)
+    assert profile.line_values
+
+
+def test_own_dim_scan_is_not_pruned(ring_cases):
+    # on the plane with two lines, the own-dim maximiser at (2, 2) drops
+    # dimension and measures more than a row's line value, so a row bound
+    # would skip it; the cell is past the cap of the battery test above
+    profile = _fresh_profile(ring_cases["f3-plane-with-two-lines"])
+    for convention in (FIXED_DIM, OWN_DIM):
+        _assert_matches_unpruned(profile, 2, 1, convention, "prime")
+    _assert_matches_unpruned(profile, 2, 2, OWN_DIM, "prime")
+
+
+@pytest.mark.parametrize(
+    "name", ["f2-onedim-three-primes", "f3-plane-with-two-lines", "f2-points6-seed12"]
+)
+def test_row_bound_matches_unpruned_scan_over_two_workers(ring_cases, name):
+    # workers get the profile without its memo and prune against their own best
+    profile = _fresh_profile(ring_cases[name])
+    for t, ell in _affordable_cells(profile):
+        _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "prime", jobs=2)
+    assert pickle.loads(pickle.dumps(profile)).line_values == {}
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_row_bound_computes_line_values_on_demand(ring_cases, name):
+    # an l = 2 cell asked alone, with no l = 1 cell before it on this profile
+    profile = _fresh_profile(ring_cases[name])
+    cells = [(t, ell) for t, ell in _affordable_cells(profile) if ell == 2]
+    assert cells
+    t, ell = cells[-1]
+    _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "auto")
+
+
+def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
+    monkeypatch.setattr(gmd, "LINE_MEMO_LIMIT", 2)
+    for name in ("f2-onedim-three-primes", "f3-plane-with-two-lines", "f3-points5-seed14"):
+        profile = _fresh_profile(ring_cases[name])
+        for t, ell in _affordable_cells(profile):
+            _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "auto")
+        assert all(0 < len(memo) <= 2 for memo in profile.line_values.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):
+    # the premise of the row bound: I + (F) contains I + (f) for each row f
+    profile = ring_cases[data.draw(st.sampled_from(BATTERY), label="case")].build()
+    t = data.draw(st.integers(1, 2), label="t")
+    basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+    ell = data.draw(st.integers(1, min(3, len(basis))), label="l")
+    it = SubspaceIterator(len(basis), ell, profile.ring.field)
+    matrix = it.matrix_at(data.draw(st.integers(0, it.count - 1), label="index"))
+    polys = subspace_to_polys(profile, basis, matrix)
+    value = gmd._quotient_multiplicity(profile, polys, FIXED_DIM)
+    for f in polys:
+        line = gmd._quotient_multiplicity(profile, [f], FIXED_DIM)
+        assert value <= line
+        if not ann_nonzero(profile, [f], "colon"):
+            assert line == 0
 
 
 def test_annihilator_modes_agree(ex1_profile):
