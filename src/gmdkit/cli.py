@@ -11,8 +11,9 @@ Input documents are UTF-8 JSON.  The kind is detected from the keys:
 Reports embed the convention, method, and certificate statuses used and are
 byte-identical for identical inputs and flags regardless of --jobs.  Exit
 codes: 0 ok, 1 verification failure (a failed internal invariant check
-included), 2 malformed input, 3 operation outside its mathematical
-hypotheses.
+included), 2 malformed input or input beyond a supported bound (more than
+12 variables, a Groebner computation needing an exponent above 32767),
+3 operation outside its mathematical hypotheses.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .codes import (
     generalized_hamming_weight,
     standard_ring,
 )
-from .errors import HypothesisError, ParseError
+from .errors import ExponentOverflowError, HypothesisError, ParseError
 from .gflinalg import FieldMatrix, FieldSpec
 from .gmd import (
     CONVENTIONS,
@@ -824,6 +825,9 @@ def main(argv=None) -> int:
         report, status = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
+        return 2
+    except ExponentOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)

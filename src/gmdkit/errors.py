@@ -32,3 +32,13 @@ class InvariantError(RuntimeError):
     These checks stand where ``assert`` would vanish under ``python -O``;
     the CLI reports them like a failed cross-check.
     """
+
+
+class ExponentOverflowError(OverflowError):
+    """A Groebner computation needs an exponent its packed monomials cannot hold.
+
+    The Groebner engine packs each exponent into a 16-bit field with a guard
+    bit, so exponents and elimination block degrees must stay at or below
+    ``groebner.EXPONENT_LIMIT``.  The CLI exits 2, as for other inputs beyond
+    a supported bound.
+    """

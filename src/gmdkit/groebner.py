@@ -6,14 +6,41 @@ keeps pending pairs in a heap and applies the two classical pair criteria
 interreduces, so the returned basis is the unique reduced Groebner
 basis for the (ideal, order) pair.  Elimination runs in an extended ring
 with one auxiliary variable in front under a two-block order.
+
+Inside the engine a monomial is one int (Monagan and Pearce, "Sparse
+polynomial division using a heap", 2011).  Its low part packs the
+exponents, one 16-bit field per variable whose top bit is a guard bit;
+elimination orders add one field holding the degree of the second block.
+Its high part is the order key, a linear functional of the exponents with
+weights in base 2^16:
+
+  grevlex  deg * B^n - sum e_i B^i
+  lex      sum e_i B^(n-1-i)
+  elim k   d1 * B^(n+1) - sum_{i<k} e_i B^(n-k+1+i) + d2 * B^(n-k) - sum_{i>=k} e_i B^(i-k)
+
+where B = 2^16 and d1, d2 are the block degrees, so comparing the ints
+compares the monomials, a product is a sum, ``max`` over a dict of
+terms finds the leading term, "a divides b" is
+``((b | G) - a) & G == G`` on the low parts (G holds the guard bits) and
+an lcm is a field-wise max done with the same subtraction.  Polynomials are
+packed on entry and unpacked on exit, so callers keep exponent tuples.
+
+Every exponent and the second block degree must stay at or below
+``EXPONENT_LIMIT`` (2^15 - 1): inputs are checked when packed and each
+reduction step checks the guard bits of its largest product, so a
+computation that would need more raises ``ExponentOverflowError`` (CLI
+exit 2) instead of returning a wrong basis.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
+from .errors import ExponentOverflowError
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -21,12 +48,148 @@ from .polyring import (
     RingSpec,
     elimination_order,
     minimal_monomial_generators,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
     parse_polynomial,
 )
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = (1 << (FIELD_BITS - 1)) - 1
+
+
+def _overflow():
+    raise ExponentOverflowError(
+        f"a Groebner computation needs an exponent or block degree above {EXPONENT_LIMIT}"
+    )
+
+
+class _Packing:
+    """Packed monomials of one (order, variable count) pair.
+
+    Field i of the low part holds the exponent of variable i; an
+    elimination order adds field n, the degree of the variables from
+    ``second`` on, whose size the order key relies on.
+    """
+
+    __slots__ = ("n", "second", "weights", "low", "guard", "var_low", "var_guard", "fields")
+
+    def __init__(self, order: MonomialOrder, n: int):
+        base = 1 << FIELD_BITS
+        second = None
+        if order.kind == "grevlex":
+            keys = [base**n - base**i for i in range(n)]
+        elif order.kind == "lex":
+            keys = [base ** (n - 1 - i) for i in range(n)]
+        elif order.kind == "elim":
+            second = k = min(order.block, n)
+            keys = [base ** (n + 1) - base ** (n - k + 1 + i) for i in range(k)]
+            keys += [base ** (n - k) - base ** (i - k) for i in range(k, n)]
+        else:
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        places = [base**i for i in range(n)]
+        fields = n
+        if second is not None:
+            places[second:] = [place + base**n for place in places[second:]]
+            fields += 1
+        width = FIELD_BITS * fields
+        self.n = n
+        self.second = second
+        self.weights = tuple((key << width) + place for key, place in zip(keys, places))
+        self.low = (1 << width) - 1
+        self.guard = sum(base // 2 * base**f for f in range(fields))
+        self.var_low = base**n - 1
+        self.var_guard = self.guard & self.var_low
+        self.fields = struct.Struct(f"<{n}H")
+
+    def pack(self, e) -> int:
+        if max(e) > EXPONENT_LIMIT:
+            _overflow()
+        if self.second is not None and sum(e[self.second :]) > EXPONENT_LIMIT:
+            _overflow()
+        return sum(map(operator.mul, e, self.weights))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return self.fields.unpack((m & self.var_low).to_bytes(2 * self.n, "little"))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of two packed monomials."""
+        guard = self.var_guard
+        t = ((b & self.var_low) | guard) - (a & self.var_low)
+        g = t & guard
+        # b - a in the fields where b exceeds a, zero in the others
+        rise = self.unpack((t ^ g) & (g - (g >> (FIELD_BITS - 1))))
+        second = self.second
+        if second is not None:
+            block_degree = (a >> (FIELD_BITS * self.n)) % (1 << FIELD_BITS) + sum(rise[second:])
+            if block_degree > EXPONENT_LIMIT:
+                _overflow()
+        return a + sum(map(operator.mul, rise, self.weights))
+
+    def record(self, terms, field) -> tuple:
+        """Reducer record of the monic multiple of {exponent tuple: coefficient} terms."""
+        return _record({self.pack(e): c for e, c in terms.items()}, field, self.low, self.guard)
+
+
+@lru_cache(maxsize=64)
+def _packing(order: MonomialOrder, n: int) -> _Packing:
+    return _Packing(order, n)
+
+
+def _record(packed, field, low, guard) -> tuple:
+    """(low part of the leading monomial, leading monomial, tail, hull) of the monic multiple.
+
+    ``packed`` is a nonzero {packed monomial: coefficient} dict (consumed).
+    The tail lists the other (monomial, coefficient) terms.  The hull is the
+    field-wise max of the low parts of every term, so ``hull + s`` bounds
+    the low part of every term times s.
+    """
+    lt = max(packed)
+    lc = packed.pop(lt)
+    if lc != 1:
+        inv = field.inv(lc)
+        p = field.p
+        packed = {m: (c * inv) % p for m, c in packed.items()}
+    hull = lt & low
+    for m in packed:
+        t = ((m & low) | guard) - hull
+        g = t & guard
+        hull += (t ^ g) & (g - (g >> (FIELD_BITS - 1)))
+    return (lt & low, lt, tuple(packed.items()), hull)
+
+
+def _reduce(work, reducers, p, low, guard, quotient=None):
+    """Full normal form of packed {monomial: coefficient} terms; consumes ``work``.
+
+    ``reducers`` are monic records (see ``_record``); each term is reduced
+    by the first one whose leading monomial divides it.  The result lists
+    its terms in descending order.  With a single reducer, a ``quotient``
+    dict collects the multiplier of each step, so that ``work`` equals
+    quotient * reducer + result.
+    """
+    out = {}
+    while work:
+        mu = max(work)
+        c = work.pop(mu)
+        probe = (mu & low) | guard
+        for lt_low, lt, tail, hull in reducers:
+            if (probe - lt_low) & guard == guard:
+                break
+        else:
+            out[mu] = c
+            continue
+        shift = mu - lt
+        if (hull + (shift & low)) & guard:
+            _overflow()
+        if quotient is not None:
+            quotient[shift] = c
+        for m, a in tail:
+            t = m + shift
+            v = (work.get(t, 0) - c * a) % p
+            if v:
+                work[t] = v
+            else:
+                # the sum cancelled, so t was a term of work
+                del work[t]
+    return out
 
 
 class IdealPresentation:
@@ -92,13 +255,10 @@ class GroebnerBasis:
         return tuple(g.leading(self.order)[0] for g in self.elements)
 
     @cached_property
-    def reducers(self) -> list:
-        """(leading exponent, inverse leading coefficient, terms) per element."""
-        inv = self.ring.field.inv
-        return [
-            (lt, inv(g.terms[lt]), g.terms)
-            for lt, g in zip(self.leading_exponents, self.elements)
-        ]
+    def packed(self) -> tuple:
+        """(packing, monic reducer records of the elements) for ``normal_form``."""
+        pk = _packing(self.order, self.ring.n)
+        return pk, [pk.record(g.terms, self.ring.field) for g in self.elements]
 
     @cached_property
     def monomial_normal_forms(self) -> dict:
@@ -114,44 +274,22 @@ class GroebnerBasis:
         return {"ring": self.ring, "order": self.order, "elements": self.elements}
 
 
-def _reduce_terms(terms, reducers, keys, p):
-    """Full normal form of a coefficient dict against (lt, lc_inv, terms) reducers.
-
-    ``keys`` maps a monomial to its order key (``MonomialOrder.keys``).
-    """
-    work = dict(terms)
-    out = {}
-    key = keys.__getitem__
-    while work:
-        mu = max(work, key=key)
-        c = work.pop(mu)
-        hit = None
-        for reducer in reducers:
-            if monomial_divides(reducer[0], mu):
-                hit = reducer
-                break
-        if hit is None:
-            out[mu] = c
-            continue
-        lt, lc_inv, gterms = hit
-        shift = monomial_div(mu, lt)
-        factor = (c * lc_inv) % p
-        for e, a in gterms.items():
-            if e == lt:
-                continue
-            tgt = monomial_mul(e, shift)
-            v = (work.get(tgt, 0) - factor * a) % p
-            if v:
-                work[tgt] = v
-            elif tgt in work:
-                del work[tgt]
-    return out
-
-
-def _spoly(f, lt_f, g, lt_g):
-    """S-polynomial of two monic polynomials with the given leading exponents."""
-    lcm = monomial_lcm(lt_f, lt_g)
-    return f.term_mul(monomial_div(lcm, lt_f), 1) - g.term_mul(monomial_div(lcm, lt_g), 1)
+def _spoly(f, g, lcm, p, low, guard):
+    """Packed terms of the S-polynomial of two monic records with the given lcm."""
+    _, lt_f, tail_f, hull_f = f
+    _, lt_g, tail_g, hull_g = g
+    s, t = lcm - lt_f, lcm - lt_g
+    if (hull_f + (s & low)) & guard or (hull_g + (t & low)) & guard:
+        _overflow()
+    work = {m + s: a for m, a in tail_f}
+    for m, a in tail_g:
+        u = m + t
+        v = (work.get(u, 0) - a) % p
+        if v:
+            work[u] = v
+        else:
+            del work[u]
+    return work
 
 
 def buchberger(
@@ -173,89 +311,89 @@ def buchberger(
     """
     if strategy not in ("normal", "first"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    basis = [g.monic(order) for g in generators if not g.is_zero()]
-    if not basis:
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
         return []
-    ring = basis[0].ring
+    ring = gens[0].ring
     p = ring.field.p
-    keys = order.keys
+    pk = _packing(order, ring.n)
+    low, guard = pk.low, pk.guard
     normal = strategy == "normal"
-    lts = [g.leading(order)[0] for g in basis]
-    # every element is monic, so each inverse leading coefficient is 1
-    reducers = [(lt, 1, g.terms) for lt, g in zip(lts, basis)]
+    basis = [pk.record(g.terms, ring.field) for g in gens]
+    # an input that was already monic is returned as is if interreduction keeps it
+    originals = [g if g.terms[pk.unpack(rec[1])] == 1 else None for g, rec in zip(gens, basis)]
+    lt_lows = [rec[0] for rec in basis]
 
     pending = set()
     heap = []
 
     def add_pair(i, j):
         pending.add((i, j))
-        rank = keys[monomial_lcm(lts[i], lts[j])] if normal else j
-        heapq.heappush(heap, (rank, i, j))
+        lcm = pk.lcm(basis[i][1], basis[j][1])
+        heapq.heappush(heap, (lcm if normal else j, i, j, lcm))
 
     for j in range(groebner_prefix, len(basis)):
         for i in range(j):
             add_pair(i, j)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        lt_i, lt_j = lts[i], lts[j]
-        lcm = monomial_lcm(lt_i, lt_j)
         # coprime leading terms: S-polynomial reduces to zero
-        if lcm == monomial_mul(lt_i, lt_j):
+        if lcm == basis[i][1] + basis[j][1]:
             continue
         # chain criterion
+        probe = (lcm & low) | guard
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lts[k], lcm):
+        for k, lt_low in enumerate(lt_lows):
+            if (probe - lt_low) & guard != guard or k == i or k == j:
                 continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
             if a not in pending and b not in pending:
                 skip = True
                 break
         if skip:
             continue
-        s = _spoly(basis[i], lt_i, basis[j], lt_j)
-        reduced = _reduce_terms(s.terms, reducers, keys, p)
+        reduced = _reduce(_spoly(basis[i], basis[j], lcm, p, low, guard), basis, p, low, guard)
         if not reduced:
             continue
-        # the first term of a normal form is its leading term
-        lt, lc = next(iter(reduced.items()))
-        h = Polynomial._raw(ring, reduced)
-        if lc != 1:
-            h = h.monic(order)
-        basis.append(h)
-        lts.append(lt)
-        reducers.append((lt, 1, h.terms))
+        rec = _record(reduced, ring.field, low, guard)
+        basis.append(rec)
+        originals.append(None)
+        lt_lows.append(rec[0])
         new = len(basis) - 1
         for m in range(new):
             add_pair(m, new)
-    return _interreduce(basis, lts, keys)
+    return _interreduce(basis, originals, pk, ring)
 
 
-def _interreduce(basis, lts, keys):
-    """Reduced basis from monic elements with the given leading exponents."""
-    if not basis:
-        return []
-    p = basis[0].ring.field.p
+def _interreduce(basis, originals, pk, ring):
+    """Reduced basis, descending by leading monomial, from monic reducer records."""
+    p = ring.field.p
+    low, guard, unpack = pk.low, pk.guard, pk.unpack
     # minimal leading terms, smallest first; duplicates drop
-    ordered = sorted(zip(lts, basis), key=lambda pair: keys[pair[0]])
     kept = []
-    for lt, g in ordered:
-        if any(monomial_divides(k_lt, lt) for k_lt, _ in kept):
+    for idx in sorted(range(len(basis)), key=lambda k: basis[k][1]):
+        probe = basis[idx][0] | guard
+        if any((probe - basis[k][0]) & guard == guard for k in kept):
             continue
-        kept.append((lt, g))
-    reducers = [(lt, 1, g.terms) for lt, g in kept]
+        kept.append(idx)
     out = []
-    for idx, (lt, g) in enumerate(kept):
-        others = reducers[:idx] + reducers[idx + 1 :]
-        if others:
-            # no other leading term divides lt, so the result keeps lt and stays monic
-            g = Polynomial._raw(g.ring, _reduce_terms(g.terms, others, keys, p))
-        out.append((lt, g))
-    out.sort(key=lambda pair: keys[pair[0]], reverse=True)
-    return [g for _, g in out]
+    for pos, idx in enumerate(kept):
+        _, lt, tail, _ = basis[idx]
+        others = [basis[k] for k in kept[:pos] + kept[pos + 1 :]]
+        # no other leading term divides lt, so only the tail can change
+        terms = dict(tail)
+        reduced = _reduce(dict(terms), others, p, low, guard)
+        if reduced == terms and originals[idx] is not None:
+            out.append(originals[idx])
+            continue
+        poly = {unpack(lt): 1}
+        poly.update((unpack(m), c) for m, c in reduced.items())
+        out.append(Polynomial._raw(ring, poly))
+    out.reverse()
+    return out
 
 
 def groebner_basis(
@@ -274,8 +412,11 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the Groebner basis."""
     if f.is_zero() or not gb.elements:
         return f
-    reduced = _reduce_terms(f.terms, gb.reducers, gb.order.keys, f.ring.field.p)
-    return Polynomial._raw(f.ring, reduced)
+    pk, reducers = gb.packed
+    pack, unpack = pk.pack, pk.unpack
+    work = {pack(e): c for e, c in f.terms.items()}
+    reduced = _reduce(work, reducers, f.ring.field.p, pk.low, pk.guard)
+    return Polynomial._raw(f.ring, {unpack(m): c for m, c in reduced.items()})
 
 
 def ideal_contains(ideal: IdealPresentation, other: IdealPresentation, order=GREVLEX) -> bool:
@@ -339,30 +480,15 @@ def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = GREVLEX) -
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
-    p = ring.field.p
-    lt_f, lc_f = f.leading(order)
-    inv = ring.field.inv(lc_f)
-    work = dict(g.terms)
+    pk = _packing(order, ring.n)
+    monic = pk.record(f.terms, ring.field)
     quotient = {}
-    key = order.keys.__getitem__
-    while work:
-        mu = max(work, key=key)
-        c = work.pop(mu)
-        if not monomial_divides(lt_f, mu):
-            raise ValueError("polynomial is not an exact multiple")
-        shift = monomial_div(mu, lt_f)
-        factor = (c * inv) % p
-        quotient[shift] = factor
-        for e, a in f.terms.items():
-            if e == lt_f:
-                continue
-            tgt = monomial_mul(e, shift)
-            v = (work.get(tgt, 0) - factor * a) % p
-            if v:
-                work[tgt] = v
-            elif tgt in work:
-                del work[tgt]
-    return Polynomial(ring, quotient)
+    work = {pk.pack(e): c for e, c in g.terms.items()}
+    if _reduce(work, [monic], ring.field.p, pk.low, pk.guard, quotient):
+        raise ValueError("polynomial is not an exact multiple")
+    # quotient holds g divided by the monic multiple of f
+    inv = ring.field.inv(f.terms[pk.unpack(monic[1])])
+    return Polynomial(ring, {pk.unpack(m): c * inv for m, c in quotient.items()})
 
 
 def colon_single(ideal: IdealPresentation, f: Polynomial) -> IdealPresentation:

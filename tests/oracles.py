@@ -10,7 +10,9 @@ reference that rule is compared with; it reads the package's distance
 table and degree scan.  The descending column-set scan is the package's
 shortening before its branch and bound, on the package's matrices.  The
 unpruned brute scan is the package's subspace scan before its row bound,
-on the package's annihilator test and quotient multiplicity.
+on the package's annihilator test and quotient multiplicity.  The tuple
+Buchberger is the package's Groebner engine before packed monomials, on
+exponent tuples and the package's order keys.
 """
 
 from __future__ import annotations
@@ -247,6 +249,124 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
     return DeltaResult(
         e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
     )
+
+
+# ---------------------------------------------------------------------------
+# Buchberger on exponent tuples
+
+
+def reduce_by_tuples(terms, reducers, order, p):
+    """Full normal form of {exponent tuple: coefficient} against
+    (leading exponent, inverse leading coefficient, terms) reducers, each
+    term reduced by the first reducer whose leading exponent divides it."""
+    from gmdkit.polyring import monomial_div, monomial_divides, monomial_mul
+
+    work = dict(terms)
+    out = {}
+    key = order.keys.__getitem__
+    while work:
+        mu = max(work, key=key)
+        c = work.pop(mu)
+        hit = None
+        for reducer in reducers:
+            if monomial_divides(reducer[0], mu):
+                hit = reducer
+                break
+        if hit is None:
+            out[mu] = c
+            continue
+        lt, lc_inv, gterms = hit
+        shift = monomial_div(mu, lt)
+        factor = (c * lc_inv) % p
+        for e, a in gterms.items():
+            if e == lt:
+                continue
+            tgt = monomial_mul(e, shift)
+            v = (work.get(tgt, 0) - factor * a) % p
+            if v:
+                work[tgt] = v
+            elif tgt in work:
+                del work[tgt]
+    return out
+
+
+def buchberger_by_tuples(generators, order, strategy="normal", groebner_prefix=0):
+    """``groebner.buchberger`` as it was before packed monomials: the same
+    pair heap, criteria, first-divisor reduction and interreduction on
+    exponent tuples compared through ``order.keys``."""
+    import heapq
+
+    from gmdkit.polyring import (
+        Polynomial,
+        monomial_div,
+        monomial_divides,
+        monomial_lcm,
+        monomial_mul,
+    )
+
+    basis = [g.monic(order) for g in generators if not g.is_zero()]
+    if not basis:
+        return []
+    ring = basis[0].ring
+    p = ring.field.p
+    keys = order.keys
+    lts = [g.leading(order)[0] for g in basis]
+    reducers = [(lt, 1, g.terms) for lt, g in zip(lts, basis)]
+    pending = set()
+    heap = []
+
+    def add_pair(i, j):
+        pending.add((i, j))
+        rank = keys[monomial_lcm(lts[i], lts[j])] if strategy == "normal" else j
+        heapq.heappush(heap, (rank, i, j))
+
+    for j in range(groebner_prefix, len(basis)):
+        for i in range(j):
+            add_pair(i, j)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lt_i, lt_j = lts[i], lts[j]
+        lcm = monomial_lcm(lt_i, lt_j)
+        # coprime leading terms: S-polynomial reduces to zero
+        if lcm == monomial_mul(lt_i, lt_j):
+            continue
+        # chain criterion
+        if any(
+            monomial_divides(lts[k], lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+            if k not in (i, j)
+        ):
+            continue
+        s = basis[i].term_mul(monomial_div(lcm, lt_i), 1) - basis[j].term_mul(
+            monomial_div(lcm, lt_j), 1
+        )
+        reduced = reduce_by_tuples(s.terms, reducers, order, p)
+        if not reduced:
+            continue
+        h = Polynomial._raw(ring, reduced).monic(order)
+        lt = h.leading(order)[0]
+        basis.append(h)
+        lts.append(lt)
+        reducers.append((lt, 1, h.terms))
+        for m in range(len(basis) - 1):
+            add_pair(m, len(basis) - 1)
+    # interreduce: minimal leading terms, each element reduced by the others
+    ordered = sorted(zip(lts, basis), key=lambda pair: keys[pair[0]])
+    kept = []
+    for lt, g in ordered:
+        if not any(monomial_divides(k_lt, lt) for k_lt, _ in kept):
+            kept.append((lt, g))
+    out = []
+    for idx, (lt, g) in enumerate(kept):
+        others = [(k_lt, 1, k_g.terms) for k_lt, k_g in kept[:idx] + kept[idx + 1 :]]
+        if others:
+            g = Polynomial._raw(ring, reduce_by_tuples(g.terms, others, order, p))
+        out.append((lt, g))
+    out.sort(key=lambda pair: keys[pair[0]], reverse=True)
+    return [g for _, g in out]
 
 
 # ---------------------------------------------------------------------------

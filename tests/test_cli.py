@@ -448,6 +448,18 @@ def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
         assert f"at most {MAX_VARIABLES}" in err
 
 
+def test_exponent_past_the_groebner_limit_is_exit_2(capsys, tmp_path):
+    from gmdkit.groebner import EXPONENT_LIMIT
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"char": 2, "vars": ["x", "y", "z"], "gens": ["x^40000"]}))
+    for command in ("delta", "stabilize", "verify"):
+        status, out, err = run(capsys, command, str(path), "--t-max", "1", "--ell-max", "1")
+        assert (status, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"above {EXPONENT_LIMIT}" in err
+
+
 def test_readme_quick_start_table(capsys, tmp_path, monkeypatch):
     from pathlib import Path
 

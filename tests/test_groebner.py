@@ -1,12 +1,15 @@
 """Groebner engine: bases, normal forms, intersections, colons."""
 
+import gc
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmdkit.errors import ExponentOverflowError
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.groebner import (
+    EXPONENT_LIMIT,
     GroebnerBasis,
     IdealPresentation,
     buchberger,
@@ -19,6 +22,7 @@ from gmdkit.groebner import (
     ideals_equal,
     intersect,
     normal_form,
+    _packing,
 )
 from gmdkit.polyring import (
     GREVLEX,
@@ -32,7 +36,7 @@ from gmdkit.polyring import (
     parse_polynomial,
 )
 
-from oracles import EXAMPLE1
+from oracles import EXAMPLE1, buchberger_by_tuples, reduce_by_tuples
 
 R2 = RingSpec(FieldSpec(2), ("x", "y"))
 R3 = RingSpec(FieldSpec(2), ("x", "y", "z"))
@@ -114,14 +118,120 @@ def test_pair_queue_gives_one_reduced_basis(ideal_, order, data):
     assert list(extended.elements) == reduced
 
 
+R4_F3 = RingSpec(FieldSpec(3), ("x", "y", "z", "w"))
+
+
+@st.composite
+def wider_ideals(draw):
+    """Up to four generators, on the rings above plus four variables over F_3."""
+    ring = draw(st.sampled_from([R2, R3, R3_F5, R4_F3]))
+    p = ring.field.p
+    top = 2 if ring.n == 4 else 3
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        monos = degree_monomials(ring.n, draw(st.integers(min_value=1, max_value=top)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        coeffs = draw(st.lists(st.integers(min_value=1, max_value=p - 1), min_size=4, max_size=4))
+        gens.append(Polynomial(ring, dict(zip(chosen, coeffs))))
+    return gens
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(wider_ideals(), st.sampled_from(QUEUE_ORDERS), st.sampled_from(["normal", "first"]), st.data())
+def test_packed_kernel_matches_the_tuple_oracle(gens, order, strategy, data):
+    # same elements in the same order, term for term
+    expected = buchberger_by_tuples(gens, order, strategy)
+    assert buchberger(gens, order, strategy) == expected
+    k = data.draw(st.integers(min_value=0, max_value=len(gens)))
+    seed = GroebnerBasis(gens[0].ring, order, tuple(buchberger_by_tuples(gens[:k], order)))
+    extended = groebner_basis_extending(seed, gens[k:], order)
+    prefixed = buchberger_by_tuples(list(seed.elements) + gens[k:], order, groebner_prefix=len(seed.elements))
+    assert list(extended.elements) == prefixed
+    # normal forms against the same basis
+    ring = gens[0].ring
+    inv = ring.field.inv
+    reducers = [(g.leading(order)[0], inv(g.leading(order)[1]), g.terms) for g in extended.elements]
+    monos = degree_monomials(ring.n, data.draw(st.integers(min_value=1, max_value=3)))
+    f = Polynomial(ring, {e: data.draw(st.integers(min_value=0, max_value=4)) for e in monos})
+    assert normal_form(f, extended).terms == reduce_by_tuples(f.terms, reducers, order, ring.field.p)
+
+
+@st.composite
+def exponent_pairs(draw):
+    """An order and two exponent vectors in range; often equal in degree, so that ties break late."""
+    n = draw(st.integers(min_value=1, max_value=13))
+    order = draw(st.sampled_from([GREVLEX, LEX, elimination_order(1), elimination_order(2)]))
+    second = min(order.block, n) if order.kind == "elim" else n
+    head = st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=EXPONENT_LIMIT))
+    tail = st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=EXPONENT_LIMIT // 13))
+    a = draw(st.lists(head, min_size=second, max_size=second))
+    a += draw(st.lists(tail, min_size=n - second, max_size=n - second))
+    if draw(st.booleans()):
+        # the same block degrees, the exponents shuffled within each block
+        b = draw(st.permutations(a[:second])) + draw(st.permutations(a[second:]))
+    else:
+        b = draw(st.lists(head, min_size=second, max_size=second))
+        b += draw(st.lists(tail, min_size=n - second, max_size=n - second))
+    return order, tuple(a), tuple(b)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(exponent_pairs())
+def test_packed_monomials_follow_the_order(case):
+    order, a, b = case
+    pk = _packing(order, len(a))
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert (pa > pb) - (pa < pb) == order.compare(a, b)
+    lcm = pk.lcm(pa, pb)
+    assert pk.unpack(lcm) == monomial_lcm(a, b) and lcm == pk.pack(monomial_lcm(a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    try:
+        packed_product = pk.pack(product)
+    except ExponentOverflowError:
+        return
+    assert pa + pb == packed_product
+
+
+def test_exponents_past_the_limit_raise_instead_of_wrapping():
+    at_limit = parse_polynomial(f"x^{EXPONENT_LIMIT}", R3)
+    assert buchberger([at_limit]) == [at_limit]
+    with pytest.raises(ExponentOverflowError, match=str(EXPONENT_LIMIT)):
+        buchberger([parse_polynomial("x^40000", R3)])
+    # inputs in range whose S-polynomial needs x^34000*z
+    gens = [parse_polynomial(t, R3) for t in ("x^17000*y", "x^17000*z+y^17001")]
+    with pytest.raises(ExponentOverflowError):
+        buchberger(gens)
+    # a reduction step whose product would pass the limit
+    gb = groebner_basis(ideal(R3, "x^20000+y^20000"))
+    x = parse_polynomial("x", R3)
+    assert normal_form(x, gb) == x
+    with pytest.raises(ExponentOverflowError):
+        normal_form(parse_polynomial("x^20000*y^20000", R3), gb)
+    with pytest.raises(ExponentOverflowError):
+        exact_divide(parse_polynomial("x^20000*y^20000", R3), parse_polynomial("x^20000+y^20000", R3))
+    # the second block's degree bounds the elimination order's key
+    block = [parse_polynomial("y^20000*z^20000", R3)]
+    assert buchberger(block) == block
+    with pytest.raises(ExponentOverflowError):
+        buchberger(block, elimination_order(1))
+    pair = [parse_polynomial(t, R3) for t in ("x*y^20000", "x*z^20000")]
+    with pytest.raises(ExponentOverflowError):
+        buchberger(pair, elimination_order(1))
+
+
 def test_basis_pickles_without_its_memos():
     gb = groebner_basis(ideal(R3, "x*y+z^2", "y^2"))
-    assert gb.reducers and gb.leading_exponents
+    assert gb.packed and gb.leading_exponents
     gb.monomial_normal_forms[(1, 2, 0)] = {}
+    memos = {"packed", "leading_exponents", "monomial_normal_forms"}
+    assert memos <= set(gb.__dict__)
     clone = pickle.loads(pickle.dumps(gb))
     assert clone == gb
-    assert not {"reducers", "leading_exponents", "monomial_normal_forms"} & set(clone.__dict__)
-    assert clone.reducers == gb.reducers
+    assert not memos & set(clone.__dict__)
+    assert clone.packed[1] == gb.packed[1]
+    # only the basis holds its packed reducer table, so the table goes with it
+    assert gc.get_referrers(gb.packed) == [gb.__dict__]
 
 
 def test_known_basis_leading_exponents():
