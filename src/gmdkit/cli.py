@@ -12,8 +12,9 @@ Reports embed the convention, method, and certificate statuses used and are
 byte-identical for identical inputs and flags regardless of --jobs.  Exit
 codes: 0 ok, 1 verification failure (a failed internal invariant check
 included), 2 malformed input or input beyond a supported bound (more than
-12 variables, a Groebner computation needing an exponent above 32767),
-3 operation outside its mathematical hypotheses.
+12 variables, a Groebner computation needing an exponent above 32767,
+a prime-subset table over more than 22 minimal primes), 3 operation
+outside its mathematical hypotheses.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .codes import (
     generalized_hamming_weight,
     standard_ring,
 )
-from .errors import ExponentOverflowError, HypothesisError, ParseError
+from .errors import ExponentOverflowError, HypothesisError, ParseError, PrimeSubsetLimitError
 from .gflinalg import FieldMatrix, FieldSpec
 from .gmd import (
     CONVENTIONS,
@@ -826,7 +827,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return 2
-    except ExponentOverflowError as exc:
+    except (ExponentOverflowError, PrimeSubsetLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:

@@ -15,6 +15,7 @@ from .errors import InvariantError
 from .gflinalg import (
     FieldMatrix,
     FieldSpec,
+    PackedVectors,
     SubspaceIterator,
     kernel_basis,
     rank,
@@ -26,7 +27,7 @@ from .gflinalg import (
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import Polynomial, RingSpec, graded_piece_basis
-from .schemes import RingProfile, build_profile_from_primes
+from .schemes import RingProfile, build_profile_from_primes, check_prime_count
 
 ENUMERATE_LIMIT = 20000
 
@@ -148,29 +149,37 @@ class PointFamilyBackend:
     """Family degree data for vanishing ideals, via evaluation ranks.
 
     The degree-t piece of S/J for a subset of the points has dimension
-    equal to the rank of the monomial-evaluation matrix at those points,
-    and it equals the subset size from degree (size - 1) on.  That rank is
-    the rank of the subset's evaluation vectors, so one table per degree
-    holds it for every subset, indexed by bitmask.  Agreement with the
-    Groebner route is covered by the property suite.
+    equal to the rank of the monomial-evaluation matrix at those points.
+    That rank is the rank of the subset's evaluation vectors, so one table
+    per degree holds it for every subset, indexed by bitmask: the prime
+    backend's normal-form table, with a point's block one evaluation
+    vector.  Agreement with the Groebner route is covered by the property
+    suite.
     """
 
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         self._points = points
         self._profile = profile
-        self._tables: dict[int, tuple[int, bytes]] = {}
+        self._tables: dict[int, tuple] = {}
+        self._spanning_degree: int | None = None
 
-    def degree_table(self, t: int) -> tuple[int, bytes]:
+    def degree_table(self, t: int) -> tuple:
         """HF_I(t) and the rank of the degree-t evaluation vectors of every point subset."""
         entry = self._tables.get(t)
         if entry is None:
-            full = hilbert_function(self._profile.ideal, t)
             n = len(self._points)
+            check_prime_count(n)
+            full = hilbert_function(self._profile.ideal, t)
             if full == n:
                 # all n vectors are independent: a subset's rank is its size
                 ranks = bytes(map(int.bit_count, range(1 << n)))
             else:
                 ranks = subset_ranks(self._points.field, self._points.evaluation_vectors(t))
+            if ranks[-1] != full:
+                raise InvariantError(
+                    f"the points' degree-{t} evaluation vectors have rank {ranks[-1]}, "
+                    f"but HF_I({t}) = {full}"
+                )
             entry = self._tables[t] = (full, ranks)
         return entry
 
@@ -184,9 +193,22 @@ class PointFamilyBackend:
         return bytes(map(full.__sub__, ranks))
 
     def regime(self, indices: tuple[int, ...]) -> int:
-        if not indices:
-            return 1
-        return max(1, len(indices) - 1)
+        """Degree from which a family's piece dimensions are constant.
+
+        A subset of the points imposes independent conditions from degree
+        |A| - 1 on, and every subset does from the least degree t0 with
+        HF_I(t0) = n, where the evaluation vectors of all points are
+        independent.
+        """
+        if self._spanning_degree is None:
+            n = len(self._points)
+            ideal = self._profile.ideal
+            self._spanning_degree = next(
+                (t for t in range(n) if hilbert_function(ideal, t) == n), None
+            )
+            if self._spanning_degree is None:
+                raise InvariantError(f"HF_I of {n} points never reaches {n} below degree {n}")
+        return max(1, min(len(indices) - 1, self._spanning_degree))
 
 
 def evaluate_monomial(exponents, point, p: int) -> int:
@@ -247,45 +269,6 @@ def _or_each(unions, masks):
     return (u | m for u in unions for m in masks)
 
 
-class _Packed:
-    """Vectors over F_p of one length packed into ints, for cheap sums.
-
-    Entry j takes bits [b*j, b*j + b) with b = bit_length(p) + 1, so the sum
-    of two packed vectors is one integer addition: its entries stay below
-    2p - 1, which fits in b bits.  Adding 2^(b-1) - p to every entry sets
-    the top bit of exactly the entries that reached p, and ``fold``
-    subtracts p there.  Adding 2^(b-1) - 1 to every entry sets the top bit
-    of exactly the nonzero entries, and ``support`` keeps those bits: an OR
-    of supports is the support of a span, its bit count the weight.  The
-    zero vector packs to 0.
-    """
-
-    __slots__ = ("p", "shift", "width", "mask", "tops", "reach_p", "nonzero")
-
-    def __init__(self, p: int, length: int):
-        self.p = p
-        self.shift = p.bit_length()
-        self.width = self.shift + 1
-        self.mask = (1 << self.width) - 1
-        ones = sum(1 << (self.width * j) for j in range(length))
-        self.tops = ones << self.shift
-        self.reach_p = ((1 << self.shift) - p) * ones
-        self.nonzero = ((1 << self.shift) - 1) * ones
-
-    def pack(self, vector) -> int:
-        return sum(x << (self.width * j) for j, x in enumerate(vector))
-
-    def entry(self, word: int, j: int) -> int:
-        return (word >> (self.width * j)) & self.mask
-
-    def fold(self, word: int) -> int:
-        """The sum of two packed vectors, reduced mod p."""
-        return word - (((word + self.reach_p) & self.tops) >> self.shift) * self.p
-
-    def support(self, word: int) -> int:
-        return (word + self.nonzero) & self.tops
-
-
 def _row_supports(generator: FieldMatrix):
     """A function streaming the codeword supports of one basis row.
 
@@ -295,7 +278,7 @@ def _row_supports(generator: FieldMatrix):
     its generator row once, so a codeword costs about one packed addition.
     """
     p = generator.field.p
-    packed = _Packed(p, generator.cols)
+    packed = PackedVectors(generator.field, generator.cols)
     fold = packed.fold
     support = packed.support
     words = [packed.pack(row) for row in generator.data]
@@ -377,15 +360,12 @@ def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | N
     out, and a branch is cut once its taken and remaining columns together
     cannot beat the best set.
     """
-    p = g.field.p
-    inverses = g.field.inverses
-    packed = _Packed(p, g.rows)
+    packed = PackedVectors(g.field, g.rows)
     fold = packed.fold
-    entry = packed.entry
+    mask = packed.mask
     columns = [packed.pack(col) for col in zip(*g.data)]
     n = len(columns)
-    # per independent taken column: its pivot entry and, for each value f
-    # there, the multiple of its row whose addition clears that entry
+    # per independent taken column: ``PackedVectors.echelon_row``
     basis: list[tuple[int, list[int]]] = []
     taken: list[int] = []
     best = None
@@ -398,8 +378,8 @@ def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | N
             best = tuple(taken)
             return
         v = columns[j]
-        for pivot, clear in basis:
-            f = entry(v, pivot)
+        for offset, clear in basis:
+            f = (v >> offset) & mask
             if f:
                 v = fold(v + clear[f])
         taken.append(j)
@@ -408,13 +388,7 @@ def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | N
             taken.pop()
             return
         if len(basis) < bound:
-            low = packed.support(v)
-            pivot = ((low & -low).bit_length() - 1) // packed.width
-            multiples = [0, v]
-            for _ in range(p - 2):
-                multiples.append(fold(multiples[-1] + v))
-            inv = inverses[entry(v, pivot)]
-            basis.append((pivot, [multiples[(p - f) * inv % p] for f in range(p)]))
+            basis.append(packed.echelon_row(v))
             walk(j + 1)
             basis.pop()
         taken.pop()

@@ -42,3 +42,23 @@ class ExponentOverflowError(OverflowError):
     ``groebner.EXPONENT_LIMIT``.  The CLI exits 2, as for other inputs beyond
     a supported bound.
     """
+
+
+class PrimeSubsetLimitError(Exception):
+    """A prime-subset table would need more entries than gmdkit allows.
+
+    The prime-subset route keeps a table of 2^a entries for a minimal
+    primes, so the prime count is capped at ``schemes.PRIME_SUBSET_LIMIT``.
+    The CLI exits 2, as for other inputs beyond a supported bound.
+    """
+
+    def __init__(self, count: int, limit: int):
+        super().__init__(count, limit)
+        self.count = count
+        self.limit = limit
+
+    def __str__(self):
+        return (
+            f"the prime-subset route supports at most {self.limit} minimal primes, "
+            f"got {self.count}"
+        )

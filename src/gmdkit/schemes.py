@@ -13,9 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisError, InvariantError
-from .groebner import IdealPresentation, ideal_contains, ideals_equal, intersect
-from .hilbert import HilbertData, hilbert_data, hilbert_function
+from .errors import HypothesisError, InvariantError, PrimeSubsetLimitError
+from .gflinalg import subset_ranks
+from .groebner import (
+    IdealPresentation,
+    groebner_basis,
+    ideal_contains,
+    ideals_equal,
+    intersect,
+    normal_form,
+)
+from .hilbert import HilbertData, graded_piece_of_quotient, hilbert_data, hilbert_function
 from .polyring import Polynomial
 
 CLASSIFICATIONS = (
@@ -26,6 +34,16 @@ CLASSIFICATIONS = (
     "mixed_low_dim_ge2",
     "unknown",
 )
+
+# Most minimal primes the prime-subset route takes on: its tables hold an
+# entry for each of the 2^a subsets of a primes.
+PRIME_SUBSET_LIMIT = 22
+
+
+def check_prime_count(count: int) -> None:
+    """Raise ``PrimeSubsetLimitError`` past ``PRIME_SUBSET_LIMIT`` primes."""
+    if count > PRIME_SUBSET_LIMIT:
+        raise PrimeSubsetLimitError(count, PRIME_SUBSET_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -46,9 +64,9 @@ class MinimalPrimeData:
 class FamilyIntersection:
     """Intersection of a subset of the minimal primes, with degree data.
 
-    The intersection ideal is materialized lazily: degree-piece dimensions
-    can come from a profile backend (evaluation ranks for point sets)
-    without ever running the elimination-order Groebner chain.
+    The intersection ideal is materialized lazily: on a certified profile
+    the degree-piece dimensions come from the profile's backend (rank
+    tables) without ever running the elimination-order Groebner chain.
     """
 
     indices: tuple[int, ...]
@@ -69,10 +87,10 @@ class FamilyIntersection:
         if hit is not None:
             return hit
         backend = self._profile.family_backend
-        if backend is not None:
-            value = backend.piece_dim(self.indices, t)
-        elif self.is_unit:
+        if self.is_unit:
             value = hilbert_function(self._profile.ideal, t)
+        elif backend is not None:
+            value = backend.piece_dim(self.indices, t)
         else:
             value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
         if value < 0:
@@ -86,14 +104,91 @@ class FamilyIntersection:
         return hilbert_data(self.ideal)
 
     def regime(self) -> int:
-        """Degree from which the piece dimensions agree with a polynomial."""
-        backend = self._profile.family_backend
-        base = self._profile.hilbert.hf_poly_from
-        if backend is not None:
-            return max(1, base, backend.regime(self.indices))
+        """Degree from which the piece dimensions agree with a polynomial.
+
+        A backend may bound the family's own regime without its ideal;
+        otherwise it comes from the family's Hilbert series.
+        """
+        base = max(1, self._profile.hilbert.hf_poly_from)
         if self.is_unit:
-            return max(1, base)
-        return max(1, base, self.hilbert().hf_poly_from)
+            return base
+        backend = self._profile.family_backend
+        own = None if backend is None else backend.regime(self.indices)
+        if own is None:
+            own = self.hilbert().hf_poly_from
+        return max(base, own)
+
+
+class PrimeFamilyBackend:
+    """Family degree data of a certified profile, from normal-form rank tables.
+
+    [J_A]_t for the family J_A of a prime subset A is the kernel of
+    [S]_t -> (+)_{i in A} [S/P_i]_t, and I_t lies in it, so the family's
+    degree-t piece in S/I has dimension HF_I(t) minus the rank of that
+    map on the degree-t standard monomials of I.  Each prime contributes
+    one block, the normal forms modulo P_i of those monomials, and one
+    table per degree holds the rank of every union of blocks, indexed by
+    bitmask (``gflinalg.subset_ranks``).  All primes together must give
+    rank HF_I(t), which rechecks the certificate in degree t.
+
+    A family of linear primes is a subspace arrangement, whose ideal has
+    Castelnuovo-Mumford regularity at most |A| (Derksen and Sidman, Adv.
+    Math. 172, 2002); its quotient has positive depth, so its Hilbert
+    function is polynomial from degree |A| - 1 on.  A family holding a
+    nonlinear prime gets no bound here and its regime comes from the
+    family ideal.
+    """
+
+    def __init__(self, profile: "RingProfile"):
+        self._profile = profile
+        self._tables: dict[int, tuple] = {}
+        self._linear: tuple[bool, ...] | None = None
+
+    def degree_table(self, t: int) -> tuple:
+        """HF_I(t) and the rank of the degree-t blocks of every prime subset."""
+        entry = self._tables.get(t)
+        if entry is None:
+            profile = self._profile
+            check_prime_count(len(profile.primes))
+            full = hilbert_function(profile.ideal, t)
+            monomials = graded_piece_of_quotient(profile.ideal, t)
+            blocks = [_normal_form_block(p.ideal, monomials) for p in profile.primes]
+            ranks = subset_ranks(profile.ring.field, blocks, grouped=True)
+            if ranks[-1] != full:
+                raise InvariantError(
+                    f"the minimal primes have rank {ranks[-1]} in degree {t}, "
+                    f"but HF_I({t}) = {full}"
+                )
+            entry = self._tables[t] = (full, ranks)
+        return entry
+
+    def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
+        full, ranks = self.degree_table(t)
+        return full - ranks[sum(1 << i for i in indices)]
+
+    def regime(self, indices: tuple[int, ...]) -> int | None:
+        if self._linear is None:
+            self._linear = tuple(
+                all(sum(e) == 1 for e in groebner_basis(p.ideal).leading_exponents)
+                for p in self._profile.primes
+            )
+        if all(self._linear[i] for i in indices):
+            return max(1, len(indices) - 1)
+        return None
+
+
+def _normal_form_block(prime: IdealPresentation, monomials) -> list[tuple[int, ...]]:
+    """The map [S]_t -> [S/P]_t on the given monomials, one vector per column.
+
+    Column s holds the coefficient of the standard monomial s of P in the
+    normal form of each monomial; standard monomials that occur in no
+    normal form give zero columns and are left out.
+    """
+    gb = groebner_basis(prime)
+    ring = prime.ring
+    forms = [normal_form(Polynomial._raw(ring, {m: 1}), gb).terms for m in monomials]
+    occurring = sorted({s for terms in forms for s in terms})
+    return [tuple(terms.get(s, 0) for terms in forms) for s in occurring]
 
 
 class RingProfile:
@@ -166,11 +261,16 @@ class RingProfile:
         """``quotient_dim(t)`` of the family of every prime subset, by bitmask.
 
         Bit i of the mask selects prime i; mask 0, the empty subset, gives
-        the whole degree-t piece of S/I.
+        the whole degree-t piece of S/I.  A backend that serves the whole
+        table at once (point sets) answers directly; otherwise every family
+        is read through ``quotient_dim``, which a backend serves from its
+        rank table.
         """
-        if self.family_backend is not None:
-            return self.family_backend.piece_dims(t)
         a = len(self.primes)
+        check_prime_count(a)
+        whole_table = getattr(self.family_backend, "piece_dims", None)
+        if whole_table is not None:
+            return whole_table(t)
         return [hilbert_function(self.ideal, t)] + [
             self.intersect_family([i for i in range(a) if mask >> i & 1]).quotient_dim(t)
             for mask in range(1, 1 << a)
@@ -283,6 +383,8 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
 
     profile.reduced_certified = certified
     profile.classification = classification
+    if certified:
+        profile.family_backend = PrimeFamilyBackend(profile)
     profile.warnings = tuple(warnings)
     return profile
 

@@ -12,7 +12,9 @@ shortening before its branch and bound, on the package's matrices.  The
 unpruned brute scan is the package's subspace scan before its row bound,
 on the package's annihilator test and quotient multiplicity.  The tuple
 Buchberger is the package's Groebner engine before packed monomials, on
-exponent tuples and the package's order keys.
+exponent tuples and the package's order keys.  The family route is the
+package's prime-family dimensions before its rank tables, on the package's
+intersection and Hilbert series.
 """
 
 from __future__ import annotations
@@ -249,6 +251,39 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
     return DeltaResult(
         e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
     )
+
+
+# ---------------------------------------------------------------------------
+# prime-subset families by elimination-order intersection
+
+
+def family_ideal_by_intersection(profile, indices, chains):
+    """The family ideal of the primes in ``indices``, as a chain of
+    ``groebner.intersect`` over them in index order.  ``chains`` memoises
+    every prefix, so a depth-first caller intersects once per subset.
+    """
+    from gmdkit.groebner import intersect
+
+    key = tuple(indices)
+    hit = chains.get(key)
+    if hit is None:
+        prime = profile.primes[key[-1]].ideal
+        hit = prime if len(key) == 1 else intersect(
+            family_ideal_by_intersection(profile, key[:-1], chains), prime
+        )
+        chains[key] = hit
+    return hit
+
+
+def family_dims_by_intersection(profile, indices, degrees, chains=None):
+    """The family route before rank tables: ({t: HF_I(t) - HF_J(t)}, the
+    ``hf_poly_from`` of S/J) for the family J of a nonempty prime subset.
+    """
+    from gmdkit.hilbert import hilbert_data, hilbert_function
+
+    ideal = family_ideal_by_intersection(profile, indices, {} if chains is None else chains)
+    dims = {t: hilbert_function(profile.ideal, t) - hilbert_function(ideal, t) for t in degrees}
+    return dims, hilbert_data(ideal).hf_poly_from
 
 
 # ---------------------------------------------------------------------------
@@ -518,4 +553,44 @@ P1_F2 = {
 TWO_LINES_F2 = {
     "multiplicity": 2,
     "delta_cells": {(1, 1): 1, (2, 1): 1, (1, 2): 2, (2, 2): 2},
+}
+
+# five pairwise skew lines of P^3, each as the ideal of two linear forms,
+# with the Hilbert function 4, 10, 18 of five lines on two cubics
+LINES5_F2 = {
+    "char": 2,
+    "vars": ("x", "y", "z", "w"),
+    "gens": (
+        "x^2*y+x^2*z+x*y^2+x*z^2+y^2*w+y*w^2",
+        "x^2*y+x*y^2+y^2*z+y*z^2+z^2*w+z*w^2",
+        "x^3*z+x^2*y*w+x^2*z^2+x*y^2*z+x*y^2*w+x*y*z^2",
+        "x^3*y+x^3*z+x^2*y^2+x^2*y*z+x^2*z*w+x*y^2*z+x*z^3+x*z^2*w",
+        "x^4*y+x^3*y*z+x^2*y^3+x^2*y^2*z+x^2*y^2*w+x*y^3*w",
+        "x^3*y*w+x^2*y^2*w+x^2*y*z*w+x*y^2*z*w",
+    ),
+    "primes": (("y", "z"), ("x+z", "x+w"), ("x", "y+w"), ("x+y+z", "w"), ("x+y", "x+z+w")),
+}
+
+LINES5_F3 = {
+    "char": 3,
+    "vars": ("x", "y", "z", "w"),
+    "gens": (
+        "x^3+2*x^2*y+x^2*z+2*x^2*w+x*y*z+x*y*w+x*z^2+2*x*z*w+2*y^3+y*z^2+y*z*w+y*w^2+z^2*w+z*w^2",
+        "x^3+x^2*y+2*x^2*z+x^2*w+2*x*y*z+2*x*z*w+2*y^2*w+2*y*z*w+2*z^2*w+w^3",
+        "2*x^3*z+2*x^3*w+x^2*y^2+x^2*y*z+x^2*y*w+x^2*z^2+x^2*w^2+x*y^3+2*x*y^2*z+2*x*y^2*w"
+        "+x*y*z^2+x*y*w^2",
+        "x^4+x^3*y+2*x^3*w+2*x^2*y^2+x^2*y*z+2*x^2*y*w+2*x^2*z^2+2*x*y^3+x*y^2*z+2*x*y^2*w"
+        "+2*x*y*z^2+x*z^2*w",
+        "2*x^5+2*x^4*z+x^4*w+x^3*y*w+2*x^3*z^2+2*x^3*z*w+2*x^2*y^3+2*x^2*y^2*z+2*x^2*y*z*w"
+        "+x*y^3*z+x*y^2*z^2",
+        "2*x^5+x^4*y+x^4*w+x^3*y^2+x^3*y*w+x^3*z^2+2*x^3*z*w+x^2*y^2*z+x^2*y^2*w+x^2*y*z^2"
+        "+x*y^4+x*y^3*z+x*y^3*w+x*y^2*z*w",
+    ),
+    "primes": (
+        ("x", "2*y+z+w"),
+        ("2*x+z", "2*x+y+w"),
+        ("y+z", "2*x+w"),
+        ("x+y", "w"),
+        ("2*x+y+z", "2*y+w"),
+    ),
 }

@@ -460,6 +460,35 @@ def test_exponent_past_the_groebner_limit_is_exit_2(capsys, tmp_path):
         assert f"above {EXPONENT_LIMIT}" in err
 
 
+def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypatch):
+    # the limit is patched low so that small inputs cross it: five points
+    # (point backend) and five skew lines (normal-form backend)
+    from gmdkit import schemes
+
+    from oracles import LINES5_F3
+
+    monkeypatch.setattr(schemes, "PRIME_SUBSET_LIMIT", 4)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"char": 3, "ambient": 3, "points": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 0]]}))
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps({
+        "char": LINES5_F3["char"],
+        "vars": list(LINES5_F3["vars"]),
+        "gens": list(LINES5_F3["gens"]),
+        "minimal_primes": [list(ps) for ps in LINES5_F3["primes"]],
+    }))
+    expected = "error: the prime-subset route supports at most 4 minimal primes, got 5\n"
+    for path in (points, lines):
+        for command, *args in (("delta", "--method", "fast"), ("stabilize",), ("verify",)):
+            status, out, err = run(capsys, command, str(path), "--t-max", "2", "--ell-max", "2", *args)
+            assert (status, out, err) == (2, "", expected), (path.name, command)
+    monkeypatch.setattr(schemes, "PRIME_SUBSET_LIMIT", 5)
+    for path in (points, lines):
+        status, out, err = run(capsys, "delta", str(path), "--method", "fast", "--t-max", "2")
+        assert (status, err) == (0, "")
+
+
 def test_readme_quick_start_table(capsys, tmp_path, monkeypatch):
     from pathlib import Path
 

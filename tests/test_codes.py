@@ -1,6 +1,7 @@
 """Evaluation codes, generalized weights, and the distance bridge."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -313,6 +314,24 @@ def test_shortening_matches_the_descending_column_set_scan(code):
         result = _ghw_shorten(code, r)
         assert (result.value, result.witness) == ghw_by_descending_column_sets(code, r), r
         assert result.strategy == "shorten"
+
+
+def test_shortening_over_large_fields_matches_the_descending_column_set_scan():
+    # above PackedVectors.EAGER_MULTIPLES the echelon rows' multiples are lazy
+    rng = random.Random(37)
+    for p in (11, 37, 251):
+        field = FieldSpec(p)
+        for _ in range(15):
+            k = rng.randint(1, 3)
+            columns = [[rng.randrange(p) for _ in range(k)] for _ in range(rng.randint(1, 6))]
+            columns.append([rng.randrange(1, p) * x % p for x in columns[0]])
+            reduced, rk, _ = rref(FieldMatrix(field, list(zip(*columns))))
+            if rk == 0:
+                continue
+            code = LinearCode(field, FieldMatrix._raw(field, reduced.data[:rk], len(columns)))
+            for r in range(1, rk + 1):
+                result = _ghw_shorten(code, r)
+                assert (result.value, result.witness) == ghw_by_descending_column_sets(code, r)
 
 
 def test_shortening_raises_invariant_errors(monkeypatch):

@@ -14,6 +14,7 @@ from gmdkit.gflinalg import (
     gaussian_binomial,
     kernel_basis,
     rank,
+    PackedVectors,
     rref,
     subset_ranks,
     subspace_count,
@@ -307,6 +308,100 @@ def test_subset_ranks_match_rank_of_every_subset(family):
     for mask in range(len(ranks)):
         rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
         assert ranks[mask] == rank(FieldMatrix(f, rows)), (mask, rows)
+
+
+def vector_groups(primes=(2, 3, 5, 7)):
+    """Groups of vectors of one width, empty groups, zero vectors and repeats mixed in."""
+
+    def build(p):
+        return st.integers(0, 5).flatmap(
+            lambda width: st.tuples(
+                st.just(p),
+                st.lists(
+                    st.lists(
+                        st.lists(st.integers(0, p - 1), min_size=width, max_size=width),
+                        max_size=3,
+                    ),
+                    max_size=5,
+                ),
+                st.integers(0, 3),
+            )
+        )
+
+    def mix(args):
+        p, groups, extra = args
+        groups = [list(g) for g in groups]
+        width = next((len(v) for g in groups for v in g), 0)
+        flat = [v for g in groups for v in g]
+        if extra & 1 and groups:
+            groups[-1].append([0] * width)
+        if extra & 2 and flat:
+            # a repeat of an earlier vector, and a multiple of it in its own group
+            groups[0].append(list(flat[-1]))
+            groups.append([[(2 * x) % p for x in flat[0]]])
+        if extra == 3:
+            groups.insert(len(groups) // 2, [])
+        return p, groups
+
+    return st.sampled_from(primes).flatmap(build).map(mix)
+
+
+def assert_grouped_ranks(p, groups):
+    f = FieldSpec(p)
+    ranks = subset_ranks(f, groups, grouped=True)
+    assert len(ranks) == 1 << len(groups)
+    for mask in range(len(ranks)):
+        rows = [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
+        width = len(rows[0]) if rows else 0
+        assert ranks[mask] == (rank(FieldMatrix(f, rows)) if width else 0), (mask, rows)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(vector_groups())
+def test_grouped_subset_ranks_match_rank_of_every_subset(family):
+    assert_grouped_ranks(*family)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(vector_groups(primes=(11, 37, 251)))
+def test_grouped_subset_ranks_over_large_fields(family):
+    # above PackedVectors.EAGER_MULTIPLES the clearing multiples are lazy
+    assert_grouped_ranks(*family)
+
+
+def test_grouped_subset_ranks_hold_ranks_past_255():
+    p = 2
+    width = 300
+    identity = [[int(i == j) for j in range(width)] for i in range(width)]
+    groups = [identity[:150], identity[150:], identity[100:200]]
+    ranks = subset_ranks(FieldSpec(p), groups, grouped=True)
+    assert list(ranks) == [0, 150, 150, 300, 100, 200, 200, 300]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5, 7, 37, 251]).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.integers(0, p - 1), min_size=1, max_size=6),
+            st.integers(0, p - 1),
+        )
+    )
+)
+def test_packed_vectors_scale_and_clear(case):
+    p, vector, c = case
+    packed = PackedVectors(FieldSpec(p), len(vector))
+    word = packed.pack(vector)
+    scaled = packed.scale(word, c)
+    entries = [(scaled >> (packed.width * j)) & packed.mask for j in range(len(vector))]
+    assert entries == [c * x % p for x in vector]
+    if word:
+        offset, clear = packed.echelon_row(word)
+        pivot = next(j for j, x in enumerate(vector) if x)
+        assert offset == pivot * packed.width
+        for f in range(1, p):
+            # adding clear[f] to a vector with f at the pivot zeroes it there
+            assert (packed.fold(packed.pack([f] * len(vector)) + clear[f]) >> offset) & packed.mask == 0
 
 
 def test_subset_ranks_reject_ragged_vectors():

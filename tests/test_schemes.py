@@ -112,7 +112,11 @@ def test_family_intersection_is_lazy_and_cached():
     fam = profile.intersect_family((0, 2))
     assert fam._ideal is None
     fam.quotient_dim(2)
-    assert fam._ideal is not None  # no backend here, so the ideal is needed
+    # a certified profile's backend serves dimensions from its rank table
+    assert fam._ideal is None
+    ideal_02 = fam.ideal
+    assert fam._ideal is ideal_02
+    assert fam.ideal is ideal_02
     assert profile.intersect_family((2, 0)) is fam
     assert profile.intersect_family([0, 0, 2]) is fam
 

@@ -152,3 +152,99 @@ def test_every_workload_kind_still_reaches_the_order_key(monkeypatch, tmp_path, 
         assert cli.main([command, str(path), *args]) == 0, name
         capsys.readouterr()
         assert calls["key"] > 0, name
+
+
+def _traced_metrics(tracing, tmp_path, capsys, runs):
+    """Per-layer metrics, as one benchmark pass, of CLI runs made in this
+    process under the benchmark's own tracer."""
+    import json
+
+    from gmdkit import cli
+
+    totals = tracing.Totals()
+    for index, (doc, argv) in enumerate(runs):
+        path = tmp_path / f"input{index}.json"
+        path.write_text(json.dumps(doc))
+        tracer = tracing.Tracer(index)
+        tracer.install()
+        try:
+            status = cli.main([argv[0], str(path), *argv[1:]])
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert status == 0, argv
+        spans = tmp_path / f"spans{index}.json"
+        tracer.dump(str(spans))
+        totals.add(json.loads(spans.read_text()))
+    return tracing.layer_metrics(totals, 1)
+
+
+def _lines_doc():
+    from oracles import LINES5_F2
+
+    return {
+        "char": LINES5_F2["char"],
+        "vars": list(LINES5_F2["vars"]),
+        "gens": list(LINES5_F2["gens"]),
+        "minimal_primes": [list(ps) for ps in LINES5_F2["primes"]],
+    }
+
+
+POINTS_DOC = {"char": 3, "ambient": 3, "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 0]]}
+PLANE_F3_DOC = {
+    "char": 3,
+    "ambient": 3,
+    "points": [[0, 0, 1]]
+    + [[0, 1, a] for a in range(3)]
+    + [[1, a, b] for a in range(3) for b in range(3)],
+}
+
+
+def test_fast_delta_on_lines_reads_every_family_under_delta_fast(tracing, tmp_path, capsys):
+    # gmd.delta_fast.masks counts quotient_dim spans directly under
+    # delta_fast: subset_dims reads each of the 31 nonempty families of the
+    # five lines once per degree through FamilyIntersection.quotient_dim,
+    # which the normal-form backend serves from its table.  The only
+    # intersections left are build_profile's certification chain.
+    grid = ("--t-max", "2", "--ell-max", "2")
+    metrics = _traced_metrics(
+        tracing, tmp_path, capsys, [(_lines_doc(), ("delta", "--method", "fast") + grid)]
+    )
+    assert metrics["gmd.delta_fast.masks"] == 2 * 31
+    assert metrics["schemes.build_profile.calls"] == 1
+    assert metrics["groebner.intersect.calls"] == 4
+
+
+def test_points_stabilize_still_calls_the_point_backend_piece_dim(tracing, tmp_path, capsys):
+    from gmdkit import codes
+
+    assert "piece_dim" in vars(codes.PointFamilyBackend)
+    metrics = _traced_metrics(
+        tracing, tmp_path, capsys, [(POINTS_DOC, ("stabilize", "--ell-max", "2"))]
+    )
+    assert metrics["codes.piece_dim.calls"] > 0
+
+
+def test_a_prime_scan_pass_reads_every_metric_the_benchmark_expects(
+    tracing, tmp_path, capsys, monkeypatch
+):
+    # run.py exits 1 when a metric EXPECTED assigns to prime-scan reads 0;
+    # one op of each prime-scan kind, in the benchmark's argument shapes
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    grid = ("--t-max", "3", "--ell-max", "3")
+    runs = [
+        (POINTS_DOC, ("delta", "--method", "fast") + grid),
+        (POINTS_DOC, ("stabilize", "--ell-max", "3")),
+        # all 13 points of P^2(F_3): at t = 3 the code is too large to enumerate
+        (PLANE_F3_DOC, ("ghw",) + grid),
+        (_lines_doc(), ("delta", "--method", "fast") + grid),
+        (_lines_doc(), ("stabilize", "--ell-max", "3")),
+    ]
+    metrics = _traced_metrics(tracing, tmp_path, capsys, runs)
+    missing = [name for name in run.EXPECTED["prime-scan"] if not metrics.get(name)]
+    assert not missing, missing
