@@ -361,8 +361,6 @@ def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | N
     cannot beat the best set.
     """
     packed = PackedVectors(g.field, g.rows)
-    fold = packed.fold
-    mask = packed.mask
     columns = [packed.pack(col) for col in zip(*g.data)]
     n = len(columns)
     # per independent taken column: ``PackedVectors.echelon_row``
@@ -377,11 +375,7 @@ def _largest_low_rank_columns(g: FieldMatrix, bound: int) -> tuple[int, ...] | N
         if j == n:
             best = tuple(taken)
             return
-        v = columns[j]
-        for offset, clear in basis:
-            f = (v >> offset) & mask
-            if f:
-                v = fold(v + clear[f])
+        v = packed.reduce(columns[j], basis)
         taken.append(j)
         if not v:
             walk(j + 1)

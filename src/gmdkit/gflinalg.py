@@ -264,6 +264,25 @@ class PackedVectors:
             multiples.append(self.fold(multiples[-1] + word))
         return offset, [multiples[(p - f) * inv % p] for f in range(p)]
 
+    def reduce(self, word: int, rows) -> int:
+        """The word with the pivot entry of each echelon row cleared, in order."""
+        mask = self.mask
+        fold = self.fold
+        for offset, clear in rows:
+            f = (word >> offset) & mask
+            if f:
+                word = fold(word + clear[f])
+        return word
+
+    def echelon(self, words) -> list:
+        """Echelon rows (``echelon_row``) spanning the packed vectors."""
+        rows: list = []
+        for word in words:
+            word = self.reduce(word, rows)
+            if word:
+                rows.append(self.echelon_row(word))
+        return rows
+
 
 class _Clearing(dict):
     """``echelon_row``'s clearing multiples for a large p, made on first use."""
@@ -304,26 +323,16 @@ def subset_ranks(field: FieldSpec, vectors, grouped: bool = False):
     if len(lengths) > 1:
         raise ValueError("vectors of different lengths")
     packed = PackedVectors(field, lengths.pop() if lengths else 0)
-    fold = packed.fold
-    mask_bits = packed.mask
+    return subset_ranks_of_words(packed, [list(map(packed.pack, group)) for group in groups])
+
+
+def subset_ranks_of_words(packed: PackedVectors, groups):
+    """``subset_ranks`` of groups of vectors that ``packed`` already packed."""
+    reduce = packed.reduce
     echelon_row = packed.echelon_row
-    words = [[w for w in map(packed.pack, group) if w] for group in groups]
+    words = [[w for w in group if w] for group in groups]
     a = len(words)
-
-    def reduce(v: int, basis) -> int:
-        for offset, clear in basis:
-            f = (v >> offset) & mask_bits
-            if f:
-                v = fold(v + clear[f])
-        return v
-
-    span: list = []
-    for group in words:
-        for v in group:
-            v = reduce(v, span)
-            if v:
-                span.append(echelon_row(v))
-    top = len(span)
+    top = len(packed.echelon(w for group in words for w in group))
     ranks = array("B" if top < 256 else "I", [0]) * (1 << a)
     basis: list = []
 

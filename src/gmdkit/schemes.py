@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import HypothesisError, InvariantError, PrimeSubsetLimitError
-from .gflinalg import subset_ranks
+from .gflinalg import PackedVectors, subset_ranks_of_words
 from .groebner import (
     IdealPresentation,
     groebner_basis,
@@ -35,8 +35,8 @@ CLASSIFICATIONS = (
     "unknown",
 )
 
-# Most minimal primes the prime-subset route takes on: its tables hold an
-# entry for each of the 2^a subsets of a primes.
+# Most minimal primes a prime-subset table is built for: it holds an entry
+# for each of the 2^a subsets of a primes.
 PRIME_SUBSET_LIMIT = 22
 
 
@@ -120,16 +120,19 @@ class FamilyIntersection:
 
 
 class PrimeFamilyBackend:
-    """Family degree data of a certified profile, from normal-form rank tables.
+    """Family degree data of a certified profile, from normal-form ranks.
 
     [J_A]_t for the family J_A of a prime subset A is the kernel of
     [S]_t -> (+)_{i in A} [S/P_i]_t, and I_t lies in it, so the family's
     degree-t piece in S/I has dimension HF_I(t) minus the rank of that
     map on the degree-t standard monomials of I.  Each prime contributes
-    one block, the normal forms modulo P_i of those monomials, and one
-    table per degree holds the rank of every union of blocks, indexed by
-    bitmask (``gflinalg.subset_ranks``).  All primes together must give
-    rank HF_I(t), which rechecks the certificate in degree t.
+    one block, the normal forms modulo P_i of those monomials, packed
+    into ints once per degree.  All primes together must give rank
+    HF_I(t), which rechecks the certificate in degree t.  ``degree_table``
+    holds the rank of every union of blocks, indexed by bitmask
+    (``gflinalg.subset_ranks``), for callers that read every family;
+    without it a family's rank is eliminated from its own blocks, so a
+    caller that reads a few families of many primes never pays for 2^a.
 
     A family of linear primes is a subspace arrangement, whose ideal has
     Castelnuovo-Mumford regularity at most |A| (Derksen and Sidman, Adv.
@@ -141,30 +144,45 @@ class PrimeFamilyBackend:
 
     def __init__(self, profile: "RingProfile"):
         self._profile = profile
-        self._tables: dict[int, tuple] = {}
+        self._blocks: dict[int, tuple] = {}
+        self._tables: dict[int, object] = {}
         self._linear: tuple[bool, ...] | None = None
 
-    def degree_table(self, t: int) -> tuple:
-        """HF_I(t) and the rank of the degree-t blocks of every prime subset."""
-        entry = self._tables.get(t)
+    def degree_blocks(self, t: int) -> tuple:
+        """HF_I(t), the packing and each prime's packed degree-t block."""
+        entry = self._blocks.get(t)
         if entry is None:
             profile = self._profile
-            check_prime_count(len(profile.primes))
             full = hilbert_function(profile.ideal, t)
             monomials = graded_piece_of_quotient(profile.ideal, t)
-            blocks = [_normal_form_block(p.ideal, monomials) for p in profile.primes]
-            ranks = subset_ranks(profile.ring.field, blocks, grouped=True)
-            if ranks[-1] != full:
+            packed = PackedVectors(profile.ring.field, len(monomials))
+            blocks = [
+                [packed.pack(v) for v in _normal_form_block(p.ideal, monomials)]
+                for p in profile.primes
+            ]
+            top = len(packed.echelon(w for block in blocks for w in block))
+            if top != full:
                 raise InvariantError(
-                    f"the minimal primes have rank {ranks[-1]} in degree {t}, "
-                    f"but HF_I({t}) = {full}"
+                    f"the minimal primes have rank {top} in degree {t}, but HF_I({t}) = {full}"
                 )
-            entry = self._tables[t] = (full, ranks)
+            entry = self._blocks[t] = (full, packed, blocks)
         return entry
 
+    def degree_table(self, t: int):
+        """The rank of the degree-t blocks of every prime subset, by bitmask."""
+        ranks = self._tables.get(t)
+        if ranks is None:
+            check_prime_count(len(self._profile.primes))
+            _, packed, blocks = self.degree_blocks(t)
+            ranks = self._tables[t] = subset_ranks_of_words(packed, blocks)
+        return ranks
+
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
-        full, ranks = self.degree_table(t)
-        return full - ranks[sum(1 << i for i in indices)]
+        full, packed, blocks = self.degree_blocks(t)
+        ranks = self._tables.get(t)
+        if ranks is not None:
+            return full - ranks[sum(1 << i for i in indices)]
+        return full - len(packed.echelon(w for i in indices for w in blocks[i]))
 
     def regime(self, indices: tuple[int, ...]) -> int | None:
         if self._linear is None:
@@ -263,14 +281,18 @@ class RingProfile:
         Bit i of the mask selects prime i; mask 0, the empty subset, gives
         the whole degree-t piece of S/I.  A backend that serves the whole
         table at once (point sets) answers directly; otherwise every family
-        is read through ``quotient_dim``, which a backend serves from its
-        rank table.
+        is read through ``quotient_dim``, which the normal-form backend
+        serves from the table built here.
         """
         a = len(self.primes)
         check_prime_count(a)
-        whole_table = getattr(self.family_backend, "piece_dims", None)
+        backend = self.family_backend
+        whole_table = getattr(backend, "piece_dims", None)
         if whole_table is not None:
             return whole_table(t)
+        if backend is not None:
+            # every family is about to be read: rank them all in one table
+            backend.degree_table(t)
         return [hilbert_function(self.ideal, t)] + [
             self.intersect_family([i for i in range(a) if mask >> i & 1]).quotient_dim(t)
             for mask in range(1, 1 << a)

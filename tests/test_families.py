@@ -46,20 +46,26 @@ def assert_families_match_intersections(profile):
     a = len(profile.primes)
     degrees = range(T_MAX + 1)
     chains = {}
-    dims_by_mask = {0: {t: hilbert_function(profile.ideal, t) for t in degrees}}
+    expected = {0: ({t: hilbert_function(profile.ideal, t) for t in degrees}, 0)}
     for size in range(1, a + 1):
         for indices in itertools.combinations(range(a), size):
-            expected, poly_from = family_dims_by_intersection(profile, indices, degrees, chains)
-            family = profile.intersect_family(indices)
-            got = {t: family.quotient_dim(t) for t in degrees}
-            assert got == expected, indices
-            assert family.regime() >= poly_from, (indices, family.regime(), poly_from)
-            dims_by_mask[sum(1 << i for i in indices)] = expected
+            mask = sum(1 << i for i in indices)
+            expected[mask] = family_dims_by_intersection(profile, indices, degrees, chains)
+    # every family at once, as the distance table reads them
     for t in degrees:
         table = profile.subset_dims(t)
         assert [table[mask] for mask in range(1 << a)] == [
-            dims_by_mask[mask][t] for mask in range(1 << a)
+            expected[mask][0][t] for mask in range(1 << a)
         ], t
+    # one family at a time, as regularity_index reads them
+    backend = profile.family_backend
+    single = PrimeFamilyBackend(profile) if isinstance(backend, PrimeFamilyBackend) else backend
+    for mask in range(1, 1 << a):
+        indices = tuple(i for i in range(a) if mask >> i & 1)
+        dims, poly_from = expected[mask]
+        assert {t: single.piece_dim(indices, t) for t in degrees} == dims, indices
+        regime = profile.intersect_family(indices).regime()
+        assert regime >= poly_from, (indices, regime, poly_from)
 
 
 @pytest.mark.parametrize("name", [case.name for case in suites.ring_suite()])
