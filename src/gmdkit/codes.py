@@ -21,13 +21,12 @@ from .gflinalg import (
     rank,
     rref,
     scan_in_chunks,
-    subset_ranks,
     subspace_count,
 )
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import Polynomial, RingSpec, graded_piece_basis
-from .schemes import RingProfile, build_profile_from_primes, check_prime_count
+from .schemes import RankTableBackend, RingProfile, build_profile_from_primes, check_prime_count
 
 ENUMERATE_LIMIT = 20000
 
@@ -145,52 +144,57 @@ class ProjectivePointSet:
         return profile
 
 
-class PointFamilyBackend:
+class PointFamilyBackend(RankTableBackend):
     """Family degree data for vanishing ideals, via evaluation ranks.
 
     The degree-t piece of S/J for a subset of the points has dimension
-    equal to the rank of the monomial-evaluation matrix at those points.
-    That rank is the rank of the subset's evaluation vectors, so one table
-    per degree holds it for every subset, indexed by bitmask: the prime
-    backend's normal-form table, with a point's block one evaluation
-    vector.  Agreement with the Groebner route is covered by the property
-    suite.
+    equal to the rank of the monomial-evaluation matrix at those points,
+    the rank of the subset's evaluation vectors: the normal-form rule of
+    ``RankTableBackend``, with a point's block one evaluation vector.
+    From the degree where HF_I reaches the point count every subset is
+    independent, and its rank is its size.  Agreement with the Groebner
+    route is covered by the property suite.
     """
 
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
+        super().__init__(profile)
         self._points = points
-        self._profile = profile
-        self._tables: dict[int, tuple] = {}
+        self._degrees: dict[int, tuple] = {}
         self._spanning_degree: int | None = None
 
-    def degree_table(self, t: int) -> tuple:
-        """HF_I(t) and the rank of the degree-t evaluation vectors of every point subset."""
-        entry = self._tables.get(t)
+    def _piece(self, t: int) -> tuple:
+        """HF_I(t), the packing and the packed degree-t evaluation vectors."""
+        entry = self._degrees.get(t)
         if entry is None:
-            n = len(self._points)
-            check_prime_count(n)
-            full = hilbert_function(self._profile.ideal, t)
-            if full == n:
-                # all n vectors are independent: a subset's rank is its size
-                ranks = bytes(map(int.bit_count, range(1 << n)))
-            else:
-                ranks = subset_ranks(self._points.field, self._points.evaluation_vectors(t))
-            if ranks[-1] != full:
-                raise InvariantError(
-                    f"the points' degree-{t} evaluation vectors have rank {ranks[-1]}, "
-                    f"but HF_I({t}) = {full}"
-                )
-            entry = self._tables[t] = (full, ranks)
+            vectors = self._points.evaluation_vectors(t)
+            packed = PackedVectors(self._points.field, len(vectors[0]))
+            words = [packed.pack(v) for v in vectors]
+            entry = self._degrees[t] = (hilbert_function(self._profile.ideal, t), packed, words)
         return entry
 
+    def degree(self, t: int) -> tuple:
+        return self._piece(t)[:2]
+
+    def block(self, i: int, t: int) -> list[int]:
+        return [self._piece(t)[2][i]]
+
+    def degree_table(self, t: int):
+        n = len(self._points)
+        if t not in self._tables and self.degree(t)[0] == n:
+            check_prime_count(n)
+            self._tables[t] = bytes(map(int.bit_count, range(1 << n)))
+        return super().degree_table(t)
+
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
-        full, ranks = self.degree_table(t)
-        return full - ranks[sum(1 << i for i in indices)]
+        full = self.degree(t)[0]
+        if full == len(self._points):
+            return full - len(indices)
+        return super().piece_dim(indices, t)
 
     def piece_dims(self, t: int) -> bytes:
         """``piece_dim`` of every point subset, indexed by bitmask."""
-        full, ranks = self.degree_table(t)
-        return bytes(map(full.__sub__, ranks))
+        full = self.degree(t)[0]
+        return bytes(map(full.__sub__, self.degree_table(t)))
 
     def regime(self, indices: tuple[int, ...]) -> int:
         """Degree from which a family's piece dimensions are constant.

@@ -205,12 +205,6 @@ class PackedVectors:
 
     __slots__ = ("field", "p", "shift", "width", "mask", "tops", "reach_p", "nonzero")
 
-    # Up to this characteristic ``echelon_row`` lists all p multiples of a
-    # row at once, p - 2 additions.  Above it each multiple is made on first
-    # use by doubling: measured on 12 points of P^2, listing them all made
-    # subset_ranks 4-9x slower at p >= 37 and no faster from p = 5 up.
-    EAGER_MULTIPLES = 7
-
     def __init__(self, field: FieldSpec, length: int):
         p = field.p
         self.field = field
@@ -252,17 +246,13 @@ class PackedVectors:
         ``clear[f]`` is the multiple of the vector whose addition turns a
         pivot entry f into 0, so a reduction step is
         ``fold(v + clear[(v >> offset) & mask])`` for a nonzero entry.
+        Each multiple is made on first use, so a row costs no p - 2
+        additions up front.
         """
-        p = self.p
         low = self.support(word)
         offset = (low & -low).bit_length() - 1 - self.shift
         inv = self.field.inverses[(word >> offset) & self.mask]
-        if p > self.EAGER_MULTIPLES:
-            return offset, _Clearing(self, word, inv)
-        multiples = [0, word]
-        for _ in range(p - 2):
-            multiples.append(self.fold(multiples[-1] + word))
-        return offset, [multiples[(p - f) * inv % p] for f in range(p)]
+        return offset, _Clearing(self, word, inv)
 
     def reduce(self, word: int, rows) -> int:
         """The word with the pivot entry of each echelon row cleared, in order."""
@@ -274,9 +264,14 @@ class PackedVectors:
                 word = fold(word + clear[f])
         return word
 
-    def echelon(self, words) -> list:
-        """Echelon rows (``echelon_row``) spanning the packed vectors."""
-        rows: list = []
+    def echelon(self, words, rows=None) -> list:
+        """Echelon rows (``echelon_row``) spanning the packed vectors.
+
+        Given ``rows``, the rows of the words it does not span are appended
+        to it.
+        """
+        if rows is None:
+            rows = []
         for word in words:
             word = self.reduce(word, rows)
             if word:
@@ -285,7 +280,7 @@ class PackedVectors:
 
 
 class _Clearing(dict):
-    """``echelon_row``'s clearing multiples for a large p, made on first use."""
+    """``echelon_row``'s clearing multiples, each made on first use."""
 
     __slots__ = ("packed", "word", "inv")
 
@@ -301,33 +296,34 @@ class _Clearing(dict):
         return out
 
 
-def subset_ranks(field: FieldSpec, vectors, grouped: bool = False):
+def subset_ranks(field: FieldSpec, vectors):
     """Rank of every subset of the vectors, indexed by bitmask.
 
     Entry ``mask`` is the rank of the vectors whose index bit is set in
-    ``mask``.  With ``grouped`` each item is itself a sequence of vectors,
-    and entry ``mask`` is the rank of the union of the groups whose bit is
-    set; a group may be empty.  The table is an ``array`` of unsigned ints.
+    ``mask``; ``subset_ranks_of_words`` does the work, one vector a group.
+    """
+    vectors = list(vectors)
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of different lengths")
+    packed = PackedVectors(field, len(vectors[0]) if vectors else 0)
+    return subset_ranks_of_words(packed, [[packed.pack(v)] for v in vectors])
+
+
+def subset_ranks_of_words(packed: PackedVectors, groups):
+    """Rank of the union of every subset of groups of packed vectors, by bitmask.
+
+    Entry ``mask`` is the rank of the vectors of the groups whose index
+    bit is set in ``mask``; a group may be empty.  The table is an
+    ``array`` of unsigned ints.
 
     Subsets are walked depth-first, each one adding a group of higher
     index than its parent's, so only that group is reduced, against the
-    parent's echelon rows; the stack holds the rows of every level.  The
-    vectors are packed into ints (``PackedVectors``), so a reduction step is
-    one addition and fold.  A subset that adds the last group has no
+    parent's echelon rows (``PackedVectors.echelon_row``); the stack holds
+    the rows of every level.  A subset that adds the last group has no
     children: its last vector only needs a zero test, not an echelon row.
     Once the rows span all the vectors do, every extension keeps that rank
     and its subtree is filled without elimination.
     """
-    groups = [list(g) for g in vectors] if grouped else [[v] for v in vectors]
-    lengths = {len(v) for group in groups for v in group}
-    if len(lengths) > 1:
-        raise ValueError("vectors of different lengths")
-    packed = PackedVectors(field, lengths.pop() if lengths else 0)
-    return subset_ranks_of_words(packed, [list(map(packed.pack, group)) for group in groups])
-
-
-def subset_ranks_of_words(packed: PackedVectors, groups):
-    """``subset_ranks`` of groups of vectors that ``packed`` already packed."""
     reduce = packed.reduce
     echelon_row = packed.echelon_row
     words = [[w for w in group if w] for group in groups]

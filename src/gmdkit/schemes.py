@@ -89,10 +89,11 @@ class FamilyIntersection:
         backend = self._profile.family_backend
         if self.is_unit:
             value = hilbert_function(self._profile.ideal, t)
-        elif backend is not None:
-            value = backend.piece_dim(self.indices, t)
         else:
-            value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
+            # a backend answers None where the family ideal is the cheaper route
+            value = None if backend is None else backend.piece_dim(self.indices, t)
+            if value is None:
+                value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
         if value < 0:
             raise InvariantError(
                 f"family {self.indices} has a negative degree-{t} dimension {value}"
@@ -119,20 +120,92 @@ class FamilyIntersection:
         return max(base, own)
 
 
-class PrimeFamilyBackend:
+class RankTableBackend:
+    """Family degree data from the ranks of per-prime blocks of vectors.
+
+    The degree-t piece of the family of a prime subset A has dimension
+    HF_I(t) minus the rank of the degree-t blocks of the primes of A, each
+    block a list of vectors packed into ints; a subclass gives
+    ``degree(t)``, that is HF_I(t) and the packing, and ``block(i, t)``.
+    ``degree_table`` ranks every union of blocks at once, indexed by
+    bitmask (``gflinalg.subset_ranks_of_words``), for callers that read
+    every family.  It holds 2^a entries, so it is built for at most
+    ``PRIME_SUBSET_LIMIT`` primes, and it checks that all blocks together
+    have rank HF_I(t).  Without a table a family is ranked from its own
+    blocks, so a caller that reads a few families of many primes never
+    pays for 2^a entries.
+    """
+
+    def __init__(self, profile: "RingProfile"):
+        self._profile = profile
+        self._tables: dict[int, object] = {}
+        # per degree: the family last ranked without a table, its echelon
+        # rows and the row count after each of its blocks
+        self._last: dict[int, tuple] = {}
+
+    def degree_table(self, t: int):
+        """The rank of the degree-t blocks of every prime subset, by bitmask."""
+        ranks = self._tables.get(t)
+        if ranks is None:
+            count = len(self._profile.primes)
+            check_prime_count(count)
+            full, packed = self.degree(t)
+            ranks = subset_ranks_of_words(packed, [self.block(i, t) for i in range(count)])
+            if ranks[-1] != full:
+                raise InvariantError(
+                    f"the minimal primes have rank {ranks[-1]} in degree {t}, but HF_I({t}) = {full}"
+                )
+            self._tables[t] = ranks
+        return ranks
+
+    def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
+        full = self.degree(t)[0]
+        ranks = self._tables.get(t)
+        if ranks is not None:
+            return full - ranks[sum(1 << i for i in indices)]
+        return full - self._family_rank(indices, t)
+
+    def _family_rank(self, indices: tuple[int, ...], t: int) -> int:
+        """Rank of the family's degree-t blocks, eliminated without a table.
+
+        Callers read families in index order (``gmd.regularity_index``
+        walks subsets depth-first), so the echelon rows of the longest
+        prefix shared with the family last ranked in degree t are kept and
+        only the blocks after it are reduced.
+        """
+        last, rows, ends = self._last.get(t, ((), [], []))
+        shared = 0
+        for i, j in zip(last, indices):
+            if i != j:
+                break
+            shared += 1
+        del rows[ends[shared - 1] if shared else 0 :]
+        del ends[shared:]
+        packed = self.degree(t)[1]
+        for i in indices[shared:]:
+            packed.echelon(self.block(i, t), rows)
+            ends.append(len(rows))
+        self._last[t] = (indices, rows, ends)
+        return len(rows)
+
+
+class PrimeFamilyBackend(RankTableBackend):
     """Family degree data of a certified profile, from normal-form ranks.
 
     [J_A]_t for the family J_A of a prime subset A is the kernel of
     [S]_t -> (+)_{i in A} [S/P_i]_t, and I_t lies in it, so the family's
     degree-t piece in S/I has dimension HF_I(t) minus the rank of that
-    map on the degree-t standard monomials of I.  Each prime contributes
-    one block, the normal forms modulo P_i of those monomials, packed
-    into ints once per degree.  All primes together must give rank
-    HF_I(t), which rechecks the certificate in degree t.  ``degree_table``
-    holds the rank of every union of blocks, indexed by bitmask
-    (``gflinalg.subset_ranks``), for callers that read every family;
-    without it a family's rank is eliminated from its own blocks, so a
-    caller that reads a few families of many primes never pays for 2^a.
+    map on the degree-t standard monomials of I.  Prime i's block is the
+    normal forms modulo P_i of those monomials, made on first use, so a
+    family costs only its own primes' normal forms.  Where
+    ``degree_table`` is built, all primes together must give rank HF_I(t),
+    which rechecks the certificate in degree t.
+
+    Without a table, a family of monomial primes (a face ring's) is left
+    to its ideal: ``groebner.intersect`` forms it from lcms, with no
+    elimination, and its Hilbert series then gives every degree, where
+    ranks would cost a normal form and a reduction per standard monomial
+    in each degree read.
 
     A family of linear primes is a subspace arrangement, whose ideal has
     Castelnuovo-Mumford regularity at most |A| (Derksen and Sidman, Adv.
@@ -143,70 +216,65 @@ class PrimeFamilyBackend:
     """
 
     def __init__(self, profile: "RingProfile"):
-        self._profile = profile
-        self._blocks: dict[int, tuple] = {}
-        self._tables: dict[int, object] = {}
-        self._linear: tuple[bool, ...] | None = None
+        super().__init__(profile)
+        self._degrees: dict[int, tuple] = {}
+        self._blocks: dict[tuple[int, int], list[int]] = {}
+        self._linear: dict[int, bool] = {}
+        self._monomial = tuple(
+            all(len(g.terms) == 1 for g in p.ideal.gens) for p in profile.primes
+        )
 
-    def degree_blocks(self, t: int) -> tuple:
-        """HF_I(t), the packing and each prime's packed degree-t block."""
-        entry = self._blocks.get(t)
+    def piece_dim(self, indices: tuple[int, ...], t: int) -> int | None:
+        if t not in self._tables and all(self._monomial[i] for i in indices):
+            return None
+        return super().piece_dim(indices, t)
+
+    def _piece(self, t: int) -> tuple:
+        """HF_I(t), the packing and the degree-t standard monomials of I."""
+        entry = self._degrees.get(t)
         if entry is None:
-            profile = self._profile
-            full = hilbert_function(profile.ideal, t)
-            monomials = graded_piece_of_quotient(profile.ideal, t)
-            packed = PackedVectors(profile.ring.field, len(monomials))
-            blocks = [
-                [packed.pack(v) for v in _normal_form_block(p.ideal, monomials)]
-                for p in profile.primes
-            ]
-            top = len(packed.echelon(w for block in blocks for w in block))
-            if top != full:
-                raise InvariantError(
-                    f"the minimal primes have rank {top} in degree {t}, but HF_I({t}) = {full}"
-                )
-            entry = self._blocks[t] = (full, packed, blocks)
+            ideal = self._profile.ideal
+            monomials = graded_piece_of_quotient(ideal, t)
+            packed = PackedVectors(ideal.ring.field, len(monomials))
+            entry = self._degrees[t] = (hilbert_function(ideal, t), packed, monomials)
         return entry
 
-    def degree_table(self, t: int):
-        """The rank of the degree-t blocks of every prime subset, by bitmask."""
-        ranks = self._tables.get(t)
-        if ranks is None:
-            check_prime_count(len(self._profile.primes))
-            _, packed, blocks = self.degree_blocks(t)
-            ranks = self._tables[t] = subset_ranks_of_words(packed, blocks)
-        return ranks
+    def degree(self, t: int) -> tuple:
+        return self._piece(t)[:2]
 
-    def piece_dim(self, indices: tuple[int, ...], t: int) -> int:
-        full, packed, blocks = self.degree_blocks(t)
-        ranks = self._tables.get(t)
-        if ranks is not None:
-            return full - ranks[sum(1 << i for i in indices)]
-        return full - len(packed.echelon(w for i in indices for w in blocks[i]))
+    def block(self, i: int, t: int) -> list[int]:
+        words = self._blocks.get((i, t))
+        if words is None:
+            _, packed, monomials = self._piece(t)
+            words = _normal_form_block(self._profile.primes[i].ideal, monomials, packed)
+            self._blocks[i, t] = words
+        return words
 
     def regime(self, indices: tuple[int, ...]) -> int | None:
-        if self._linear is None:
-            self._linear = tuple(
-                all(sum(e) == 1 for e in groebner_basis(p.ideal).leading_exponents)
-                for p in self._profile.primes
-            )
-        if all(self._linear[i] for i in indices):
-            return max(1, len(indices) - 1)
-        return None
+        for i in indices:
+            if i not in self._linear:
+                gb = groebner_basis(self._profile.primes[i].ideal)
+                self._linear[i] = all(sum(e) == 1 for e in gb.leading_exponents)
+            if not self._linear[i]:
+                return None
+        return max(1, len(indices) - 1)
 
 
-def _normal_form_block(prime: IdealPresentation, monomials) -> list[tuple[int, ...]]:
-    """The map [S]_t -> [S/P]_t on the given monomials, one vector per column.
+def _normal_form_block(prime: IdealPresentation, monomials, packed: PackedVectors) -> list[int]:
+    """The map [S]_t -> [S/P]_t on the given monomials, one packed word per column.
 
-    Column s holds the coefficient of the standard monomial s of P in the
-    normal form of each monomial; standard monomials that occur in no
-    normal form give zero columns and are left out.
+    Entry j of the word of column s is the coefficient of the standard
+    monomial s of P in the normal form of monomial j; standard monomials
+    that occur in no normal form give zero columns and are left out.
     """
     gb = groebner_basis(prime)
     ring = prime.ring
-    forms = [normal_form(Polynomial._raw(ring, {m: 1}), gb).terms for m in monomials]
-    occurring = sorted({s for terms in forms for s in terms})
-    return [tuple(terms.get(s, 0) for terms in forms) for s in occurring]
+    width = packed.width
+    words: dict = {}
+    for j, m in enumerate(monomials):
+        for s, c in normal_form(Polynomial._raw(ring, {m: 1}), gb).terms.items():
+            words[s] = words.get(s, 0) + (c << (width * j))
+    return [words[s] for s in sorted(words)]
 
 
 class RingProfile:

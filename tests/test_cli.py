@@ -463,7 +463,8 @@ def test_exponent_past_the_groebner_limit_is_exit_2(capsys, tmp_path):
 def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypatch):
     # the limit is patched low so that small inputs cross it: five points
     # (point backend) and five skew lines (normal-form backend); a command
-    # that needs a table of every prime subset exits 2
+    # that needs a table of every prime subset exits 2, and stabilize,
+    # which needs none, runs
     from gmdkit import schemes
 
     from oracles import LINES5_F3
@@ -480,15 +481,14 @@ def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypat
         "minimal_primes": [list(ps) for ps in LINES5_F3["primes"]],
     }))
     expected = "error: the prime-subset route supports at most 4 minimal primes, got 5\n"
-    runs = [(points, "stabilize"), *((path, command) for path in (points, lines) for command in (
-        "delta", "verify"))]
-    for path, command in runs:
-        args = ("--method", "fast") if command == "delta" else ()
-        status, out, err = run(capsys, command, str(path), "--t-max", "2", "--ell-max", "2", *args)
-        assert (status, out, err) == (2, "", expected), (path.name, command)
-    # the normal-form backend ranks the few families stabilize reads one by one
-    status, out, err = run(capsys, "stabilize", str(lines), "--ell-max", "2")
-    assert (status, err) == (0, "")
+    for path in (points, lines):
+        for command in ("delta", "verify"):
+            args = ("--method", "fast") if command == "delta" else ()
+            status, out, err = run(capsys, command, str(path), "--t-max", "2", "--ell-max", "2", *args)
+            assert (status, out, err) == (2, "", expected), (path.name, command)
+        # both backends rank the few families stabilize reads one by one
+        status, out, err = run(capsys, "stabilize", str(path), "--ell-max", "2")
+        assert (status, err) == (0, ""), path.name
     monkeypatch.setattr(schemes, "PRIME_SUBSET_LIMIT", 5)
     for path in (points, lines):
         status, out, err = run(capsys, "delta", str(path), "--method", "fast", "--t-max", "2")

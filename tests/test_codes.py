@@ -317,7 +317,8 @@ def test_shortening_matches_the_descending_column_set_scan(code):
 
 
 def test_shortening_over_large_fields_matches_the_descending_column_set_scan():
-    # above PackedVectors.EAGER_MULTIPLES the echelon rows' multiples are lazy
+    # the echelon rows' clearing multiples are made on first use; large p
+    # leave most of them unmade
     rng = random.Random(37)
     for p in (11, 37, 251):
         field = FieldSpec(p)

@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from gmdkit.gflinalg import (
     FieldMatrix,
     FieldSpec,
+    PackedVectors,
     SubspaceIterator,
     gaussian_binomial,
     kernel_basis,
     rank,
-    PackedVectors,
     rref,
     subset_ranks,
+    subset_ranks_of_words,
     subspace_count,
 )
 
@@ -346,9 +347,15 @@ def vector_groups(primes=(2, 3, 5, 7)):
     return st.sampled_from(primes).flatmap(build).map(mix)
 
 
+def grouped_ranks(p, groups):
+    width = next((len(v) for g in groups for v in g), 0)
+    packed = PackedVectors(FieldSpec(p), width)
+    return subset_ranks_of_words(packed, [[packed.pack(v) for v in g] for g in groups])
+
+
 def assert_grouped_ranks(p, groups):
     f = FieldSpec(p)
-    ranks = subset_ranks(f, groups, grouped=True)
+    ranks = grouped_ranks(p, groups)
     assert len(ranks) == 1 << len(groups)
     for mask in range(len(ranks)):
         rows = [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
@@ -365,7 +372,6 @@ def test_grouped_subset_ranks_match_rank_of_every_subset(family):
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(vector_groups(primes=(11, 37, 251)))
 def test_grouped_subset_ranks_over_large_fields(family):
-    # above PackedVectors.EAGER_MULTIPLES the clearing multiples are lazy
     assert_grouped_ranks(*family)
 
 
@@ -374,7 +380,7 @@ def test_grouped_subset_ranks_hold_ranks_past_255():
     width = 300
     identity = [[int(i == j) for j in range(width)] for i in range(width)]
     groups = [identity[:150], identity[150:], identity[100:200]]
-    ranks = subset_ranks(FieldSpec(p), groups, grouped=True)
+    ranks = grouped_ranks(p, groups)
     assert list(ranks) == [0, 150, 150, 300, 100, 200, 200, 300]
 
 
