@@ -159,21 +159,13 @@ class PointFamilyBackend(RankTableBackend):
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         super().__init__(profile)
         self._points = points
-        self._degrees: dict[int, tuple] = {}
         self._spanning_degree: int | None = None
 
-    def _piece(self, t: int) -> tuple:
+    def _make_piece(self, t: int) -> tuple:
         """HF_I(t), the packing and the packed degree-t evaluation vectors."""
-        entry = self._degrees.get(t)
-        if entry is None:
-            vectors = self._points.evaluation_vectors(t)
-            packed = PackedVectors(self._points.field, len(vectors[0]))
-            words = [packed.pack(v) for v in vectors]
-            entry = self._degrees[t] = (hilbert_function(self._profile.ideal, t), packed, words)
-        return entry
-
-    def degree(self, t: int) -> tuple:
-        return self._piece(t)[:2]
+        vectors = self._points.evaluation_vectors(t)
+        packed = PackedVectors(self._points.field, len(vectors[0]))
+        return hilbert_function(self._profile.ideal, t), packed, [packed.pack(v) for v in vectors]
 
     def block(self, i: int, t: int) -> list[int]:
         return [self._piece(t)[2][i]]

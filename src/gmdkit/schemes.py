@@ -126,7 +126,8 @@ class RankTableBackend:
     The degree-t piece of the family of a prime subset A has dimension
     HF_I(t) minus the rank of the degree-t blocks of the primes of A, each
     block a list of vectors packed into ints; a subclass gives
-    ``degree(t)``, that is HF_I(t) and the packing, and ``block(i, t)``.
+    ``_make_piece(t)``, that is HF_I(t), the packing and what its blocks
+    are made from, and ``block(i, t)``.
     ``degree_table`` ranks every union of blocks at once, indexed by
     bitmask (``gflinalg.subset_ranks_of_words``), for callers that read
     every family.  It holds 2^a entries, so it is built for at most
@@ -138,10 +139,21 @@ class RankTableBackend:
 
     def __init__(self, profile: "RingProfile"):
         self._profile = profile
+        self._pieces: dict[int, tuple] = {}
         self._tables: dict[int, object] = {}
         # per degree: the family last ranked without a table, its echelon
         # rows and the row count after each of its blocks
         self._last: dict[int, tuple] = {}
+
+    def _piece(self, t: int) -> tuple:
+        entry = self._pieces.get(t)
+        if entry is None:
+            entry = self._pieces[t] = self._make_piece(t)
+        return entry
+
+    def degree(self, t: int) -> tuple:
+        """HF_I(t) and the packing of the degree-t blocks."""
+        return self._piece(t)[:2]
 
     def degree_table(self, t: int):
         """The rank of the degree-t blocks of every prime subset, by bitmask."""
@@ -217,7 +229,6 @@ class PrimeFamilyBackend(RankTableBackend):
 
     def __init__(self, profile: "RingProfile"):
         super().__init__(profile)
-        self._degrees: dict[int, tuple] = {}
         self._blocks: dict[tuple[int, int], list[int]] = {}
         self._linear: dict[int, bool] = {}
         self._monomial = tuple(
@@ -229,18 +240,11 @@ class PrimeFamilyBackend(RankTableBackend):
             return None
         return super().piece_dim(indices, t)
 
-    def _piece(self, t: int) -> tuple:
+    def _make_piece(self, t: int) -> tuple:
         """HF_I(t), the packing and the degree-t standard monomials of I."""
-        entry = self._degrees.get(t)
-        if entry is None:
-            ideal = self._profile.ideal
-            monomials = graded_piece_of_quotient(ideal, t)
-            packed = PackedVectors(ideal.ring.field, len(monomials))
-            entry = self._degrees[t] = (hilbert_function(ideal, t), packed, monomials)
-        return entry
-
-    def degree(self, t: int) -> tuple:
-        return self._piece(t)[:2]
+        ideal = self._profile.ideal
+        monomials = graded_piece_of_quotient(ideal, t)
+        return hilbert_function(ideal, t), PackedVectors(ideal.ring.field, len(monomials)), monomials
 
     def block(self, i: int, t: int) -> list[int]:
         words = self._blocks.get((i, t))

@@ -57,22 +57,28 @@ def assert_families_match_intersections(profile):
         assert [table[mask] for mask in range(1 << a)] == [
             expected[mask][0][t] for mask in range(1 << a)
         ], t
-    # one family at a time, as regularity_index reads them: a fresh backend
-    # has no table, so each family is ranked from its own blocks
+    # one family at a time: a fresh backend has no table, so each family is
+    # ranked from its own blocks, reusing the rows of the prefix it shares
+    # with the family read before it.  Mask order shares almost no prefix;
+    # index-tuple order is regularity_index's depth-first order and shares
+    # long ones.
     backend = profile.family_backend
-    if isinstance(backend, PointFamilyBackend):
-        single = PointFamilyBackend(backend._points, profile)
-    else:
-        single = PrimeFamilyBackend(profile)
-    for mask in range(1, 1 << a):
-        indices = tuple(i for i in range(a) if mask >> i & 1)
-        dims, poly_from = expected[mask]
-        got = {t: single.piece_dim(indices, t) for t in degrees}
-        if isinstance(single, PrimeFamilyBackend) and all(single._monomial[i] for i in indices):
-            # a family of monomial primes is left to its ideal
-            assert set(got.values()) == {None}, indices
+    subsets = [tuple(i for i in range(a) if mask >> i & 1) for mask in range(1, 1 << a)]
+    for order in (subsets, sorted(subsets)):
+        if isinstance(backend, PointFamilyBackend):
+            single = PointFamilyBackend(backend._points, profile)
         else:
-            assert got == dims, indices
+            single = PrimeFamilyBackend(profile)
+        for indices in order:
+            dims = expected[sum(1 << i for i in indices)][0]
+            got = {t: single.piece_dim(indices, t) for t in degrees}
+            if isinstance(single, PrimeFamilyBackend) and all(single._monomial[i] for i in indices):
+                # a family of monomial primes is left to its ideal
+                assert set(got.values()) == {None}, indices
+            else:
+                assert got == dims, indices
+    for indices in subsets:
+        poly_from = expected[sum(1 << i for i in indices)][1]
         regime = profile.intersect_family(indices).regime()
         assert regime >= poly_from, (indices, regime, poly_from)
 
