@@ -567,6 +567,75 @@ def test_verify_theorems_gates_on_sr_flags(ex1_profile, complex_cases):
     assert verdicts3["r-increment"].status == "skipped"
 
 
+def test_verify_theorems_pins_every_fail_detail(complex_cases, monkeypatch):
+    # a planted table and planted regularity indices break every law at once
+    profile = face_ring_profile(complex_cases["triangle-boundary"].complex_, F2)
+    assert profile.classification == "unmixed_dim_ge2" and profile.dim == 2
+    table = {(1, 1): 1, (2, 1): 3, (1, 2): 0, (2, 2): 2}
+    planted = {1: (1, 5), 2: (4, 0)}  # l: (r, limit)
+    monkeypatch.setattr(gmd, "delta", lambda q: SimpleNamespace(value=table[(q.t, q.ell)]))
+    monkeypatch.setattr(
+        gmd,
+        "regularity_index",
+        lambda profile, ell: SimpleNamespace(value=planted[ell][0], stable_value=planted[ell][1]),
+    )
+    sr = gmd.SRContext(depth=2, regularity=1, proj_connected=True, shellable="shellable")
+    got = [(v.name, v.status, v.detail) for v in verify_theorems(profile, 2, 2, sr=sr)]
+    assert got == [
+        ("t-monotonicity", "fail", "counterexamples [(1, 1), (1, 2)]"),
+        ("l-monotonicity", "fail", "counterexamples [(1, 1), (2, 1)]"),
+        (
+            "stabilization-consistency",
+            "fail",
+            "l=1: value 1 at t=1 but limit 5; l=1: value 3 at t=2 but limit 5; "
+            "l=2: limit reached at t=1 before index 4",
+        ),
+        ("r-increment", "fail", "violations at l=[1]"),
+        ("dim-bound", "fail", "violations at l=[2]"),
+        ("reg-bound", "fail", "violations at l=[2]"),
+    ]
+
+
+def test_verify_theorems_pins_every_skip_detail(ex2_profile, complex_cases):
+    ring = RingSpec(F2, ("x", "y"))
+    uncertified = build_profile(IdealPresentation.from_strings(ring, ["x*y"]))
+    tri = face_ring_profile(complex_cases["triangle-boundary"].complex_, F2)
+    flat = gmd.SRContext(depth=1, regularity=2, proj_connected=False, shellable="inconclusive")
+
+    def skipped(profile, sr=None):
+        return {v.name: v.detail for v in verify_theorems(profile, 2, 2, sr=sr) if v.status == "skipped"}
+
+    assert skipped(uncertified) == {
+        "t-monotonicity": "needs a certified reduced profile",
+        "l-monotonicity": "asserted for unmixed rings only",
+        "stabilization-consistency": "needs certified classification",
+        "r-increment": "no face-ring context",
+        "dim-bound": "no face-ring context",
+        "reg-bound": "no face-ring context",
+    }
+    assert skipped(uncertified, flat) == {
+        "t-monotonicity": "needs a certified reduced profile",
+        "l-monotonicity": "asserted for unmixed rings only",
+        "stabilization-consistency": "needs certified classification",
+        "r-increment": "no regularity indices available",
+        "dim-bound": "no regularity indices available",
+        "reg-bound": "no regularity indices available",
+    }
+    assert skipped(ex2_profile) == {
+        "l-monotonicity": "asserted for unmixed rings only",
+        "r-increment": "no face-ring context",
+        "dim-bound": "no face-ring context",
+        "reg-bound": "no face-ring context",
+    }
+    assert skipped(tri, flat) == {
+        "r-increment": "needs depth >= 2",
+        "dim-bound": "facet graph is disconnected",
+        "reg-bound": "shellability search hit its budget",
+    }
+    not_shellable = gmd.SRContext(depth=2, regularity=2, proj_connected=True, shellable="not_shellable")
+    assert skipped(tri, not_shellable) == {"reg-bound": "complex is not shellable"}
+
+
 def test_delta_table_matches_stabilization(ex1_profile):
     # frozen full table for t=1..4, l=1..3
     expected = {
