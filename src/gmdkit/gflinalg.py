@@ -91,21 +91,9 @@ class FieldMatrix:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls._raw(field, ((0,) * cols,) * rows, cols)
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FieldMatrix":
-        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls._raw(field, rows, n)
-
     @property
     def rows(self) -> int:
         return len(self.data)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
@@ -294,19 +282,6 @@ class _Clearing(dict):
         p = self.packed.p
         out = self[f] = self.packed.scale(self.word, (p - f) * self.inv % p)
         return out
-
-
-def subset_ranks(field: FieldSpec, vectors):
-    """Rank of every subset of the vectors, indexed by bitmask.
-
-    Entry ``mask`` is the rank of the vectors whose index bit is set in
-    ``mask``; ``subset_ranks_of_words`` does the work, one vector a group.
-    """
-    vectors = list(vectors)
-    if len({len(v) for v in vectors}) > 1:
-        raise ValueError("vectors of different lengths")
-    packed = PackedVectors(field, len(vectors[0]) if vectors else 0)
-    return subset_ranks_of_words(packed, [[packed.pack(v)] for v in vectors])
 
 
 def subset_ranks_of_words(packed: PackedVectors, groups):

@@ -353,9 +353,10 @@ class StabilizationResult:
 
 def _require_certified(profile: RingProfile):
     if profile.classification == "unknown":
+        reason = "; ".join(profile.warnings) or "no minimal primes were given"
         raise HypothesisError(
-            "profile classification is unknown (no certified minimal primes); "
-            "use brute-force stabilization over an explicit degree range instead"
+            "the limit and the regularity index need certified minimal primes "
+            f"(the \"minimal_primes\" input key): {reason}"
         )
 
 
@@ -414,11 +415,9 @@ def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    value: int | None
-    exact: bool
+    value: int
     method: str
-    scanned_to: int | None = None
-    stable_value: int | None = None
+    stable_value: int
 
 
 def _first_degree_reaching(profile: RingProfile, family, ell: int) -> int | None:
@@ -459,7 +458,7 @@ def _top_subsets_with_sum(profile: RingProfile, target: int):
     return walk(0, (), 0)
 
 
-def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = None) -> RegularityResult:
+def regularity_index(profile: RingProfile, ell: int) -> RegularityResult:
     """Least degree where the distance function reaches its limit.
 
     On a certified profile let s be the limit (``stabilization_value``) and
@@ -474,35 +473,16 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
     complements of one prime of least multiplicity.  The method label names
     the classification in the reports' vocabulary.
 
-    Uncertified profiles cannot be given a sound stopping rule, so only a
-    lower bound over a scanned range is reported.
+    The index is only defined through the limit, so an uncertified profile
+    raises ``HypothesisError`` from ``stabilization_value``.
     """
-    if ell < 1:
-        raise ValueError("count l must be at least 1")
-    cls = profile.classification
-    if cls == "unknown":
-        if scan_limit is None:
-            raise HypothesisError(
-                "uncertified profile: exact regularity index needs certified primes; "
-                "pass scan_limit for a lower bound"
-            )
-        table = [
-            delta_bruteforce(GmdQuery(profile, t, ell, method="brute")).value
-            for t in range(1, scan_limit + 1)
-        ]
-        last_change = 1
-        for t in range(2, scan_limit + 1):
-            if table[t - 1] != table[t - 2]:
-                last_change = t
-        return RegularityResult(last_change, False, "lower-bound-scan", scanned_to=scan_limit)
-
+    s = stabilization_value(profile, ell).value
     # report vocabulary only: every certified classification takes one rule
     label = {
         "domain": "constant",
         "mixed_low_dim_ge2": "closed-form-mixed",
         "unmixed_dim_ge2": "closed-form-unmixed",
-    }.get(cls, "iteration")
-    s = stabilization_value(profile, ell).value
+    }.get(profile.classification, "iteration")
     target = profile.multiplicity - s
     degrees = [1] if target == 0 else [
         _first_degree_reaching(profile, profile.intersect_family(indices), ell)
@@ -513,7 +493,7 @@ def regularity_index(profile: RingProfile, ell: int, scan_limit: int | None = No
         raise InvariantError(
             f"no family of top primes with multiplicity sum {target} ever holds {ell} dimensions"
         )
-    return RegularityResult(min(degrees), True, label, stable_value=s)
+    return RegularityResult(min(degrees), label, s)
 
 
 @dataclass(frozen=True)
@@ -531,6 +511,11 @@ class Verdict:
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
+
+
+def _law(name: str, bad, passed: str, failed: str) -> Verdict:
+    """The verdict of a law: fail with ``failed`` when ``bad`` lists violations."""
+    return Verdict(name, "fail" if bad else "pass", failed if bad else passed)
 
 
 def verify_theorems(
@@ -563,13 +548,8 @@ def verify_theorems(
             for (t, ell), v in table.items()
             if t < t_max and v < table[(t + 1, ell)]
         ]
-        out.append(
-            Verdict(
-                "t-monotonicity",
-                "fail" if bad else "pass",
-                f"counterexamples {bad}" if bad else f"non-increasing in t on t<={t_max}, l<={ell_max}",
-            )
-        )
+        passed = f"non-increasing in t on t<={t_max}, l<={ell_max}"
+        out.append(_law("t-monotonicity", bad, passed, f"counterexamples {bad}"))
     else:
         out.append(Verdict("t-monotonicity", "skipped", "needs a certified reduced profile"))
 
@@ -579,13 +559,8 @@ def verify_theorems(
             for (t, ell), v in table.items()
             if ell < ell_max and v > table[(t, ell + 1)]
         ]
-        out.append(
-            Verdict(
-                "l-monotonicity",
-                "fail" if bad else "pass",
-                f"counterexamples {bad}" if bad else f"non-decreasing in l on the grid",
-            )
-        )
+        passed = "non-decreasing in l on the grid"
+        out.append(_law("l-monotonicity", bad, passed, f"counterexamples {bad}"))
     else:
         out.append(
             Verdict("l-monotonicity", "skipped", "asserted for unmixed rings only")
@@ -594,7 +569,6 @@ def verify_theorems(
     r_values: dict[int, int] = {}
     if profile.classification != "unknown":
         details = []
-        ok = True
         for ell in range(1, ell_max + 1):
             result = regularity_index(profile, ell)
             r = r_values[ell] = result.value
@@ -602,33 +576,20 @@ def verify_theorems(
             for t in range(1, t_max + 1):
                 v = table[(t, ell)]
                 if t >= r and v != s:
-                    ok = False
                     details.append(f"l={ell}: value {v} at t={t} but limit {s}")
                 if t < r and v == s:
-                    ok = False
                     details.append(f"l={ell}: limit reached at t={t} before index {r}")
-        out.append(
-            Verdict(
-                "stabilization-consistency",
-                "pass" if ok else "fail",
-                "; ".join(details) if details else "table matches limits and least degrees",
-            )
-        )
+        passed = "table matches limits and least degrees"
+        out.append(_law("stabilization-consistency", details, passed, "; ".join(details)))
     else:
         out.append(
             Verdict("stabilization-consistency", "skipped", "needs certified classification")
         )
 
-    if sr is None:
-        out.append(Verdict("r-increment", "skipped", "no face-ring context"))
-        out.append(Verdict("dim-bound", "skipped", "no face-ring context"))
-        out.append(Verdict("reg-bound", "skipped", "no face-ring context"))
-        return out
-
-    if not r_values:
-        for name in ("r-increment", "dim-bound", "reg-bound"):
-            out.append(Verdict(name, "skipped", "no regularity indices available"))
-        return out
+    if sr is None or not r_values:
+        reason = "no face-ring context" if sr is None else "no regularity indices available"
+        names = ("r-increment", "dim-bound", "reg-bound")
+        return out + [Verdict(name, "skipped", reason) for name in names]
 
     if sr.depth >= 2:
         bad = [
@@ -636,38 +597,23 @@ def verify_theorems(
             for ell in range(1, ell_max)
             if r_values[ell + 1] > r_values[ell] + 1
         ]
-        out.append(
-            Verdict(
-                "r-increment",
-                "fail" if bad else "pass",
-                f"violations at l={bad}" if bad else "r(l+1) <= r(l)+1 across the grid",
-            )
-        )
+        passed = "r(l+1) <= r(l)+1 across the grid"
+        out.append(_law("r-increment", bad, passed, f"violations at l={bad}"))
     else:
         out.append(Verdict("r-increment", "skipped", "needs depth >= 2"))
 
     if sr.proj_connected:
         dim_r = profile.dim
         bad = [ell for ell, r in r_values.items() if r > dim_r + ell - 1]
-        out.append(
-            Verdict(
-                "dim-bound",
-                "fail" if bad else "pass",
-                f"violations at l={bad}" if bad else f"r(l) <= dim+l-1 with dim={dim_r}",
-            )
-        )
+        passed = f"r(l) <= dim+l-1 with dim={dim_r}"
+        out.append(_law("dim-bound", bad, passed, f"violations at l={bad}"))
     else:
         out.append(Verdict("dim-bound", "skipped", "facet graph is disconnected"))
 
     if sr.shellable == "shellable":
         bad = [ell for ell, r in r_values.items() if r > sr.regularity + ell - 1]
-        out.append(
-            Verdict(
-                "reg-bound",
-                "fail" if bad else "pass",
-                f"violations at l={bad}" if bad else f"r(l) <= reg+l-1 with reg={sr.regularity}",
-            )
-        )
+        passed = f"r(l) <= reg+l-1 with reg={sr.regularity}"
+        out.append(_law("reg-bound", bad, passed, f"violations at l={bad}"))
     elif sr.shellable == "inconclusive":
         out.append(Verdict("reg-bound", "skipped", "shellability search hit its budget"))
     else:

@@ -199,7 +199,7 @@ class IdealPresentation:
     Groebner bases and Hilbert data are cached on the instance.
     """
 
-    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert_cache", "__weakref__")
+    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert", "__weakref__")
 
     def __init__(self, ring: RingSpec, generators):
         gens = []
@@ -214,7 +214,7 @@ class IdealPresentation:
         self.ring = ring
         self.gens = tuple(gens)
         self._gb_cache = {}
-        self._hilbert_cache = {}
+        self._hilbert = None
 
     @classmethod
     def from_strings(cls, ring: RingSpec, texts) -> "IdealPresentation":
@@ -231,7 +231,7 @@ class IdealPresentation:
         ideal.ring = gb.ring
         ideal.gens = gb.elements
         ideal._gb_cache = {gb.order.cache_token(): gb}
-        ideal._hilbert_cache = {}
+        ideal._hilbert = None
         return ideal
 
     def is_zero_ideal(self) -> bool:
@@ -293,24 +293,18 @@ def _spoly(f, g, lcm, p, low, guard):
 
 
 def buchberger(
-    generators,
-    order: MonomialOrder = GREVLEX,
-    strategy: str = "normal",
-    groebner_prefix: int = 0,
+    generators, order: MonomialOrder = GREVLEX, groebner_prefix: int = 0
 ) -> list[Polynomial]:
     """Reduced Groebner basis of the generated ideal.
 
-    strategy "normal" picks the pending pair with the smallest lcm in the
-    order; "first" processes pairs in creation order.  Both give the same
-    reduced basis.  Pending pairs sit in a heap keyed by (lcm key, i, j)
-    for "normal" and by (j, i, j) for "first"; the chain criterion consults
-    the set of pending pairs.
+    Normal selection: the pending pair with the smallest lcm in the order
+    goes next.  Pending pairs sit in a heap of (packed lcm, i, j), whose
+    order key makes the smallest lcm come first; the chain criterion
+    consults the set of pending pairs.
     ``groebner_prefix`` marks the first k generators as already a Groebner
     basis, so their mutual pairs are skipped (used when extending a cached
     basis by new elements).
     """
-    if strategy not in ("normal", "first"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
@@ -318,7 +312,6 @@ def buchberger(
     p = ring.field.p
     pk = _packing(order, ring.n)
     low, guard = pk.low, pk.guard
-    normal = strategy == "normal"
     basis = [pk.record(g.terms, ring.field) for g in gens]
     # an input that was already monic is returned as is if interreduction keeps it
     originals = [g if g.terms[pk.unpack(rec[1])] == 1 else None for g, rec in zip(gens, basis)]
@@ -329,15 +322,14 @@ def buchberger(
 
     def add_pair(i, j):
         pending.add((i, j))
-        lcm = pk.lcm(basis[i][1], basis[j][1])
-        heapq.heappush(heap, (lcm if normal else j, i, j, lcm))
+        heapq.heappush(heap, (pk.lcm(basis[i][1], basis[j][1]), i, j))
 
     for j in range(groebner_prefix, len(basis)):
         for i in range(j):
             add_pair(i, j)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         # coprime leading terms: S-polynomial reduces to zero
         if lcm == basis[i][1] + basis[j][1]:
@@ -396,14 +388,12 @@ def _interreduce(basis, originals, pk, ring):
     return out
 
 
-def groebner_basis(
-    ideal: IdealPresentation, order: MonomialOrder = GREVLEX, strategy: str = "normal"
-) -> GroebnerBasis:
+def groebner_basis(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     token = order.cache_token()
     cached = ideal._gb_cache.get(token)
     if cached is not None:
         return cached
-    gb = GroebnerBasis(ideal.ring, order, tuple(buchberger(ideal.gens, order, strategy)))
+    gb = GroebnerBasis(ideal.ring, order, tuple(buchberger(ideal.gens, order)))
     ideal._gb_cache[token] = gb
     return gb
 
@@ -419,18 +409,18 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial._raw(f.ring, {unpack(m): c for m, c in reduced.items()})
 
 
-def ideal_contains(ideal: IdealPresentation, other: IdealPresentation, order=GREVLEX) -> bool:
+def ideal_contains(ideal: IdealPresentation, other: IdealPresentation) -> bool:
     """True iff every generator of ``other`` lies in ``ideal``."""
-    gb = groebner_basis(ideal, order)
+    gb = groebner_basis(ideal)
     return all(normal_form(g, gb).is_zero() for g in other.gens)
 
 
-def ideals_equal(a: IdealPresentation, b: IdealPresentation, order=GREVLEX) -> bool:
-    return ideal_contains(a, b, order) and ideal_contains(b, a, order)
+def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
+    return ideal_contains(a, b) and ideal_contains(b, a)
 
 
-def _lift(f: Polynomial, ext: RingSpec, w_degree: int = 0) -> Polynomial:
-    return Polynomial._raw(ext, {(w_degree,) + e: c for e, c in f.terms.items()})
+def _lift(f: Polynomial, ext: RingSpec) -> Polynomial:
+    return Polynomial._raw(ext, {(0,) + e: c for e, c in f.terms.items()})
 
 
 def _monomial_generators(ideal: IdealPresentation):
@@ -475,12 +465,12 @@ def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     return IdealPresentation(ring, kept)
 
 
-def exact_divide(g: Polynomial, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient g / f; raises if f does not divide g exactly."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
-    pk = _packing(order, ring.n)
+    pk = _packing(GREVLEX, ring.n)
     monic = pk.record(f.terms, ring.field)
     quotient = {}
     work = {pk.pack(e): c for e, c in g.terms.items()}
@@ -513,10 +503,8 @@ def colon(ideal: IdealPresentation, polys) -> IdealPresentation:
     return result
 
 
-def groebner_basis_extending(
-    gb: GroebnerBasis, extra, order: MonomialOrder = GREVLEX
-) -> GroebnerBasis:
-    """Groebner basis of (gb) + (extra), skipping pairs inside gb."""
+def groebner_basis_extending(gb: GroebnerBasis, extra) -> GroebnerBasis:
+    """Groebner basis of (gb) + (extra) in gb's order, skipping pairs inside gb."""
     seed = list(gb.elements)
-    basis = buchberger(seed + list(extra), order, groebner_prefix=len(seed))
-    return GroebnerBasis(gb.ring, order, tuple(basis))
+    basis = buchberger(seed + list(extra), gb.order, groebner_prefix=len(seed))
+    return GroebnerBasis(gb.ring, gb.order, tuple(basis))

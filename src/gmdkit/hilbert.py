@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError
-from .groebner import GroebnerBasis, IdealPresentation, groebner_basis
+from .groebner import IdealPresentation, groebner_basis
 from .polyring import (
-    GREVLEX,
     Monomial,
-    MonomialOrder,
     graded_piece_basis,
     minimal_monomial_generators,
     monomial_divides,
@@ -147,12 +145,11 @@ class HilbertData:
     hf_poly_from: int
 
 
-def hilbert_data(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> HilbertData:
-    token = ("hilbert", order.cache_token())
-    hit = ideal._hilbert_cache.get(token)
-    if hit is not None:
-        return hit
-    gb = groebner_basis(ideal, order)
+def hilbert_data(ideal: IdealPresentation) -> HilbertData:
+    """Series data of S/I from the grevlex leading terms, cached on the ideal."""
+    if ideal._hilbert is not None:
+        return ideal._hilbert
+    gb = groebner_basis(ideal)
     if gb.is_unit_ideal:
         raise ValueError("unit ideal: the quotient is the zero ring")
     n = ideal.ring.n
@@ -173,7 +170,7 @@ def hilbert_data(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> Hi
         multiplicity=e,
         hf_poly_from=max(len(q) - 1 - d + 1, 0),
     )
-    ideal._hilbert_cache[token] = data
+    ideal._hilbert = data
     return data
 
 
@@ -198,16 +195,14 @@ def hilbert_series_coefficient(data: HilbertData, t: int) -> int:
     return total
 
 
-def graded_piece_of_quotient(
-    ideal: IdealPresentation, t: int, order: MonomialOrder = GREVLEX
-) -> list[Monomial]:
-    """Standard monomial basis of degree t of S/I, descending in the order."""
-    gb = groebner_basis(ideal, order)
+def graded_piece_of_quotient(ideal: IdealPresentation, t: int) -> list[Monomial]:
+    """Standard monomial basis of degree t of S/I, descending in grevlex."""
+    gb = groebner_basis(ideal)
     if gb.is_unit_ideal:
         raise ValueError("unit ideal: the quotient is the zero ring")
     lts = gb.leading_exponents
     basis = []
-    for e in graded_piece_basis(ideal.ring, t, order):
+    for e in graded_piece_basis(ideal.ring, t):
         if not any(monomial_divides(lt, e) for lt in lts):
             basis.append(e)
     return basis

@@ -72,14 +72,17 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def minimal_monomial_generators(exponents) -> tuple[Monomial, ...]:
-    """Sorted minimal generating set of the monomial ideal."""
-    unique = sorted(set(exponents))
+    """Sorted minimal generating set of the monomial ideal.
+
+    A proper divisor has lower degree, so in ascending degree each exponent
+    is tested only against the generators already kept.
+    """
     kept = []
-    for e in unique:
-        if any(monomial_divides(f, e) for f in unique if f != e):
+    for e in sorted(set(exponents), key=sum):
+        if any(monomial_divides(f, e) for f in kept):
             continue
         kept.append(e)
-    return tuple(kept)
+    return tuple(sorted(kept))
 
 
 def _grevlex_key(e: Monomial):
@@ -209,8 +212,8 @@ class Polynomial:
         return cls._raw(ring, {tuple(e): 1})
 
     @classmethod
-    def monomial(cls, ring: RingSpec, e: Monomial, coeff: int = 1) -> "Polynomial":
-        return cls(ring, {tuple(e): coeff})
+    def monomial(cls, ring: RingSpec, e: Monomial) -> "Polynomial":
+        return cls(ring, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -229,8 +232,9 @@ class Polynomial:
         e = max(self.terms, key=order.keys.__getitem__)
         return e, self.terms[e]
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Monomial, int]]:
-        ordered = sorted(self.terms, key=order.keys.__getitem__, reverse=True)
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
+        """Terms descending in grevlex."""
+        ordered = sorted(self.terms, key=GREVLEX.keys.__getitem__, reverse=True)
         return [(e, self.terms[e]) for e in ordered]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
@@ -264,10 +268,6 @@ class Polynomial:
             elif e in out:
                 del out[e]
         return Polynomial._raw(self.ring, out)
-
-    def __neg__(self) -> "Polynomial":
-        p = self.ring.field.p
-        return Polynomial._raw(self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         p = self.ring.field.p
@@ -428,8 +428,8 @@ def monomial_to_str(ring: RingSpec, e: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def poly_to_str(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
-    """Canonical text form: terms descending in the given order.
+def poly_to_str(f: Polynomial) -> str:
+    """Canonical text form: terms descending in grevlex.
 
     Coefficients are residues in 1..p-1, so no '-' signs appear and
     parse(poly_to_str(f)) == f.
@@ -438,7 +438,7 @@ def poly_to_str(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
         return "0"
     ring = f.ring
     parts = []
-    for e, c in f.sorted_terms(order):
+    for e, c in f.sorted_terms():
         mono = monomial_to_str(ring, e)
         if mono == "1":
             parts.append(str(c))
@@ -465,6 +465,6 @@ def degree_monomials(n: int, t: int) -> list[Monomial]:
     return out
 
 
-def graded_piece_basis(ring: RingSpec, t: int, order: MonomialOrder = GREVLEX) -> list[Monomial]:
-    """Monomial basis of the degree-t piece of the ring, descending."""
-    return sorted(degree_monomials(ring.n, t), key=order.keys.__getitem__, reverse=True)
+def graded_piece_basis(ring: RingSpec, t: int) -> list[Monomial]:
+    """Monomial basis of the degree-t piece of the ring, descending in grevlex."""
+    return sorted(degree_monomials(ring.n, t), key=GREVLEX.keys.__getitem__, reverse=True)

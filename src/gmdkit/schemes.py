@@ -70,7 +70,6 @@ class FamilyIntersection:
     """
 
     indices: tuple[int, ...]
-    is_unit: bool
     _profile: "RingProfile"
     _ideal: IdealPresentation | None = None
     _dims: dict[int, int] = field(default_factory=dict)
@@ -87,13 +86,10 @@ class FamilyIntersection:
         if hit is not None:
             return hit
         backend = self._profile.family_backend
-        if self.is_unit:
-            value = hilbert_function(self._profile.ideal, t)
-        else:
-            # a backend answers None where the family ideal is the cheaper route
-            value = None if backend is None else backend.piece_dim(self.indices, t)
-            if value is None:
-                value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
+        # a backend answers None where the family ideal is the cheaper route
+        value = None if backend is None else backend.piece_dim(self.indices, t)
+        if value is None:
+            value = hilbert_function(self._profile.ideal, t) - hilbert_function(self.ideal, t)
         if value < 0:
             raise InvariantError(
                 f"family {self.indices} has a negative degree-{t} dimension {value}"
@@ -111,8 +107,6 @@ class FamilyIntersection:
         otherwise it comes from the family's Hilbert series.
         """
         base = max(1, self._profile.hilbert.hf_poly_from)
-        if self.is_unit:
-            return base
         backend = self._profile.family_backend
         own = None if backend is None else backend.regime(self.indices)
         if own is None:
@@ -332,18 +326,16 @@ class RingProfile:
         return min(tops)
 
     def intersect_family(self, indices) -> FamilyIntersection:
-        """Family object for the primes with the given indices, cached.
-
-        An empty index set returns the whole ring flagged as the unit
-        family; callers of the distance machinery never request it.
-        """
+        """Family object for a nonempty set of primes, by index, cached."""
         key = tuple(sorted(set(int(i) for i in indices)))
+        if not key:
+            raise ValueError("a family needs at least one prime")
         for i in key:
             if not (0 <= i < len(self.primes)):
                 raise IndexError(f"prime index {i} out of range")
         hit = self._families.get(key)
         if hit is None:
-            hit = FamilyIntersection(key, not key, self)
+            hit = FamilyIntersection(key, self)
             self._families[key] = hit
         return hit
 
@@ -354,7 +346,9 @@ class RingProfile:
         the whole degree-t piece of S/I.  A backend that serves the whole
         table at once (point sets) answers directly; otherwise every family
         is read through ``quotient_dim``, which the normal-form backend
-        serves from the table built here.
+        serves from the table built here.  These 2^a family objects are not
+        kept in the family cache, which would hold them for the profile's
+        life.
         """
         a = len(self.primes)
         check_prime_count(a)
@@ -366,13 +360,11 @@ class RingProfile:
             # every family is about to be read: rank them all in one table
             backend.degree_table(t)
         return [hilbert_function(self.ideal, t)] + [
-            self.intersect_family([i for i in range(a) if mask >> i & 1]).quotient_dim(t)
+            FamilyIntersection(tuple(i for i in range(a) if mask >> i & 1), self).quotient_dim(t)
             for mask in range(1, 1 << a)
         ]
 
     def _family_ideal(self, key: tuple[int, ...]) -> IdealPresentation:
-        if not key:
-            return IdealPresentation(self.ring, [Polynomial.one(self.ring)])
         if len(key) == 1:
             return self.primes[key[0]].ideal
         prefix = self.intersect_family(key[:-1])
@@ -455,7 +447,7 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
             )
         for k, meet in enumerate(_prefix_chain):
             key = tuple(range(k + 1))
-            profile._families[key] = FamilyIntersection(key, False, profile, meet)
+            profile._families[key] = FamilyIntersection(key, profile, meet)
         certified = True
     else:
         meet = profile.intersect_family(range(len(prime_data))).ideal

@@ -180,12 +180,11 @@ def equivalence_cells(
     profile: RingProfile,
     t_cap: int = T_CAP,
     ell_cap: int = ELL_CAP,
-    budget: int = CELL_BUDGET,
     jobs: int = 1,
 ) -> list[EquivalenceCell]:
     """Brute versus fast on every affordable cell of the grid.
 
-    Cells whose subspace count exceeds the budget are skipped; cells with
+    Cells whose subspace count exceeds ``CELL_BUDGET`` are skipped; cells with
     l beyond the piece dimension stay (both routes must report the empty
     branch).  Values and statuses must agree cell by cell; a cell where
     they do not is recorded, not raised, so the report lists it.
@@ -196,7 +195,7 @@ def equivalence_cells(
         m = hilbert_function(profile.ideal, t)
         for ell in range(1, ell_cap + 1):
             count = subspace_count(m, ell, p) if ell <= m else 0
-            if count > budget:
+            if count > CELL_BUDGET:
                 continue
             brute = delta_bruteforce(GmdQuery(profile, t, ell, method="brute"), jobs=jobs)
             fast = delta_fast(GmdQuery(profile, t, ell, method="fast"))

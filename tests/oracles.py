@@ -76,6 +76,17 @@ def monomials_of_degree(n, t):
     return out
 
 
+def minimal_monomial_generators_by_pairs(exponents):
+    """Sorted minimal generators of a monomial ideal: every exponent is
+    tested against every other one, with no order assumed."""
+    unique = sorted(set(exponents))
+
+    def divides(f, e):
+        return all(a <= b for a, b in zip(f, e))
+
+    return tuple(e for e in unique if not any(divides(f, e) for f in unique if f != e))
+
+
 def hilbert_function_by_spans(generators, n, p, t):
     """dim of degree-t piece of S/I from generator multiples.
 
@@ -325,7 +336,7 @@ def reduce_by_tuples(terms, reducers, order, p):
     return out
 
 
-def buchberger_by_tuples(generators, order, strategy="normal", groebner_prefix=0):
+def buchberger_by_tuples(generators, order, groebner_prefix=0):
     """``groebner.buchberger`` as it was before packed monomials: the same
     pair heap, criteria, first-divisor reduction and interreduction on
     exponent tuples compared through ``order.keys``."""
@@ -352,8 +363,7 @@ def buchberger_by_tuples(generators, order, strategy="normal", groebner_prefix=0
 
     def add_pair(i, j):
         pending.add((i, j))
-        rank = keys[monomial_lcm(lts[i], lts[j])] if strategy == "normal" else j
-        heapq.heappush(heap, (rank, i, j))
+        heapq.heappush(heap, (keys[monomial_lcm(lts[i], lts[j])], i, j))
 
     for j in range(groebner_prefix, len(basis)):
         for i in range(j):
@@ -441,7 +451,7 @@ def is_valid_shelling(facets, order):
 
 
 def regularity_by_cases(profile, ell):
-    """(value, exact, method, stable value) of the regularity index, by cases.
+    """(value, method, stable value) of the regularity index, by cases.
 
     Domains are constant.  With a low prime of dimension >= 2 the index is
     the first degree at which the intersection of the top primes holds l
@@ -455,7 +465,7 @@ def regularity_by_cases(profile, ell):
 
     cls = profile.classification
     if cls == "domain":
-        return 1, True, "constant", profile.multiplicity
+        return 1, "constant", profile.multiplicity
     s = stabilization_value(profile, ell).value
 
     def first(indices):
@@ -466,7 +476,7 @@ def regularity_by_cases(profile, ell):
 
     a = len(profile.primes)
     if cls == "mixed_low_dim_ge2":
-        return first(profile.top_indices()), True, "closed-form-mixed", s
+        return first(profile.top_indices()), "closed-form-mixed", s
     if cls == "unmixed_dim_ge2":
         e_min = min(p.mult for p in profile.primes)
         best = min(
@@ -474,7 +484,7 @@ def regularity_by_cases(profile, ell):
             for i in range(a)
             if profile.primes[i].mult == e_min
         )
-        return best, True, "closed-form-unmixed", s
+        return best, "closed-form-unmixed", s
     cap = 1
     for mask in range(1, 1 << a):
         indices = tuple(i for i in range(a) if mask & (1 << i))
@@ -483,7 +493,7 @@ def regularity_by_cases(profile, ell):
             cap = max(cap, t)
     for t in range(1, cap + 1):
         if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s:
-            return t, True, "iteration", s
+            return t, "iteration", s
     raise AssertionError("the distance never met its limit within the reach certificate")
 
 

@@ -267,6 +267,7 @@ def test_uncertified_stabilize_is_exit_3(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     status, out, err = run(capsys, "stabilize", str(path))
     assert status == 3
+    assert "certified minimal primes" in err and '"minimal_primes"' in err
 
 
 def test_json_output_is_sorted_and_newline_terminated(capsys, triangle_file):

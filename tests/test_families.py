@@ -51,9 +51,12 @@ def assert_families_match_intersections(profile):
         for indices in itertools.combinations(range(a), size):
             mask = sum(1 << i for i in indices)
             expected[mask] = family_dims_by_intersection(profile, indices, degrees, chains)
-    # every family at once, as the distance table reads them
+    # every family at once, as the distance table reads them, leaving no
+    # family object in the profile's cache
+    cached = len(profile._families)
     for t in degrees:
         table = profile.subset_dims(t)
+        assert len(profile._families) == cached, t
         assert [table[mask] for mask in range(1 << a)] == [
             expected[mask][0][t] for mask in range(1 << a)
         ], t

@@ -346,7 +346,6 @@ def test_regularity_example2_by_iteration(ex2_profile):
     for ell, expected in EXAMPLE2["regularity"].items():
         result = regularity_index(ex2_profile, ell)
         assert result.value == expected, ell
-        assert result.exact
         assert result.method == "iteration"
 
 
@@ -358,7 +357,6 @@ def test_regularity_closed_form_mixed(ring_cases):
     for ell in range(1, 4):
         result = regularity_index(profile, ell)
         assert result.value == ell
-        assert result.exact
         assert result.method == "closed-form-mixed"
         assert result.stable_value == 0
 
@@ -368,7 +366,6 @@ def test_regularity_by_iteration(ex1_profile):
     for ell, expected in {1: 3, 5: 3, 6: 1}.items():
         result = regularity_index(ex1_profile, ell)
         assert result.value == expected, ell
-        assert result.exact
         assert result.method == "iteration"
         assert result.stable_value == EXAMPLE1["stabilization"][ell][0]
 
@@ -398,7 +395,7 @@ def test_regularity_face_ring_tables(complex_cases):
 def _assert_rule_matches_cases(profile, name):
     for ell in range(1, 7):
         got = regularity_index(profile, ell)
-        assert (got.value, got.exact, got.method, got.stable_value) == regularity_by_cases(
+        assert (got.value, got.method, got.stable_value) == regularity_by_cases(
             profile, ell
         ), (name, ell)
 
@@ -486,17 +483,15 @@ def test_regularity_unreachable_limit_raises_invariant_error(ex1_profile, monkey
         regularity_index(ex1_profile, 1)
 
 
-def test_regularity_uncertified_scan():
+def test_regularity_of_an_uncertified_profile_names_what_is_missing():
     ring = RingSpec(F2, ("x", "y"))
     ideal = IdealPresentation.from_strings(ring, ["x*y"])
-    uncertified = build_profile(ideal)
-    with pytest.raises(HypothesisError):
-        regularity_index(uncertified, 1)
-    result = regularity_index(uncertified, 1, scan_limit=4)
-    assert not result.exact
-    assert result.method == "lower-bound-scan"
-    assert result.scanned_to == 4
-    assert result.value == 1  # the table 1,1,1,1 never changes
+    with pytest.raises(HypothesisError, match="minimal_primes.*no minimal primes were given"):
+        regularity_index(build_profile(ideal), 1)
+    # primes whose intersection is not I leave the profile uncertified
+    x_axis = IdealPresentation.from_strings(ring, ["y"])
+    with pytest.raises(HypothesisError, match="intersection of the supplied primes differs"):
+        regularity_index(build_profile(ideal, [x_axis]), 1)
 
 
 def test_verify_theorems_on_example1(ex1_profile):

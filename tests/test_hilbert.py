@@ -20,6 +20,7 @@ from oracles import (
     EXAMPLE1,
     EXAMPLE2,
     hilbert_function_by_spans,
+    minimal_monomial_generators_by_pairs,
     multiplicity_by_differences,
 )
 
@@ -143,6 +144,17 @@ def test_minimal_monomial_generators():
     out = minimal_monomial_generators([(2, 0), (2, 1), (0, 3), (1, 2), (2, 0)])
     assert out == ((0, 3), (1, 2), (2, 0))
     assert minimal_monomial_generators([]) == ()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12)
+    )
+)
+def test_minimal_monomial_generators_match_the_pairwise_definition(exponents):
+    got = minimal_monomial_generators(exponents)
+    assert got == minimal_monomial_generators_by_pairs(exponents)
 
 
 def test_numerator_memo_stays_bounded(monkeypatch):

@@ -66,7 +66,7 @@ def test_print_is_canonical_descending(rp):
     if f.is_zero():
         assert text == "0"
         return
-    monos = [e for e, _ in f.sorted_terms(GREVLEX)]
+    monos = [e for e, _ in f.sorted_terms()]
     keys = [GREVLEX.key(e) for e in monos]
     assert keys == sorted(keys, reverse=True)
     assert "-" not in text

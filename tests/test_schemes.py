@@ -132,20 +132,13 @@ def test_family_quotient_dims_match_hilbert_differences():
             assert fam.quotient_dim(t) >= 0
 
 
-def test_unit_family_measures_the_whole_ring():
-    ideal, primes = example1_parts()
-    profile = build_profile(ideal, primes)
-    fam = profile.intersect_family(())
-    assert fam.is_unit
-    for t in range(4):
-        assert fam.quotient_dim(t) == hilbert_function(ideal, t)
-
-
 def test_family_index_out_of_range():
     ideal, primes = example1_parts()
     profile = build_profile(ideal, primes)
     with pytest.raises(IndexError):
         profile.intersect_family((0, 3))
+    with pytest.raises(ValueError, match="at least one prime"):
+        profile.intersect_family(())
 
 
 def test_classifications_across_shapes():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gmdkit import suites
 from gmdkit.suites import (
     bound_suite_members,
     bridge_suite,
@@ -63,9 +64,10 @@ def test_equivalence_cells_on_small_member(ring_cases):
     assert by_key[(1, 2)].subspaces_searched == 1  # the whole piece
 
 
-def test_equivalence_cells_budget_skips(ring_cases):
+def test_equivalence_cells_budget_skips(ring_cases, monkeypatch):
+    monkeypatch.setattr(suites, "CELL_BUDGET", 0)
     profile = ring_cases["f2-two-lines"].build()
-    cells = equivalence_cells(profile, t_cap=2, ell_cap=2, budget=0)
+    cells = equivalence_cells(profile, t_cap=2, ell_cap=2)
     # every cell with a positive subspace count is skipped
     assert all(c.subspaces_searched == 0 for c in cells)
 
