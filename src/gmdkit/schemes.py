@@ -285,7 +285,7 @@ class RingProfile:
         primes: tuple[MinimalPrimeData, ...],
         reduced_certified: bool,
         classification: str,
-        warnings: tuple[str, ...] = (),
+        warnings: tuple[str, ...],
     ):
         self.ideal = ideal
         self.hilbert = hilbert
