@@ -369,6 +369,8 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
     for argv in (
         ["delta", ex1_file, "--t-max", "2", "--ell-max", "2", "--witnesses"],
         ["ghw", points_file, "--t-max", "2", "--strategy", "enumerate", "--witnesses"],
+        ["verify", points_file, "--t-max", "2", "--ell-max", "2"],
+        ["verify", "--suite", "rings"],
     ):
         outputs = []
         for jobs in (1, 2, 10**6):
@@ -383,6 +385,60 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
             else:
                 assert SerialPool.sizes and max(SerialPool.sizes) <= min(jobs, 3)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Every subcommand's arguments as (flag or name, dest, type, nargs, choices,
+# default); a knob added, dropped or changed fails this on purpose.
+_COMMON = [
+    ("--t-max", "t_max", "int", None, None, 4),
+    ("--ell", "ell", "int", None, None, None),
+    ("--ell-max", "ell_max", "int", None, None, None),
+]
+_OUTPUT = [
+    ("--format", "fmt", None, None, ["json", "csv", "text"], "json"),
+    ("--witnesses", "witnesses", None, 0, None, False),
+    ("--seed", "seed", "int", None, None, 2026),
+    ("--jobs", "jobs", "int", None, None, 1),
+]
+_INPUT = [("input", "input", None, None, None, None)]
+PINNED_OPTIONS = {
+    "delta": _INPUT + _COMMON + [
+        ("--convention", "convention", None, None, ["fixed-dim", "own-dim"], "fixed-dim"),
+        ("--method", "method", None, None, ["brute", "fast", "both"], None),
+    ] + _OUTPUT,
+    "stabilize": _INPUT + _COMMON + _OUTPUT,
+    "ghw": _INPUT + [
+        ("--strategy", "strategy", None, None, ["auto", "enumerate", "shorten"], "auto"),
+    ] + _COMMON + _OUTPUT,
+    "sr-info": _INPUT + _COMMON + _OUTPUT,
+    "verify": [
+        ("input", "input", None, "?", None, None),
+        ("--suite", "suite", None, None, ["rings", "complexes", "bridge", "all"], "all"),
+    ] + _COMMON + _OUTPUT,
+}
+
+
+def test_every_subcommand_option_is_pinned():
+    import argparse
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [
+            (
+                a.option_strings[0] if a.option_strings else a.dest,
+                a.dest,
+                getattr(a.type, "__name__", None),
+                a.nargs,
+                None if a.choices is None else list(a.choices),
+                a.default,
+            )
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, command in sub.choices.items()
+    }
+    assert options == PINNED_OPTIONS
 
 
 def test_ell_and_ell_max_are_exclusive(capsys, ex1_file):

@@ -5,8 +5,9 @@ with relative input names, because reports echo the input path, and
 compares stdout byte for byte and the exit code.  The recorded files were
 written by the code before the report layer was folded into one path, and
 the four ``*-stabilize`` cases (one per regularity method label) by the code
-before the regularity index became one rule, so this test pins that every
-report stayed the same.
+before the regularity index became one rule, and ``builtin-bridge-caps``
+and ``points-verify-one-count`` by the code before each report piece got
+one builder, so this test pins that every report stayed the same.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -47,6 +48,8 @@ COMMANDS = {
     "plane-two-lines-stabilize": ["stabilize", "plane_two_lines.json", "--ell-max", "6"],
     "hyperplane-plane-stabilize": ["stabilize", "hyperplane_plane.json", "--ell-max", "6"],
     "p2f3-stabilize": ["stabilize", "p2f3.json", "--ell-max", "6"],
+    "builtin-bridge-caps": ["verify", "--suite", "bridge", "--t-max", "4", "--ell-max", "4"],
+    "points-verify-one-count": ["verify", "points.json", "--ell", "2"],
 }
 FORMATS = ("json", "csv", "text")
 CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
