@@ -8,11 +8,10 @@ routes cross-checking each other.
 """
 
 from .codes import (
-    BridgeReport,
     GhwResult,
     LinearCode,
     ProjectivePointSet,
-    bridge_check,
+    bridge_rows,
     evaluation_code,
     generalized_hamming_weight,
     projective_points,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable",
-    "BridgeReport",
     "CONVENTIONS",
     "DeltaResult",
     "FIXED_DIM",
@@ -79,7 +77,7 @@ __all__ = [
     "StabilizationResult",
     "Verdict",
     "betti_table",
-    "bridge_check",
+    "bridge_rows",
     "build_profile",
     "build_profile_from_primes",
     "delta",

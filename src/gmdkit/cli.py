@@ -12,9 +12,9 @@ Reports embed the convention, method, and certificate statuses used and are
 byte-identical for identical inputs and flags regardless of --jobs.  Exit
 codes: 0 ok, 1 verification failure (a failed internal invariant check
 included), 2 malformed input or input beyond a supported bound (more than
-12 variables, a Groebner computation needing an exponent above 32767,
-a prime-subset table over more than 22 minimal primes), 3 operation
-outside its mathematical hypotheses.
+12 variables, a count above 10000, a Groebner computation needing an
+exponent above 32767, a prime-subset table over more than 22 minimal
+primes), 3 operation outside its mathematical hypotheses.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from .codes import (
     LinearCode,
     ProjectivePointSet,
-    bridge_check,
+    bridge_rows,
     evaluation_code,
     generalized_hamming_weight,
     standard_ring,
@@ -58,6 +58,10 @@ from .simplicial import (
     stanley_reisner_ideal,
 )
 from . import suites
+
+# The largest count --ell or --ell-max may ask for; ghw caps --ell-max at the
+# code dimension instead.
+COUNT_LIMIT = 10_000
 
 
 class _Loaded:
@@ -90,10 +94,18 @@ def _field(doc: dict, path: str) -> FieldSpec:
     char = doc.get("char", 2)
     if not isinstance(char, int):
         raise ParseError(f"{path}: \"char\" must be an integer")
-    try:
-        return FieldSpec(char)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
+    return FieldSpec(char)
+
+
+def _integer_lists(doc: dict, path: str, key: str, entries: str) -> list:
+    """``doc[key]``, checked to be a non-empty list of integer lists."""
+    rows = doc.get(key)
+    if not isinstance(rows, list) or not rows:
+        of_rows = " of rows" if key == "generator" else ""
+        raise ParseError(f"{path}: \"{key}\" must be a non-empty list{of_rows}")
+    if not all(isinstance(row, list) and all(isinstance(c, int) for c in row) for row in rows):
+        raise ParseError(f"{path}: {entries}")
+    return rows
 
 
 def _parse_poly_list(ring: RingSpec, texts, label: str):
@@ -113,113 +125,80 @@ def _load_ideal(doc: dict, path: str) -> _Loaded:
     names = doc.get("vars")
     if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
         raise ParseError(f"{path}: \"vars\" must be a list of strings")
-    try:
-        ring = RingSpec(field, tuple(names))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
+    ring = RingSpec(field, tuple(names))
     gens = doc.get("gens")
     if not isinstance(gens, list) or not gens:
         raise ParseError(f"{path}: \"gens\" must be a non-empty list")
-    try:
-        ideal = IdealPresentation(ring, _parse_poly_list(ring, gens, "generator"))
-        primes = None
-        if "minimal_primes" in doc:
-            raw = doc["minimal_primes"]
-            if not isinstance(raw, list):
-                raise ParseError(f"{path}: \"minimal_primes\" must be a list of lists")
-            primes = []
-            for k, group in enumerate(raw):
-                if not isinstance(group, list):
-                    raise ParseError(f"{path}: \"minimal_primes\" entry #{k + 1} must be a list")
-                primes.append(
-                    IdealPresentation(
-                        ring, _parse_poly_list(ring, group, f"prime #{k + 1} generator")
-                    )
-                )
-        profile = build_profile(ideal, primes)
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"{path}: {exc}")
-    return _Loaded("ideal", field.p, profile=profile)
+    ideal = IdealPresentation(ring, _parse_poly_list(ring, gens, "generator"))
+    primes = None
+    if "minimal_primes" in doc:
+        raw = doc["minimal_primes"]
+        if not isinstance(raw, list):
+            raise ParseError(f"{path}: \"minimal_primes\" must be a list of lists")
+        primes = []
+        for k, group in enumerate(raw):
+            if not isinstance(group, list):
+                raise ParseError(f"{path}: \"minimal_primes\" entry #{k + 1} must be a list")
+            primes.append(
+                IdealPresentation(ring, _parse_poly_list(ring, group, f"prime #{k + 1} generator"))
+            )
+    return _Loaded("ideal", field.p, profile=build_profile(ideal, primes))
 
 
 def _load_complex(doc: dict, path: str) -> _Loaded:
     field = _field(doc, path)
     vertices = doc.get("vertices")
-    facets = doc.get("facets")
     if not isinstance(vertices, int) or vertices < 1:
         raise ParseError(f"{path}: \"vertices\" must be a positive integer")
     if vertices > MAX_VARIABLES:
         raise ParseError(f"{path}: at most {MAX_VARIABLES} vertices are supported, got {vertices}")
-    if not isinstance(facets, list) or not facets:
-        raise ParseError(f"{path}: \"facets\" must be a non-empty list")
-    for f in facets:
-        if not isinstance(f, list) or not all(isinstance(v, int) for v in f):
-            raise ParseError(f"{path}: facets must be lists of 1-based vertex numbers")
-    try:
-        complex_ = SimplicialComplex.from_one_based(vertices, facets)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
-    return _Loaded("complex", field.p, complex_=complex_)
+    facets = _integer_lists(doc, path, "facets", "facets must be lists of 1-based vertex numbers")
+    return _Loaded("complex", field.p, complex_=SimplicialComplex.from_one_based(vertices, facets))
 
 
 def _load_points(doc: dict, path: str) -> _Loaded:
     field = _field(doc, path)
     ambient = doc.get("ambient")
-    points = doc.get("points")
     if not isinstance(ambient, int):
         raise ParseError(f"{path}: \"ambient\" must be an integer")
     if ambient > MAX_VARIABLES:
         raise ParseError(
             f"{path}: at most {MAX_VARIABLES} coordinates are supported, got \"ambient\": {ambient}"
         )
-    if not isinstance(points, list) or not points:
-        raise ParseError(f"{path}: \"points\" must be a non-empty list")
-    for pt in points:
-        if not isinstance(pt, list) or not all(isinstance(c, int) for c in pt):
-            raise ParseError(f"{path}: points must be lists of integers")
-    try:
-        point_set = ProjectivePointSet(field, ambient, points)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
-    return _Loaded("points", field.p, points=point_set)
+    points = _integer_lists(doc, path, "points", "points must be lists of integers")
+    return _Loaded("points", field.p, points=ProjectivePointSet(field, ambient, points))
 
 
 def _load_generator(doc: dict, path: str) -> _Loaded:
     field = _field(doc, path)
-    rows = doc.get("generator")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{path}: \"generator\" must be a non-empty list of rows")
-    width = None
-    for row in rows:
-        if not isinstance(row, list) or not all(isinstance(c, int) for c in row):
-            raise ParseError(f"{path}: generator rows must be lists of integers")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}: generator rows must all have the same length")
-    try:
-        code = LinearCode(field, FieldMatrix(field, rows))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}")
-    return _Loaded("generator", field.p, code=code)
+    rows = _integer_lists(doc, path, "generator", "generator rows must be lists of integers")
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError(f"{path}: generator rows must all have the same length")
+    return _Loaded("generator", field.p, code=LinearCode(field, FieldMatrix(field, rows)))
+
+
+_LOADERS = {
+    "gens": _load_ideal,
+    "facets": _load_complex,
+    "points": _load_points,
+    "generator": _load_generator,
+}
 
 
 def load_input(path: str) -> _Loaded:
     doc = _document(path)
-    if "gens" in doc:
-        return _load_ideal(doc, path)
-    if "facets" in doc:
-        return _load_complex(doc, path)
-    if "points" in doc:
-        return _load_points(doc, path)
-    if "generator" in doc:
-        return _load_generator(doc, path)
-    raise ParseError(
-        f"{path}: cannot detect the input kind "
-        "(expected one of the keys \"gens\", \"facets\", \"points\", \"generator\")"
-    )
+    kind = next((key for key in _LOADERS if key in doc), None)
+    if kind is None:
+        raise ParseError(
+            f"{path}: cannot detect the input kind "
+            "(expected one of the keys \"gens\", \"facets\", \"points\", \"generator\")"
+        )
+    try:
+        return _LOADERS[kind](doc, path)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}")
 
 
 def _profile_for(loaded: _Loaded) -> RingProfile:
@@ -250,15 +229,30 @@ def _verdict_dicts(verdicts) -> list[dict]:
     return [{"name": v.name, "status": v.status, "detail": v.detail} for v in verdicts]
 
 
+def _failed(verdicts: list[dict]) -> bool:
+    return any(v["status"] == "fail" for v in verdicts)
+
+
+def _header(args, input_kind: str) -> dict:
+    """The keys every report starts with."""
+    return {
+        "command": args.command, "input": args.input, "input_kind": input_kind, "seed": args.seed,
+    }
+
+
 def _ell_range(args, fallback_max: int) -> range:
-    if args.ell is not None:
-        if args.ell < 1:
-            raise ParseError("--ell must be at least 1")
-        return range(args.ell, args.ell + 1)
-    ell_max = fallback_max if args.ell_max is None else args.ell_max
-    if ell_max < 1:
-        raise ParseError("--ell-max must be at least 1")
-    return range(1, ell_max + 1)
+    """The counts a command runs over, from ``--ell`` or ``--ell-max``.
+
+    A count above ``COUNT_LIMIT`` is rejected, except for ``ghw --ell-max``,
+    which is capped at each code's dimension.
+    """
+    flag, count = ("--ell", args.ell) if args.ell is not None else ("--ell-max", args.ell_max)
+    count = fallback_max if count is None else count
+    if count < 1:
+        raise ParseError(f"{flag} must be at least 1")
+    if count > COUNT_LIMIT and (flag == "--ell" or args.command != "ghw"):
+        raise ParseError(f"{flag} {count} is above the supported limit of {COUNT_LIMIT}")
+    return range(count if flag == "--ell" else 1, count + 1)
 
 
 def cmd_delta(args) -> tuple[dict, int]:
@@ -288,10 +282,7 @@ def cmd_delta(args) -> tuple[dict, int]:
                 cell["witness"] = result.witness
             cells.append(cell)
     report = {
-        "command": "delta",
-        "input": args.input,
-        "input_kind": loaded.kind,
-        "seed": args.seed,
+        **_header(args, loaded.kind),
         "convention": convention,
         "method": method,
         "ring": _profile_meta(profile),
@@ -319,10 +310,7 @@ def cmd_stabilize(args) -> tuple[dict, int]:
         }
         rows.append(row)
     report = {
-        "command": "stabilize",
-        "input": args.input,
-        "input_kind": loaded.kind,
-        "seed": args.seed,
+        **_header(args, loaded.kind),
         "convention": FIXED_DIM,
         "ring": _profile_meta(profile),
         "rows": rows,
@@ -363,14 +351,7 @@ def cmd_ghw(args) -> tuple[dict, int]:
                 "strictly_increasing": all(a < b for a, b in zip(values, values[1:])),
             }
         )
-    report = {
-        "command": "ghw",
-        "input": args.input,
-        "input_kind": loaded.kind,
-        "seed": args.seed,
-        "char": loaded.char,
-        "codes": entries,
-    }
+    report = {**_header(args, loaded.kind), "char": loaded.char, "codes": entries}
     return report, 0
 
 
@@ -385,10 +366,7 @@ def cmd_sr_info(args) -> tuple[dict, int]:
     ideal = stanley_reisner_ideal(complex_, standard_ring(field, complex_.n))
     data = hilbert_data(ideal)
     report = {
-        "command": "sr-info",
-        "input": args.input,
-        "input_kind": "complex",
-        "seed": args.seed,
+        **_header(args, loaded.kind),
         "char": loaded.char,
         "vertices": complex_.n,
         "facets": [[v + 1 for v in sorted(f)] for f in complex_.facets],
@@ -410,29 +388,6 @@ def cmd_sr_info(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _bridge_rows(points, t_max: int, ells, jobs: int) -> list[dict]:
-    """Bridge check rows for t <= t_max and each l in ells up to the code dimension."""
-    rows = []
-    for t in range(1, t_max + 1):
-        dimension = evaluation_code(points, t).dimension
-        for ell in ells:
-            if ell > dimension:
-                continue
-            row = bridge_check(points, t, ell, jobs=jobs)
-            rows.append(
-                {
-                    "t": row.t,
-                    "ell": row.ell,
-                    "delta": row.delta_value,
-                    "ghw": row.ghw_value,
-                    "length": row.code_length,
-                    "dimension": row.code_dimension,
-                    "agree": row.agree,
-                }
-            )
-    return rows
-
-
 def _verify_input(args) -> tuple[dict, int]:
     loaded = load_input(args.input)
     profile = _profile_for(loaded)
@@ -440,20 +395,16 @@ def _verify_input(args) -> tuple[dict, int]:
     if loaded.complex_ is not None:
         sr = suites.sr_context(loaded.complex_, FieldSpec(loaded.char))
     ells = _ell_range(args, 3)
-    verdicts = verify_theorems(profile, args.t_max, max(ells), sr=sr)
     report = {
-        "command": "verify",
-        "input": args.input,
-        "input_kind": loaded.kind,
-        "seed": args.seed,
+        **_header(args, loaded.kind),
         "convention": FIXED_DIM,
         "ring": _profile_meta(profile),
-        "verdicts": _verdict_dicts(verdicts),
+        "verdicts": _verdict_dicts(verify_theorems(profile, args.t_max, max(ells), sr=sr)),
     }
-    failed = any(v.status == "fail" for v in verdicts)
+    failed = _failed(report["verdicts"])
     if loaded.points is not None:
-        report["bridge"] = _bridge_rows(loaded.points, args.t_max, ells, args.jobs)
-        failed = failed or any(not r["agree"] for r in report["bridge"])
+        report["bridge"] = list(bridge_rows(loaded.points, args.t_max, ells, args.jobs))
+        failed = failed or not all(r["agree"] for r in report["bridge"])
     report["pass"] = not failed
     return report, (1 if failed else 0)
 
@@ -468,30 +419,22 @@ def _verify_builtin(args) -> tuple[dict, int]:
         entries = []
         for case in suites.ring_suite():
             profile = case.build()
-            cells = suites.equivalence_cells(
-                profile, t_cap=args.t_max, ell_cap=ell_max, jobs=args.jobs
+            checked, disagreements = suites.equivalence_cells(
+                profile, args.t_max, ell_max, args.jobs
             )
-            disagreements = [
+            verdicts = _verdict_dicts(verify_theorems(profile, args.t_max, ell_max))
+            entries.append(
                 {
-                    "t": c.t, "ell": c.ell, "brute": c.brute_value, "fast": c.fast_value,
-                    "brute_status": c.brute_status, "fast_status": c.fast_status,
+                    "name": case.name,
+                    "char": case.field.p,
+                    "classification": profile.classification,
+                    "certified": profile.reduced_certified,
+                    "cells_checked": checked,
+                    "disagreements": disagreements,
+                    "verdicts": verdicts,
                 }
-                for c in cells
-                if not c.agree
-            ]
-            verdicts = verify_theorems(profile, args.t_max, ell_max)
-            entry = {
-                "name": case.name,
-                "char": case.field.p,
-                "classification": profile.classification,
-                "certified": profile.reduced_certified,
-                "cells_checked": len(cells),
-                "disagreements": disagreements,
-                "verdicts": _verdict_dicts(verdicts),
-            }
-            if disagreements or any(v.status == "fail" for v in verdicts):
-                ok = False
-            entries.append(entry)
+            )
+            ok = ok and not disagreements and not _failed(verdicts)
         sections["rings"] = entries
     if which in ("complexes", "all"):
         entries = []
@@ -507,25 +450,23 @@ def _verify_builtin(args) -> tuple[dict, int]:
                 for t in range(0, 7)
             )
             connectivity_ok = (sr.depth >= 2) == sr.proj_connected
-            entry = {
-                "name": case.name,
-                "char": field.p,
-                "depth": sr.depth,
-                "regularity": sr.regularity,
-                "proj_connected": sr.proj_connected,
-                "shellable": sr.shellable,
-                "hilbert_ok": hochster_ok,
-                "depth_connectivity_ok": connectivity_ok,
-                "verdicts": None,
-            }
+            verdicts = None
             if case.name in bound_names:
-                verdicts = verify_theorems(profile, args.t_max, sr_ell_max, sr=sr)
-                entry["verdicts"] = _verdict_dicts(verdicts)
-                if any(v.status == "fail" for v in verdicts):
-                    ok = False
-            if not (hochster_ok and connectivity_ok):
-                ok = False
-            entries.append(entry)
+                verdicts = _verdict_dicts(verify_theorems(profile, args.t_max, sr_ell_max, sr=sr))
+            entries.append(
+                {
+                    "name": case.name,
+                    "char": field.p,
+                    "depth": sr.depth,
+                    "regularity": sr.regularity,
+                    "proj_connected": sr.proj_connected,
+                    "shellable": sr.shellable,
+                    "hilbert_ok": hochster_ok,
+                    "depth_connectivity_ok": connectivity_ok,
+                    "verdicts": verdicts,
+                }
+            )
+            ok = ok and hochster_ok and connectivity_ok and not _failed(verdicts or ())
         sections["complexes"] = entries
     if which in ("bridge", "all"):
         entries = []
@@ -533,11 +474,9 @@ def _verify_builtin(args) -> tuple[dict, int]:
         for case in suites.bridge_suite(args.seed):
             rows = [
                 {k: row[k] for k in ("t", "ell", "delta", "ghw", "agree")}
-                for row in _bridge_rows(case.point_set(), min(args.t_max, 3), small_ells, args.jobs)
+                for row in bridge_rows(case.point_set(), min(args.t_max, 3), small_ells, args.jobs)
             ]
             agree = all(r["agree"] for r in rows)
-            if not agree:
-                ok = False
             entries.append(
                 {
                     "name": case.name,
@@ -547,13 +486,11 @@ def _verify_builtin(args) -> tuple[dict, int]:
                     "all_agree": agree,
                 }
             )
+            ok = ok and agree
         sections["bridge"] = entries
     report = {
-        "command": "verify",
-        "input": None,
-        "input_kind": "builtin-suite",
+        **_header(args, "builtin-suite"),
         "suite": which,
-        "seed": args.seed,
         "convention": FIXED_DIM,
         "sections": sections,
         "pass": ok,

@@ -430,39 +430,32 @@ def generalized_hamming_weight(
     return _ghw_shorten(code, r)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    t: int
-    ell: int
-    delta_value: int
-    ghw_value: int
-    code_length: int
-    code_dimension: int
-    agree: bool
+def bridge_rows(points: ProjectivePointSet, t_max: int, ells, jobs: int):
+    """Rows comparing the ideal-theoretic distance with the code's Hamming weight.
 
-
-def bridge_check(points: ProjectivePointSet, t: int, ell: int, jobs: int = 1) -> BridgeReport:
-    """Compare the ideal-theoretic distance with the code's Hamming weight.
-
-    Both sides are computed by unrelated routes: the distance through the
-    minimal primes of the vanishing ideal, the weight straight from the
-    generator matrix.  They agree whenever the count does not exceed the
-    code dimension.
+    One row per degree t <= t_max and count l in ``ells`` up to the
+    dimension of the degree-t evaluation code, which is built once per
+    degree.  Both sides are computed by unrelated routes: the distance
+    through the minimal primes of the vanishing ideal, the weight straight
+    from the generator matrix.  They agree whenever the count does not
+    exceed the code dimension.
     """
     from .gmd import GmdQuery, delta_fast
 
     profile = points.vanishing_profile()
-    code = evaluation_code(points, t)
-    if not 1 <= ell <= code.dimension:
-        raise ValueError(f"count l must lie in 1..{code.dimension} for this degree")
-    d = delta_fast(GmdQuery(profile, t, ell, method="fast"))
-    w = generalized_hamming_weight(code, ell, jobs=jobs)
-    return BridgeReport(
-        t=t,
-        ell=ell,
-        delta_value=d.value,
-        ghw_value=w.value,
-        code_length=code.length,
-        code_dimension=code.dimension,
-        agree=d.value == w.value,
-    )
+    for t in range(1, t_max + 1):
+        code = evaluation_code(points, t)
+        for ell in ells:
+            if ell > code.dimension:
+                continue
+            d = delta_fast(GmdQuery(profile, t, ell, method="fast")).value
+            w = generalized_hamming_weight(code, ell, jobs=jobs).value
+            yield {
+                "t": t,
+                "ell": ell,
+                "delta": d,
+                "ghw": w,
+                "length": code.length,
+                "dimension": code.dimension,
+                "agree": d == w,
+            }

@@ -4,8 +4,6 @@ Monomials are plain exponent tuples.  A polynomial is a coefficient map
 {exponent tuple: residue in 1..p-1}; the zero polynomial has an empty map.
 Orders compare exponent tuples through sort keys, so ``max(terms, key=...)``
 picks leading terms and descending sorts give canonical term sequences.
-Each order memoises its keys (``MonomialOrder.keys``), so a key is computed
-once per monomial rather than on every comparison.
 """
 
 from __future__ import annotations
@@ -89,31 +87,6 @@ def _grevlex_key(e: Monomial):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-# Entries per order in the key memo; a full memo is emptied and refilled, so
-# memory stays bounded however many monomials a computation meets.
-KEY_MEMO_LIMIT = 1 << 12
-
-
-class _KeyMemo(dict):
-    """Monomial -> order key, computing a missing key once with ``order.key``."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: "MonomialOrder"):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, e):
-        if len(self) >= KEY_MEMO_LIMIT:
-            self.clear()
-        k = self[e] = self.order.key(e)
-        return k
-
-
-# One memo per distinct order, shared by equal order instances.
-_key_memos: dict[tuple, _KeyMemo] = {}
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """grevlex, lex, or a two-block elimination order.
@@ -135,25 +108,12 @@ class MonomialOrder:
             return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
-    @cached_property
-    def keys(self) -> _KeyMemo:
-        """Memoised ``key``: ``keys[e]`` equals ``key(e)``."""
-        token = self.cache_token()
-        memo = _key_memos.get(token)
-        if memo is None:
-            memo = _key_memos[token] = _KeyMemo(self)
-        return memo
-
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def cache_token(self):
         return (self.kind, self.block)
-
-    def __reduce__(self):
-        # the key memo stays in its process; pickles carry only the order
-        return (MonomialOrder, (self.kind, self.block))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -229,12 +189,12 @@ class Polynomial:
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.keys.__getitem__)
+        e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms descending in grevlex."""
-        ordered = sorted(self.terms, key=GREVLEX.keys.__getitem__, reverse=True)
+        ordered = sorted(self.terms, key=GREVLEX.key, reverse=True)
         return [(e, self.terms[e]) for e in ordered]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
@@ -467,4 +427,4 @@ def degree_monomials(n: int, t: int) -> list[Monomial]:
 
 def graded_piece_basis(ring: RingSpec, t: int) -> list[Monomial]:
     """Monomial basis of the degree-t piece of the ring, descending in grevlex."""
-    return sorted(degree_monomials(ring.n, t), key=GREVLEX.keys.__getitem__, reverse=True)
+    return sorted(degree_monomials(ring.n, t), key=GREVLEX.key, reverse=True)

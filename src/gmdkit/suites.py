@@ -30,8 +30,6 @@ from .simplicial import (
 )
 
 CELL_BUDGET = 20000
-T_CAP = 4
-ELL_CAP = 3
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -161,48 +159,36 @@ def ring_suite() -> tuple[RingCase, ...]:
     return tuple(cases)
 
 
-@dataclass(frozen=True)
-class EquivalenceCell:
-    t: int
-    ell: int
-    brute_value: int
-    fast_value: int
-    subspaces_searched: int
-    brute_status: str
-    fast_status: str
-
-    @property
-    def agree(self) -> bool:
-        return (self.brute_value, self.brute_status) == (self.fast_value, self.fast_status)
-
-
 def equivalence_cells(
-    profile: RingProfile,
-    t_cap: int = T_CAP,
-    ell_cap: int = ELL_CAP,
-    jobs: int = 1,
-) -> list[EquivalenceCell]:
+    profile: RingProfile, t_cap: int, ell_cap: int, jobs: int
+) -> tuple[int, list[dict]]:
     """Brute versus fast on every affordable cell of the grid.
 
     Cells whose subspace count exceeds ``CELL_BUDGET`` are skipped; cells with
     l beyond the piece dimension stay (both routes must report the empty
     branch).  Values and statuses must agree cell by cell; a cell where
-    they do not is recorded, not raised, so the report lists it.
+    they do not is recorded, not raised.  Returns the number of cells
+    checked and, as the report lists them, the cells that disagree.
     """
     p = profile.ring.field
-    out = []
+    checked = 0
+    disagreements = []
     for t in range(1, t_cap + 1):
         m = hilbert_function(profile.ideal, t)
         for ell in range(1, ell_cap + 1):
-            count = subspace_count(m, ell, p) if ell <= m else 0
-            if count > CELL_BUDGET:
+            if ell <= m and subspace_count(m, ell, p) > CELL_BUDGET:
                 continue
             brute = delta_bruteforce(GmdQuery(profile, t, ell, method="brute"), jobs=jobs)
             fast = delta_fast(GmdQuery(profile, t, ell, method="fast"))
-            out.append(
-                EquivalenceCell(t, ell, brute.value, fast.value, count, brute.status, fast.status)
-            )
-    return out
+            checked += 1
+            if (brute.value, brute.status) != (fast.value, fast.status):
+                disagreements.append(
+                    {
+                        "t": t, "ell": ell, "brute": brute.value, "fast": fast.value,
+                        "brute_status": brute.status, "fast_status": fast.status,
+                    }
+                )
+    return checked, disagreements
 
 
 @dataclass(frozen=True)
@@ -276,7 +262,7 @@ class BridgeCase:
         return seeded_point_set(self.field, self.ambient, self.size, self.seed)
 
 
-def bridge_suite(seed: int = 2026) -> tuple[BridgeCase, ...]:
+def bridge_suite(seed: int) -> tuple[BridgeCase, ...]:
     """20 point sets in the projective plane, reproducible from the seed."""
     sizes_f2 = [3, 4, 5, 6, 7, 7, 6, 5, 4, 3]
     sizes_f3 = [3, 4, 5, 6, 7, 8, 8, 7, 6, 5]

@@ -19,6 +19,7 @@ intersection and Hilbert series.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def reduce_by_tuples(terms, reducers, order, p):
 
     work = dict(terms)
     out = {}
-    key = order.keys.__getitem__
+    key = functools.lru_cache(maxsize=None)(order.key)
     while work:
         mu = max(work, key=key)
         c = work.pop(mu)
@@ -339,7 +340,7 @@ def reduce_by_tuples(terms, reducers, order, p):
 def buchberger_by_tuples(generators, order, groebner_prefix=0):
     """``groebner.buchberger`` as it was before packed monomials: the same
     pair heap, criteria, first-divisor reduction and interreduction on
-    exponent tuples compared through ``order.keys``."""
+    exponent tuples compared through cached ``order.key`` values."""
     import heapq
 
     from gmdkit.polyring import (
@@ -355,7 +356,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
         return []
     ring = basis[0].ring
     p = ring.field.p
-    keys = order.keys
+    key = functools.lru_cache(maxsize=None)(order.key)
     lts = [g.leading(order)[0] for g in basis]
     reducers = [(lt, 1, g.terms) for lt, g in zip(lts, basis)]
     pending = set()
@@ -363,7 +364,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
 
     def add_pair(i, j):
         pending.add((i, j))
-        heapq.heappush(heap, (keys[monomial_lcm(lts[i], lts[j])], i, j))
+        heapq.heappush(heap, (key(monomial_lcm(lts[i], lts[j])), i, j))
 
     for j in range(groebner_prefix, len(basis)):
         for i in range(j):
@@ -399,7 +400,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
         for m in range(len(basis) - 1):
             add_pair(m, len(basis) - 1)
     # interreduce: minimal leading terms, each element reduced by the others
-    ordered = sorted(zip(lts, basis), key=lambda pair: keys[pair[0]])
+    ordered = sorted(zip(lts, basis), key=lambda pair: key(pair[0]))
     kept = []
     for lt, g in ordered:
         if not any(monomial_divides(k_lt, lt) for k_lt, _ in kept):
@@ -410,7 +411,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
         if others:
             g = Polynomial._raw(ring, reduce_by_tuples(g.terms, others, order, p))
         out.append((lt, g))
-    out.sort(key=lambda pair: keys[pair[0]], reverse=True)
+    out.sort(key=lambda pair: key(pair[0]), reverse=True)
     return [g for _, g in out]
 
 

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import gmdkit.cli as cli
-from gmdkit.codes import ProjectivePointSet, bridge_check, evaluation_code
+from gmdkit.codes import ProjectivePointSet, bridge_rows
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.gmd import GmdQuery, delta_fast, regularity_index, stabilization_value, verify_theorems
 from gmdkit.hilbert import hilbert_function, multiplicity_at_dim
@@ -84,11 +84,10 @@ def test_03_bruteforce_matches_prime_route(ring_cases):
     for name, case in sorted(ring_cases.items()):
         profile = case.build()
         assert profile.reduced_certified, name
-        cells = equivalence_cells(profile)
-        assert cells, name
-        disagreements = [c for c in cells if not c.agree]
+        checked, disagreements = equivalence_cells(profile, 4, 3, 1)
+        assert checked, name
         assert disagreements == [], name
-        total_cells += len(cells)
+        total_cells += checked
     assert total_cells >= 140
     assert time.monotonic() - started < 300.0
 
@@ -164,17 +163,15 @@ def test_07_code_weight_bridge():
     for case in cases:
         points = seeded_point_set(case.field, case.ambient, case.size, case.seed)
         assert len(points) <= 8
-        for t in range(1, 4):
-            code = evaluation_code(points, t)
-            for ell in range(1, min(3, code.dimension) + 1):
-                report = bridge_check(points, t, ell)
-                assert report.agree, (case.name, t, ell)
-                rows += 1
+        # every t <= 3 and l <= min(3, code dimension)
+        for row in bridge_rows(points, 3, range(1, 4), 1):
+            assert row["agree"], (case.name, row["t"], row["ell"])
+            rows += 1
     assert rows >= 20
     hand = ProjectivePointSet(F2, 2, list(P1_F2["points"]))
-    for ell, expected in P1_F2["weights"].items():
-        report = bridge_check(hand, 1, ell)
-        assert report.agree and report.ghw_value == expected
+    hand_rows = list(bridge_rows(hand, 1, list(P1_F2["weights"]), 1))
+    assert [(row["ell"], row["ghw"]) for row in hand_rows] == list(P1_F2["weights"].items())
+    assert all(row["agree"] for row in hand_rows)
     assert time.monotonic() - started < 300.0
 
 

@@ -479,6 +479,31 @@ def test_ghw_ell_max_still_caps_at_the_code_dimension(capsys, code_file):
     assert [w["r"] for w in report["codes"][0]["weights"]] == [1, 2]
 
 
+def test_counts_past_the_limit_are_exit_2(capsys, ex1_file, points_file, triangle_file, code_file):
+    limit = cli.COUNT_LIMIT
+    assert limit == 10_000
+    for argv in (
+        ("delta", ex1_file),
+        ("stabilize", ex1_file),
+        ("verify", points_file),
+        ("verify", "--suite", "bridge"),
+        ("ghw", code_file),
+    ):
+        for flag in ("--ell", "--ell-max"):
+            if argv[0] == "ghw" and flag == "--ell-max":
+                continue  # capped at the code dimension, see the next test
+            status, out, err = run(capsys, *argv, "--t-max", "1", flag, str(limit + 1))
+            assert (status, out) == (2, ""), (argv, flag)
+            assert err == f"error: {flag} {limit + 1} is above the supported limit of {limit}\n"
+    # the limit itself is a count like any other
+    for argv in (("delta", ex1_file), ("stabilize", ex1_file)):
+        status, report = run_json(capsys, *argv, "--t-max", "1", "--ell", str(limit))
+        assert status == 0
+    # sr-info reads no count
+    status, report = run_json(capsys, "sr-info", triangle_file, "--ell-max", str(limit + 1))
+    assert status == 0
+
+
 def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
     from gmdkit.polyring import MAX_VARIABLES
 

@@ -14,7 +14,7 @@ from gmdkit.codes import (
     _ghw_shorten,
     LinearCode,
     ProjectivePointSet,
-    bridge_check,
+    bridge_rows,
     evaluate_monomial,
     evaluation_code,
     generalized_hamming_weight,
@@ -403,25 +403,38 @@ def test_ghw_jobs_split_agrees():
 
 def test_bridge_hand_case():
     ps = ProjectivePointSet(F2, 2, list(P1_F2["points"]))
-    for ell, expected in P1_F2["weights"].items():
-        report = bridge_check(ps, 1, ell)
-        assert report.agree
-        assert report.ghw_value == expected
-        assert report.delta_value == expected
-        assert report.code_length == 3
-        assert report.code_dimension == 2
-    with pytest.raises(ValueError):
-        bridge_check(ps, 1, 3)
+    # l = 3 exceeds the dimension of the degree-1 code, so it gets no row
+    rows = list(bridge_rows(ps, 1, [1, 2, 3], 1))
+    assert rows == [
+        {"t": 1, "ell": ell, "delta": w, "ghw": w, "length": 3, "dimension": 2, "agree": True}
+        for ell, w in P1_F2["weights"].items()
+    ]
 
 
 def test_bridge_degree_two_on_the_line():
     ps = ProjectivePointSet(F2, 2, list(P1_F2["points"]))
     code = evaluation_code(ps, 2)
     assert (code.length, code.dimension) == (3, 3)
-    for ell, expected in {1: 1, 2: 2, 3: 3}.items():
-        report = bridge_check(ps, 2, ell)
-        assert report.agree
-        assert report.ghw_value == expected
+    rows = [row for row in bridge_rows(ps, 2, [1, 2, 3], 1) if row["t"] == 2]
+    assert [(row["ell"], row["ghw"]) for row in rows] == [(1, 1), (2, 2), (3, 3)]
+    assert all(row["agree"] and row["dimension"] == 3 for row in rows)
+
+
+def test_bridge_rows_build_each_degree_code_once(monkeypatch):
+    built = []
+    real = codes_mod.evaluation_code
+
+    def counted(points, t):
+        built.append(t)
+        return real(points, t)
+
+    monkeypatch.setattr(codes_mod, "evaluation_code", counted)
+    ps = ProjectivePointSet(F2, 2, list(P1_F2["points"]))
+    rows = list(bridge_rows(ps, 3, [1, 2, 3], 1))
+    assert built == [1, 2, 3]
+    assert [(row["t"], row["ell"]) for row in rows] == [
+        (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)
+    ]
 
 
 @settings(max_examples=25, deadline=None, database=None, derandomize=True)
@@ -438,5 +451,25 @@ def test_random_plane_point_sets_bridge(seed):
     t = rng.randint(1, 2)
     code = evaluation_code(pts, t)
     ell = rng.randint(1, min(2, code.dimension))
-    report = bridge_check(pts, t, ell)
-    assert report.agree, (p, pts.points, t, ell)
+    (row,) = [row for row in bridge_rows(pts, t, [ell], 1) if row["t"] == t]
+    assert row["agree"], (p, pts.points, t, ell)
+
+
+@pytest.mark.parametrize("name", ["f2-n7-k4", "f3-n8-k5"])
+def test_ghw_is_invariant_under_column_permutation_and_scaling(name):
+    from gmdkit.suites import bridge_suite
+
+    (case,) = [case for case in bridge_suite(2026) if case.name == name]
+    points = case.point_set()
+    field = points.field
+    rng = random.Random(name)
+    for t in (1, 2):
+        code = evaluation_code(points, t)
+        order = rng.sample(range(code.length), code.length)
+        scale = [rng.randrange(1, field.p) for _ in order]
+        rows = [[row[j] * c % field.p for j, c in zip(order, scale)] for row in code.generator.data]
+        twin = LinearCode(field, FieldMatrix(field, rows))
+        for r in range(1, code.dimension + 1):
+            expected = generalized_hamming_weight(code, r, jobs=1).value
+            assert generalized_hamming_weight(twin, r, jobs=1).value == expected, (t, r)
+

@@ -407,7 +407,7 @@ def test_regularity_rule_matches_case_analysis(ring_cases, complex_cases):
         for name, case in complex_cases.items()
     )
     profiles.update(
-        (f"bridge-{case.name}", case.point_set().vanishing_profile()) for case in bridge_suite()
+        (f"bridge-{case.name}", case.point_set().vanishing_profile()) for case in bridge_suite(2026)
     )
     assert {p.classification for p in profiles.values()} == {
         "domain", "mixed_low_dim_ge2", "unmixed_dim_ge2", "one_dimensional", "mixed_low_dim1",
@@ -707,3 +707,60 @@ def test_least_proper_subset_sum_matches_mask_loop(mults, data):
     assert gmd._least_proper_subset_sum(mults, ell) == _least_proper_subset_sum_by_masks(
         mults, ell
     )
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: the order of the minimal primes is not part of the input
+
+
+def _profile_with_primes_in_order(example, order):
+    ring = RingSpec(FieldSpec(example["char"]), example["vars"])
+    ideal = IdealPresentation.from_strings(ring, example["gens"])
+    return build_profile(
+        ideal, [IdealPresentation.from_strings(ring, example["primes"][i]) for i in order]
+    )
+
+
+def _order_free_facts(profile, t_max, ell_max, method, sr=None):
+    """Distance values and statuses, stabilize rows and verdicts; no witnesses,
+    which name primes by their position."""
+    cells = {}
+    for t in range(1, t_max + 1):
+        for ell in range(1, ell_max + 1):
+            result = delta(GmdQuery(profile, t, ell, method=method))
+            cells[(t, ell)] = (result.value, result.status)
+    rows = []
+    for ell in range(1, ell_max + 1):
+        s, r = stabilization_value(profile, ell), regularity_index(profile, ell)
+        rows.append((s.value, s.case, s.detail, r.value, r.method))
+    verdicts = verify_theorems(profile, t_max, ell_max, sr=sr)
+    return cells, rows, [(v.name, v.status, v.detail) for v in verdicts]
+
+
+@pytest.mark.parametrize("example", [EXAMPLE1, EXAMPLE2], ids=["example1", "example2"])
+def test_prime_order_leaves_the_fast_route_unchanged(example):
+    identity = _order_free_facts(_profile_with_primes_in_order(example, (0, 1, 2)), 4, 7, "fast")
+    for order in itertools.permutations(range(3)):
+        profile = _profile_with_primes_in_order(example, order)
+        assert _order_free_facts(profile, 4, 7, "fast") == identity, order
+
+
+def test_prime_order_leaves_the_brute_route_unchanged():
+    base = _profile_with_primes_in_order(EXAMPLE1, (0, 1, 2))
+    rotated = _profile_with_primes_in_order(EXAMPLE1, (2, 0, 1))
+    assert _order_free_facts(rotated, 2, 3, "brute") == _order_free_facts(base, 2, 3, "brute")
+
+
+def test_reversed_face_ring_primes_leave_every_fact_unchanged(complex_cases):
+    from gmdkit.codes import standard_ring
+    from gmdkit.simplicial import face_ring_minimal_primes, stanley_reisner_ideal
+
+    complex_ = complex_cases["square-cycle"].complex_
+    ring = standard_ring(F2, complex_.n)
+    primes = face_ring_minimal_primes(complex_, ring)
+    assert len(primes) == 4
+    reversed_profile = build_profile(stanley_reisner_ideal(complex_, ring), primes[::-1])
+    sr = sr_context(complex_, F2)
+    expected = _order_free_facts(face_ring_profile(complex_, F2), 3, 4, "fast", sr=sr)
+    assert _order_free_facts(reversed_profile, 3, 4, "fast", sr=sr) == expected
+

@@ -5,7 +5,6 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmdkit import polyring
 from gmdkit.errors import ParseError
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.polyring import (
@@ -145,19 +144,6 @@ def test_elimination_order_prefers_leading_block():
     assert order.compare((0, 2, 3), (1, 0, 0)) < 0
     # within the tail block it falls back to a graded comparison
     assert order.compare((0, 2, 0), (0, 1, 0)) > 0
-
-
-@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order(1)])
-def test_key_memo_matches_key_and_stays_bounded(order, monkeypatch):
-    monkeypatch.setattr(polyring, "KEY_MEMO_LIMIT", 8)
-    order.keys.clear()
-    for t in range(6):
-        for e in degree_monomials(3, t):
-            assert order.keys[e] == order.key(e)
-            assert len(order.keys) <= 8
-    # equal orders share one memo, and pickles do not carry it
-    assert elimination_order(1).keys is elimination_order(1).keys
-    assert "keys" not in pickle.loads(pickle.dumps(order)).__dict__
 
 
 @pytest.mark.parametrize("n, t", [(1, 0), (1, 5), (2, 3), (3, 4), (4, 3), (3, 0)])

@@ -1,5 +1,7 @@
 """Built-in verification suites: membership, certification, determinism."""
 
+import dataclasses
+
 import pytest
 
 from gmdkit import suites
@@ -52,24 +54,31 @@ def test_seeded_point_sets_are_reproducible():
     assert len(a) == 5
 
 
-def test_equivalence_cells_on_small_member(ring_cases):
+def test_equivalence_cells_on_small_member(ring_cases, monkeypatch):
     profile = ring_cases["f2-two-lines"].build()
-    cells = equivalence_cells(profile, t_cap=3, ell_cap=2)
-    assert len(cells) == 6
-    assert all(cell.agree for cell in cells)
-    by_key = {(c.t, c.ell): c for c in cells}
-    assert by_key[(1, 1)].brute_value == 1
-    assert by_key[(1, 2)].brute_value == 2
-    assert by_key[(1, 1)].subspaces_searched == 3  # lines in a 2-dim piece
-    assert by_key[(1, 2)].subspaces_searched == 1  # the whole piece
+    assert equivalence_cells(profile, 3, 2, 1) == (6, [])
+    # a fast route that is off by 10 lists every cell with both values
+    real = suites.delta_fast
+    monkeypatch.setattr(
+        suites, "delta_fast", lambda q: dataclasses.replace(real(q), value=real(q).value + 10)
+    )
+    checked, disagreements = equivalence_cells(profile, 1, 2, 1)
+    assert checked == 2
+    assert disagreements == [
+        {"t": 1, "ell": 1, "brute": 1, "fast": 11, "brute_status": "ok", "fast_status": "ok"},
+        {"t": 1, "ell": 2, "brute": 2, "fast": 12, "brute_status": "empty", "fast_status": "empty"},
+    ]
 
 
 def test_equivalence_cells_budget_skips(ring_cases, monkeypatch):
-    monkeypatch.setattr(suites, "CELL_BUDGET", 0)
     profile = ring_cases["f2-two-lines"].build()
-    cells = equivalence_cells(profile, t_cap=2, ell_cap=2)
-    # every cell with a positive subspace count is skipped
-    assert all(c.subspaces_searched == 0 for c in cells)
+    # at t = 1 the piece is 2-dimensional: 3 lines (l = 1), 1 plane (l = 2)
+    for budget, checked in ((0, 0), (1, 1), (2, 1), (3, 2)):
+        monkeypatch.setattr(suites, "CELL_BUDGET", budget)
+        assert equivalence_cells(profile, 1, 2, 1) == (checked, []), budget
+    # cells with l beyond the piece dimension count no subspace and stay
+    monkeypatch.setattr(suites, "CELL_BUDGET", 0)
+    assert equivalence_cells(profile, 2, 3, 1) == (2, [])
 
 
 def test_complex_suite_shape(complex_cases):

@@ -144,8 +144,6 @@ def test_every_workload_kind_still_reaches_the_order_key(monkeypatch, tmp_path, 
         "prime-scan ghw": (points, ("ghw",) + grid),
     }
     for name, (doc, (command, *args)) in runs.items():
-        for memo in polyring._key_memos.values():
-            memo.clear()
         calls.clear()
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
