@@ -14,7 +14,8 @@ codes: 0 ok, 1 verification failure (a failed internal invariant check
 included), 2 malformed input or input beyond a supported bound (more than
 12 variables, a count above 10000, a Groebner computation needing an
 exponent above 32767, a prime-subset table over more than 22 minimal
-primes), 3 operation outside its mathematical hypotheses.
+primes, a forced GHW enumeration over more than 20000000 subcodes), 3
+operation outside its mathematical hypotheses.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .codes import (
     generalized_hamming_weight,
     standard_ring,
 )
-from .errors import ExponentOverflowError, HypothesisError, ParseError, PrimeSubsetLimitError
+from .errors import (
+    EnumerationLimitError,
+    ExponentOverflowError,
+    HypothesisError,
+    ParseError,
+    PrimeSubsetLimitError,
+)
 from .gflinalg import FieldMatrix, FieldSpec
 from .gmd import (
     CONVENTIONS,
@@ -683,12 +690,18 @@ def render(report: dict, fmt: str) -> str:
     return render_text(report)
 
 
-def _add_common(parser, with_method=True):
+def _add_common(parser, counts=True, method=False, witnesses=False):
+    """Flags shared by the subcommands; each command gets only those it reads.
+
+    ``counts`` adds ``--ell``/``--ell-max`` and ``--jobs``: sr-info reads
+    neither a count nor a worker count.
+    """
     parser.add_argument("--t-max", type=int, default=4, dest="t_max")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--ell", type=int, default=None)
-    group.add_argument("--ell-max", type=int, default=None, dest="ell_max")
-    if with_method:
+    if counts:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--ell", type=int, default=None)
+        group.add_argument("--ell-max", type=int, default=None, dest="ell_max")
+    if method:
         parser.add_argument(
             "--convention", choices=list(CONVENTIONS), default=FIXED_DIM
         )
@@ -696,9 +709,11 @@ def _add_common(parser, with_method=True):
     parser.add_argument(
         "--format", choices=["json", "csv", "text"], default="json", dest="fmt"
     )
-    parser.add_argument("--witnesses", action="store_true")
+    if witnesses:
+        parser.add_argument("--witnesses", action="store_true")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--jobs", type=int, default=1)
+    if counts:
+        parser.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -710,29 +725,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="distance table over a degree/count grid")
     p_delta.add_argument("input")
-    _add_common(p_delta)
+    _add_common(p_delta, method=True, witnesses=True)
 
     p_stab = sub.add_parser("stabilize", help="limit values and least degrees")
     p_stab.add_argument("input")
-    _add_common(p_stab, with_method=False)
+    _add_common(p_stab)
 
     p_ghw = sub.add_parser("ghw", help="generalized Hamming weights")
     p_ghw.add_argument("input")
     p_ghw.add_argument(
         "--strategy", choices=["auto", "enumerate", "shorten"], default="auto"
     )
-    _add_common(p_ghw, with_method=False)
+    _add_common(p_ghw, witnesses=True)
 
     p_sr = sub.add_parser("sr-info", help="face-ring facts of a complex")
     p_sr.add_argument("input")
-    _add_common(p_sr, with_method=False)
+    _add_common(p_sr, counts=False)
 
     p_verify = sub.add_parser("verify", help="theorem checks on an input or the built-in suite")
     p_verify.add_argument("input", nargs="?", default=None)
     p_verify.add_argument(
         "--suite", choices=["rings", "complexes", "bridge", "all"], default="all"
     )
-    _add_common(p_verify, with_method=False)
+    _add_common(p_verify)
 
     return parser
 
@@ -749,7 +764,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     if args.t_max < 1:
@@ -760,7 +775,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return 2
-    except (ExponentOverflowError, PrimeSubsetLimitError) as exc:
+    except (EnumerationLimitError, ExponentOverflowError, PrimeSubsetLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import EnumerationLimitError, InvariantError
 from .gflinalg import (
     FieldMatrix,
     FieldSpec,
@@ -29,6 +29,10 @@ from .polyring import Polynomial, RingSpec, graded_piece_basis
 from .schemes import RankTableBackend, RingProfile, build_profile_from_primes, check_prime_count
 
 ENUMERATE_LIMIT = 20000
+# Most subcodes a forced enumeration walks.  One subcode costs 0.2-1.2 us
+# on a 2-core host under Python 3.11, so this keeps a forced run under
+# about 25 s; past it ``strategy="enumerate"`` raises.
+FORCED_ENUMERATE_LIMIT = 20_000_000
 
 _SHORT_NAMES = ("x", "y", "z", "w")
 
@@ -413,8 +417,9 @@ def generalized_hamming_weight(
 ) -> GhwResult:
     """Minimum support size over r-dimensional subcodes.
 
-    "enumerate" walks every subcode; "shorten" searches for the largest
-    column set whose restriction has rank at most k - r.  "auto"
+    "enumerate" walks every subcode and raises ``EnumerationLimitError``
+    past ``FORCED_ENUMERATE_LIMIT`` of them; "shorten" searches for the
+    largest column set whose restriction has rank at most k - r.  "auto"
     enumerates when the subcode count is small and shortens otherwise.
     Both are exact.
     """
@@ -422,9 +427,12 @@ def generalized_hamming_weight(
         raise ValueError(f"r must lie in 1..{code.dimension}")
     if strategy not in ("auto", "enumerate", "shorten"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
+    if strategy != "shorten":
         count = subspace_count(code.dimension, r, code.field)
-        strategy = "enumerate" if count <= ENUMERATE_LIMIT else "shorten"
+        if strategy == "auto":
+            strategy = "enumerate" if count <= ENUMERATE_LIMIT else "shorten"
+        elif count > FORCED_ENUMERATE_LIMIT:
+            raise EnumerationLimitError(count, FORCED_ENUMERATE_LIMIT)
     if strategy == "enumerate":
         return _ghw_enumerate(code, r, jobs)
     return _ghw_shorten(code, r)

@@ -62,3 +62,24 @@ class PrimeSubsetLimitError(Exception):
             f"the prime-subset route supports at most {self.limit} minimal primes, "
             f"got {self.count}"
         )
+
+
+class EnumerationLimitError(Exception):
+    """A forced GHW enumeration would walk more subcodes than gmdkit allows.
+
+    ``strategy="enumerate"`` visits every r-dimensional subcode, so its
+    count is capped at ``codes.FORCED_ENUMERATE_LIMIT``; shortening has no
+    such count.  The CLI exits 2, as for other inputs beyond a supported
+    bound.
+    """
+
+    def __init__(self, count: int, limit: int):
+        super().__init__(count, limit)
+        self.count = count
+        self.limit = limit
+
+    def __str__(self):
+        return (
+            f"forced enumeration supports at most {self.limit} subcodes, got {self.count}; "
+            "use --strategy shorten or --strategy auto"
+        )

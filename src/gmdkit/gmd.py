@@ -9,7 +9,9 @@ Two routes are implemented and kept independent:
 
 * ``delta_bruteforce`` enumerates l-dimensional subspaces of the degree-t
   piece, tests the annihilator, and computes each multiplicity from a fresh
-  Groebner/Hilbert computation of I + (F).
+  Groebner/Hilbert computation of I + (F).  Without certified primes a
+  line's annihilator test reads the Hilbert series of that same
+  computation; larger subspaces compute the colon ideal (I : (F)).
 * ``delta_fast`` (certified reduced profiles, fixed-dimension convention)
   maximizes the sum of top-prime multiplicities over subsets of the minimal
   primes whose intersection is large enough in degree t, which is what
@@ -84,18 +86,28 @@ def _row_to_poly(ring, basis_monomials, row) -> Polynomial:
     return Polynomial(ring, {mono: c for c, mono in zip(row, basis_monomials) if c})
 
 
-def ann_nonzero(profile: RingProfile, polys, mode: str = "auto") -> bool:
-    """Whether the annihilator of (the images of) the polynomials is nonzero.
-
-    "colon" decides via (I : (F)) != I from the definition; "prime" checks
-    containment in some minimal prime and needs a certified profile.  "auto"
-    uses the prime route when available.  Both routes agree on certified
-    reduced profiles.
-    """
+def _ann_route(profile: RingProfile, mode: str) -> str:
+    """The annihilator mode that ``mode`` stands for on this profile."""
     if mode not in ("auto", "colon", "prime"):
         raise ValueError(f"unknown annihilator mode {mode!r}")
     if mode == "auto":
-        mode = "prime" if profile.reduced_certified else "colon"
+        return "prime" if profile.reduced_certified else "colon"
+    return mode
+
+
+def ann_nonzero(profile: RingProfile, polys, mode: str = "auto", extension=None) -> bool:
+    """Whether the annihilator of (the images of) the polynomials is nonzero.
+
+    That is (I : (F)) != I.  "colon" decides it without the primes: for one
+    homogeneous f of positive degree it compares Hilbert series
+    (``_colon_grows``), for several polynomials it computes the colon ideal.
+    "prime" checks containment in some minimal prime and needs a certified
+    profile.  "auto" uses the prime route when available.  Both routes agree
+    on certified reduced profiles.  ``extension`` is I + (f) as
+    ``_extension`` builds it; a caller passes it to reuse it afterwards for
+    the multiplicity, and colon mode builds it when it is not given.
+    """
+    mode = _ann_route(profile, mode)
     if mode == "prime":
         if not profile.reduced_certified:
             raise HypothesisError("prime-based annihilator test needs a certified profile")
@@ -104,8 +116,28 @@ def ann_nonzero(profile: RingProfile, polys, mode: str = "auto") -> bool:
             if all(_in_ideal(f, gb) for f in polys):
                 return True
         return False
+    if len(polys) == 1 and polys[0].is_homogeneous() and polys[0].degree() >= 1:
+        return _colon_grows(profile, polys[0], extension or _extension(profile, polys))
     quotient = colon(profile.ideal, polys)
     return not ideal_contains(profile.ideal, quotient)
+
+
+def _colon_grows(profile: RingProfile, f: Polynomial, extension: IdealPresentation) -> bool:
+    """Whether (I : f) != I, for f homogeneous of degree t >= 1, from Hilbert series.
+
+    0 -> ((I : f)/I)(-t) -> (S/I)(-t) -> S/I -> S/(I + (f)) -> 0 is exact, the
+    middle map being multiplication by f.  So the series of S/(I + (f)) is
+    (1 - z^t) HS(S/I) plus z^t HS((I : f)/I), and equals (1 - z^t) HS(S/I)
+    exactly when (I : f) = I.  Both series have the denominator (1 - z)^n,
+    so their numerators decide; this holds for any homogeneous I.
+    """
+    t = f.degree()
+    base = hilbert_data(profile.ideal).series_numerator
+    # base is trimmed and nonzero, so its top term survives the shift
+    expected = list(base) + [0] * t
+    for i, c in enumerate(base):
+        expected[i + t] -= c
+    return hilbert_data(extension).series_numerator != tuple(expected)
 
 
 # Largest number of monomial normal forms memoised on one basis.  The brute
@@ -134,13 +166,34 @@ def _in_ideal(f: Polynomial, gb) -> bool:
     return not any(acc.values())
 
 
-def _quotient_multiplicity(profile: RingProfile, polys, convention: str) -> int:
+def _extension(profile: RingProfile, polys) -> IdealPresentation:
+    """I + (F), with its grevlex basis extended from the cached basis of I."""
     gb = groebner_basis(profile.ideal)
-    shell = IdealPresentation.from_basis(groebner_basis_extending(gb, polys))
+    return IdealPresentation.from_basis(groebner_basis_extending(gb, polys))
+
+
+def _quotient_multiplicity(profile: RingProfile, polys, convention: str, extension=None) -> int:
+    shell = extension or _extension(profile, polys)
     if convention == FIXED_DIM:
         return multiplicity_at_dim(shell, profile.dim)
     data = hilbert_data(shell)
     return data.multiplicity
+
+
+def _subspace_multiplicity(profile: RingProfile, polys, ann_mode: str, convention: str):
+    """Quotient multiplicity of F's span, or None when its annihilator is zero.
+
+    A line in colon mode builds I + (f) first: its Hilbert series decides
+    the annihilator test and then gives the multiplicity, so each line
+    costs one extension and no colon ideal.  l >= 2 subspaces and the
+    prime mode extend only once the test has passed.
+    """
+    extension = None
+    if len(polys) == 1 and _ann_route(profile, ann_mode) == "colon":
+        extension = _extension(profile, polys)
+    if not ann_nonzero(profile, polys, ann_mode, extension):
+        return None
+    return _quotient_multiplicity(profile, polys, convention, extension)
 
 
 # Largest number of line values memoised per degree on one profile.  A
@@ -161,19 +214,16 @@ def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple, ann_m
     """Fixed-dim quotient multiplicity of the line spanned by one RREF row.
 
     A row with zero annihilator is a nonzerodivisor: its quotient drops
-    dimension and measures 0, so the extension is skipped.  The value does
-    not depend on the annihilator mode, which only decides how fast that
-    case is recognised, so one memo per (profile, t) serves every mode.
+    dimension and measures 0.  The value does not depend on the annihilator
+    mode, which only decides how that case is recognised, so one memo per
+    (profile, t) serves every mode.
     """
     value = profile.line_values.get(t, {}).get(row)
     if value is not None:
         return value
     polys = [_row_to_poly(profile.ring, basis_monomials, row)]
-    if ann_nonzero(profile, polys, ann_mode):
-        value = _quotient_multiplicity(profile, polys, FIXED_DIM)
-    else:
-        value = 0
-    return _remember_line(profile, t, row, value)
+    value = _subspace_multiplicity(profile, polys, ann_mode, FIXED_DIM)
+    return _remember_line(profile, t, row, value or 0)
 
 
 def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
@@ -201,10 +251,7 @@ def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, s
         ):
             continue
         polys = subspace_to_polys(profile, basis_monomials, matrix)
-        if ann_nonzero(profile, polys, ann_mode):
-            value = _quotient_multiplicity(profile, polys, convention)
-        else:
-            value = None
+        value = _subspace_multiplicity(profile, polys, ann_mode, convention)
         if bounded and ell == 1:
             _remember_line(profile, t, matrix.data[0], value or 0)
         if value is not None and (best is None or value > best):

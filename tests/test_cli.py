@@ -389,32 +389,32 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
 
 # Every subcommand's arguments as (flag or name, dest, type, nargs, choices,
 # default); a knob added, dropped or changed fails this on purpose.
-_COMMON = [
-    ("--t-max", "t_max", "int", None, None, 4),
+# Only delta and ghw report witnesses, and sr-info reads no count and no
+# worker count, so those commands do not take these flags.
+_T_MAX = [("--t-max", "t_max", "int", None, None, 4)]
+_COUNTS = [
     ("--ell", "ell", "int", None, None, None),
     ("--ell-max", "ell_max", "int", None, None, None),
 ]
-_OUTPUT = [
-    ("--format", "fmt", None, None, ["json", "csv", "text"], "json"),
-    ("--witnesses", "witnesses", None, 0, None, False),
-    ("--seed", "seed", "int", None, None, 2026),
-    ("--jobs", "jobs", "int", None, None, 1),
-]
+_FORMAT = [("--format", "fmt", None, None, ["json", "csv", "text"], "json")]
+_WITNESSES = [("--witnesses", "witnesses", None, 0, None, False)]
+_SEED = [("--seed", "seed", "int", None, None, 2026)]
+_JOBS = [("--jobs", "jobs", "int", None, None, 1)]
 _INPUT = [("input", "input", None, None, None, None)]
 PINNED_OPTIONS = {
-    "delta": _INPUT + _COMMON + [
+    "delta": _INPUT + _T_MAX + _COUNTS + [
         ("--convention", "convention", None, None, ["fixed-dim", "own-dim"], "fixed-dim"),
         ("--method", "method", None, None, ["brute", "fast", "both"], None),
-    ] + _OUTPUT,
-    "stabilize": _INPUT + _COMMON + _OUTPUT,
+    ] + _FORMAT + _WITNESSES + _SEED + _JOBS,
+    "stabilize": _INPUT + _T_MAX + _COUNTS + _FORMAT + _SEED + _JOBS,
     "ghw": _INPUT + [
         ("--strategy", "strategy", None, None, ["auto", "enumerate", "shorten"], "auto"),
-    ] + _COMMON + _OUTPUT,
-    "sr-info": _INPUT + _COMMON + _OUTPUT,
+    ] + _T_MAX + _COUNTS + _FORMAT + _WITNESSES + _SEED + _JOBS,
+    "sr-info": _INPUT + _T_MAX + _FORMAT + _SEED,
     "verify": [
         ("input", "input", None, "?", None, None),
         ("--suite", "suite", None, None, ["rings", "complexes", "bridge", "all"], "all"),
-    ] + _COMMON + _OUTPUT,
+    ] + _T_MAX + _COUNTS + _FORMAT + _SEED + _JOBS,
 }
 
 
@@ -499,9 +499,11 @@ def test_counts_past_the_limit_are_exit_2(capsys, ex1_file, points_file, triangl
     for argv in (("delta", ex1_file), ("stabilize", ex1_file)):
         status, report = run_json(capsys, *argv, "--t-max", "1", "--ell", str(limit))
         assert status == 0
-    # sr-info reads no count
-    status, report = run_json(capsys, "sr-info", triangle_file, "--ell-max", str(limit + 1))
-    assert status == 0
+    # sr-info reads no count, so it takes no count flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sr-info", triangle_file, "--ell-max", str(limit + 1)])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
