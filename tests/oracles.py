@@ -14,7 +14,9 @@ on the package's annihilator test and quotient multiplicity.  The tuple
 Buchberger is the package's Groebner engine before packed monomials, on
 exponent tuples and the package's order keys.  The family route is the
 package's prime-family dimensions before its rank tables, on the package's
-intersection and Hilbert series.
+intersection and Hilbert series.  The colon annihilator test is the
+definition (I : (F)) != I, on the package's colon ideal and containment
+test.
 """
 
 from __future__ import annotations
@@ -263,6 +265,17 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
     return DeltaResult(
         e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
     )
+
+
+def ann_nonzero_by_colon(profile, polys):
+    """Whether (I : (F)) != I, from the definition: the colon ideal through
+    ``groebner.colon`` (elimination-order intersections and exact divisions)
+    and a containment test in I.  The reference the Hilbert-series line test
+    of ``gmd.ann_nonzero`` is compared with.
+    """
+    from gmdkit.groebner import colon, ideal_contains
+
+    return not ideal_contains(profile.ideal, colon(profile.ideal, polys))
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,43 @@ def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypat
         assert (status, err) == (0, "")
 
 
+def test_forced_enumeration_past_its_limit_is_exit_2(capsys, tmp_path, monkeypatch):
+    # the subcode count is checked before any subcode is walked: the identity
+    # [10,10] code over F_3 has 72,636,421 planes and 29,524 lines
+    from gmdkit import codes
+
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"char": 3, "generator": [
+        [int(i == j) for j in range(10)] for i in range(10)]}))
+    walked = []
+    enumerate_ = codes._ghw_enumerate
+
+    def counted(code, r, jobs):
+        walked.append(r)
+        return enumerate_(code, r, jobs)
+
+    monkeypatch.setattr(codes, "_ghw_enumerate", counted)
+    expected = (
+        "error: forced enumeration supports at most 20000000 subcodes, got 72636421; "
+        "use --strategy shorten or --strategy auto\n"
+    )
+    status, out, err = run(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "2")
+    assert (status, out, err) == (2, "", expected)
+    assert walked == []
+    # auto shortens there; the limit itself still enumerates
+    for argv in (("--ell", "2"), ("--strategy", "shorten", "--ell", "2")):
+        status, report = run_json(capsys, "ghw", str(path), *argv)
+        assert status == 0 and report["codes"][0]["weights"][0]["strategy"] == "shorten"
+    monkeypatch.setattr(codes, "FORCED_ENUMERATE_LIMIT", 29524)
+    status, report = run_json(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "1")
+    assert status == 0 and report["codes"][0]["weights"][0]["value"] == 1
+    assert walked == [1]
+    monkeypatch.setattr(codes, "FORCED_ENUMERATE_LIMIT", 29523)
+    status, out, err = run(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "1")
+    assert (status, out) == (2, "") and "at most 29523 subcodes, got 29524" in err
+    assert walked == [1]
+
+
 def test_readme_quick_start_table(capsys, tmp_path, monkeypatch):
     from pathlib import Path
 

@@ -251,6 +251,65 @@ def test_annihilator_modes_agree_over_grid(ring_cases, name):
     assert answers == {True, False}
 
 
+# Lines checked per degree; smaller pieces are checked whole.
+LINE_CELL_CAP = 120
+
+# Non-reduced and Artinian quotients, where no prime route exists to compare with.
+COLON_ONLY_IDEALS = [
+    (2, ("x", "y"), ("x^2",)),
+    (3, ("x", "y"), ("x^2*y", "x*y^2")),
+    (2, ("x", "y", "z"), ("x^3", "y^3", "x*y*z")),
+    (3, ("x", "y", "z"), ("x^2", "x*y")),
+]
+
+
+def _colon_only_profile(char, names, gens):
+    ring = RingSpec(FieldSpec(char), names)
+    return build_profile(IdealPresentation.from_strings(ring, gens))
+
+
+@pytest.mark.parametrize(
+    "profile_of",
+    [pytest.param(lambda cases, n=name: build_profile(cases[n].build().ideal), id=name)
+     for name in BATTERY]
+    + [pytest.param(lambda cases, d=doc: _colon_only_profile(*d), id="-".join(doc[2]))
+       for doc in COLON_ONLY_IDEALS],
+)
+def test_colon_mode_on_lines_matches_the_definition(ring_cases, profile_of):
+    # the profile carries no primes, so the colon mode reads none; lines go
+    # through the Hilbert series of I + (f), the oracle through (I : f)
+    from oracles import ann_nonzero_by_colon
+
+    profile = profile_of(ring_cases)
+    assert not profile.reduced_certified
+    checked = 0
+    for t in (1, 2):
+        basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+        if not basis:
+            continue
+        it = SubspaceIterator(len(basis), 1, profile.ring.field)
+        for index in range(0, it.count, math.ceil(it.count / LINE_CELL_CAP)):
+            polys = subspace_to_polys(profile, basis, it.matrix_at(index))
+            answer = ann_nonzero(profile, polys, "colon")
+            assert answer == ann_nonzero_by_colon(profile, polys), (t, index)
+            checked += 1
+    assert checked
+
+
+def test_colon_line_test_falls_back_to_the_colon_ideal_off_its_hypotheses(ex1_profile):
+    # a constant is a nonzerodivisor; zero and inhomogeneous polynomials are
+    # rejected by the colon ideal, as before the Hilbert-series test
+    from oracles import ann_nonzero_by_colon
+
+    ring = ex1_profile.ring
+    one = [parse_polynomial("1", ring)]
+    assert ann_nonzero(ex1_profile, one, "colon") is ann_nonzero_by_colon(ex1_profile, one) is False
+    with pytest.raises(ValueError, match="zero polynomial"):
+        ann_nonzero(ex1_profile, [Polynomial.zero(ring)], "colon")
+    with pytest.raises(ValueError, match="homogeneous"):
+        ann_nonzero(ex1_profile, [parse_polynomial("x+y^2", ring)], "colon")
+
+
 def test_monomial_normal_form_memo_stays_bounded(ex1_profile, monkeypatch):
     monkeypatch.setattr(gmd, "NF_MEMO_LIMIT", 4)
     gb = groebner_basis(ex1_profile.primes[0].ideal)

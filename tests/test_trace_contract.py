@@ -73,6 +73,62 @@ def test_a_certified_line_cell_reaches_every_brute_layer(ring_cases, monkeypatch
     assert all(calls[name] > 0 for name in names), calls
 
 
+def _count_calls(monkeypatch, targets):
+    """Count calls to each (module, name) under its name, wrapped where bound."""
+    calls = Counter()
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _uncertified_example1():
+    from gmdkit.gflinalg import FieldSpec
+    from gmdkit.groebner import IdealPresentation
+    from gmdkit.polyring import RingSpec
+    from gmdkit.schemes import build_profile
+
+    from oracles import EXAMPLE1
+
+    ring = RingSpec(FieldSpec(EXAMPLE1["char"]), EXAMPLE1["vars"])
+    return build_profile(IdealPresentation.from_strings(ring, EXAMPLE1["gens"]))
+
+
+def test_an_uncertified_line_cell_extends_once_per_line_and_builds_no_colon(monkeypatch):
+    # the colon-mode line test reads the Hilbert series of the extension the
+    # multiplicity needs anyway, so no colon ideal and no intersection
+    from gmdkit import gmd, groebner
+
+    calls = _count_calls(monkeypatch, [
+        (gmd, "colon"), (groebner, "colon"), (groebner, "intersect"),
+        (gmd, "groebner_basis_extending"), (gmd, "ann_nonzero"),
+    ])
+    profile = _uncertified_example1()
+    assert not profile.reduced_certified
+    result = gmd.delta_bruteforce(gmd.GmdQuery(profile, 2, 1, method="brute"))
+    assert result.status == "ok"
+    lines = result.witness["searched"]
+    assert lines == 31
+    assert calls == Counter(groebner_basis_extending=lines, ann_nonzero=lines), calls
+
+
+def test_an_uncertified_plane_cell_still_reaches_colon_and_intersect(monkeypatch):
+    # run.py's EXPECTED needs groebner.colon.calls and groebner.intersect.calls
+    # nonzero on brute-colon, whose lines no longer build colon ideals
+    from gmdkit import gmd, groebner
+
+    calls = _count_calls(monkeypatch, [(gmd, "colon"), (groebner, "intersect")])
+    profile = _uncertified_example1()
+    result = gmd.delta_bruteforce(gmd.GmdQuery(profile, 2, 2, method="brute"))
+    assert result.status == "ok"
+    assert calls["colon"] > 0 and calls["intersect"] > 0, calls
+
+
 def test_groebner_entry_points_reach_the_kernel_through_module_attributes(monkeypatch):
     # tracing.py wraps groebner.buchberger, groebner.normal_form and the
     # normal_form name gmd imported; a kernel reached any other way would
