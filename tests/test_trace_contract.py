@@ -44,37 +44,8 @@ def test_brute_scan_passes_its_range_at_positions_six_and_seven():
     assert params[6:8] == ["start", "stop"]
 
 
-def test_a_certified_line_cell_reaches_every_brute_layer(ring_cases, monkeypatch):
-    # run.py's EXPECTED needs these counts nonzero on both brute workloads;
-    # the row bound skips only l >= 2 subspaces, so an l = 1 cell runs them all
-    from gmdkit import gmd, groebner
-    from gmdkit.suites import RingCase
-
-    calls = Counter()
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(gmd, "ann_nonzero")
-    count(gmd, "groebner_basis_extending")
-    count(groebner, "buchberger")
-    count(gmd, "multiplicity_at_dim")
-    profile = RingCase.build.__wrapped__(ring_cases["f2-onedim-three-primes"])
-    assert profile.reduced_certified
-    result = gmd.delta_bruteforce(gmd.GmdQuery(profile, 2, 1, method="brute"))
-    assert result.status == "ok"
-    names = ("ann_nonzero", "groebner_basis_extending", "buchberger", "multiplicity_at_dim")
-    assert all(calls[name] > 0 for name in names), calls
-
-
 def _count_calls(monkeypatch, targets):
-    """Count calls to each (module, name) under its name, wrapped where bound."""
+    """Count the calls to each (module, attribute), keyed by the attribute name."""
     calls = Counter()
     for module, name in targets:
         fn = getattr(module, name)
@@ -85,6 +56,24 @@ def _count_calls(monkeypatch, targets):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_a_certified_line_cell_reaches_every_brute_layer(ring_cases, monkeypatch):
+    # run.py's EXPECTED needs these counts nonzero on both brute workloads;
+    # the row bound skips only l >= 2 subspaces, so an l = 1 cell runs them all
+    from gmdkit import gmd, groebner
+    from gmdkit.suites import RingCase
+
+    calls = _count_calls(monkeypatch, [
+        (gmd, "ann_nonzero"), (gmd, "groebner_basis_extending"),
+        (groebner, "buchberger"), (gmd, "multiplicity_at_dim"),
+    ])
+    profile = RingCase.build.__wrapped__(ring_cases["f2-onedim-three-primes"])
+    assert profile.reduced_certified
+    result = gmd.delta_bruteforce(gmd.GmdQuery(profile, 2, 1, method="brute"))
+    assert result.status == "ok"
+    names = ("ann_nonzero", "groebner_basis_extending", "buchberger", "multiplicity_at_dim")
+    assert all(calls[name] > 0 for name in names), calls
 
 
 def _uncertified_example1():
