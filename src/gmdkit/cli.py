@@ -132,6 +132,8 @@ def _load_ideal(doc: dict, path: str) -> _Loaded:
     names = doc.get("vars")
     if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
         raise ParseError(f"{path}: \"vars\" must be a list of strings")
+    if not 1 <= len(names) <= MAX_VARIABLES:
+        raise ParseError(f"{path}: ring needs 1..{MAX_VARIABLES} variables, got {len(names)}")
     ring = RingSpec(field, tuple(names))
     gens = doc.get("gens")
     if not isinstance(gens, list) or not gens:

@@ -156,20 +156,24 @@ class PointFamilyBackend(RankTableBackend):
     the rank of the subset's evaluation vectors: the normal-form rule of
     ``RankTableBackend``, with a point's block one evaluation vector.
     From the degree where HF_I reaches the point count every subset is
-    independent, and its rank is its size.  Agreement with the Groebner
-    route is covered by the property suite.
+    independent, and its rank is its size: no vector is built there.
+    Points are linear primes, so ``FamilyIntersection.regime`` takes the
+    linear rule.  Agreement with the Groebner route is covered by the
+    property suite.
     """
 
     def __init__(self, points: ProjectivePointSet, profile: RingProfile):
         super().__init__(profile)
         self._points = points
-        self._spanning_degree: int | None = None
 
     def _make_piece(self, t: int) -> tuple:
-        """HF_I(t), the packing and the packed degree-t evaluation vectors."""
+        """HF_I(t), the packing and the packed degree-t evaluation vectors, if HF_I(t) < n."""
+        full = hilbert_function(self._profile.ideal, t)
+        if full == len(self._points):
+            return full, None, None
         vectors = self._points.evaluation_vectors(t)
         packed = PackedVectors(self._points.field, len(vectors[0]))
-        return hilbert_function(self._profile.ideal, t), packed, [packed.pack(v) for v in vectors]
+        return full, packed, [packed.pack(v) for v in vectors]
 
     def block(self, i: int, t: int) -> list[int]:
         return [self._piece(t)[2][i]]
@@ -191,24 +195,6 @@ class PointFamilyBackend(RankTableBackend):
         """``piece_dim`` of every point subset, indexed by bitmask."""
         full = self.degree(t)[0]
         return bytes(map(full.__sub__, self.degree_table(t)))
-
-    def regime(self, indices: tuple[int, ...]) -> int:
-        """Degree from which a family's piece dimensions are constant.
-
-        A subset of the points imposes independent conditions from degree
-        |A| - 1 on, and every subset does from the least degree t0 with
-        HF_I(t0) = n, where the evaluation vectors of all points are
-        independent.
-        """
-        if self._spanning_degree is None:
-            n = len(self._points)
-            ideal = self._profile.ideal
-            self._spanning_degree = next(
-                (t for t in range(n) if hilbert_function(ideal, t) == n), None
-            )
-            if self._spanning_degree is None:
-                raise InvariantError(f"HF_I of {n} points never reaches {n} below degree {n}")
-        return max(1, min(len(indices) - 1, self._spanning_degree))
 
 
 def evaluate_monomial(exponents, point, p: int) -> int:

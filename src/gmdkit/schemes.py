@@ -11,7 +11,7 @@ checked cheaply is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError, PrimeSubsetLimitError
 from .gflinalg import PackedVectors, subset_ranks_of_words
@@ -51,13 +51,16 @@ class MinimalPrimeData:
     """One minimal prime with its quotient dimension and multiplicity.
 
     ``mult`` is the multiplicity of S/P at its own dimension; ``is_top``
-    marks primes with dim(S/P) equal to dim(S/I).
+    marks primes with dim(S/P) equal to dim(S/I); ``linear`` and
+    ``monomial`` that P is generated by linear forms, or by monomials.
     """
 
     ideal: IdealPresentation
     dim: int
     mult: int
     is_top: bool
+    linear: bool
+    monomial: bool
 
 
 @dataclass
@@ -72,7 +75,6 @@ class FamilyIntersection:
     indices: tuple[int, ...]
     _profile: "RingProfile"
     _ideal: IdealPresentation | None = None
-    _dims: dict[int, int] = field(default_factory=dict)
 
     @property
     def ideal(self) -> IdealPresentation:
@@ -82,9 +84,6 @@ class FamilyIntersection:
 
     def quotient_dim(self, t: int) -> int:
         """dim_K of the degree-t piece of (J/I) inside S/I."""
-        hit = self._dims.get(t)
-        if hit is not None:
-            return hit
         backend = self._profile.family_backend
         # a backend answers None where the family ideal is the cheaper route
         value = None if backend is None else backend.piece_dim(self.indices, t)
@@ -94,7 +93,6 @@ class FamilyIntersection:
             raise InvariantError(
                 f"family {self.indices} has a negative degree-{t} dimension {value}"
             )
-        self._dims[t] = value
         return value
 
     def hilbert(self) -> HilbertData:
@@ -103,15 +101,16 @@ class FamilyIntersection:
     def regime(self) -> int:
         """Degree from which the piece dimensions agree with a polynomial.
 
-        A backend may bound the family's own regime without its ideal;
-        otherwise it comes from the family's Hilbert series.
+        The piece is HF_I - HF_J, so this is the later of the degrees from
+        which HF_I and HF_J are polynomial.  A family of linear primes is a
+        subspace arrangement, whose ideal has Castelnuovo-Mumford regularity
+        at most |A| (Derksen and Sidman, Adv. Math. 172, 2002); S/J has
+        positive depth, so HF_J is polynomial from degree |A| - 1 on.  Any
+        other family takes ``hf_poly_from`` of its own Hilbert series.
         """
-        base = max(1, self._profile.hilbert.hf_poly_from)
-        backend = self._profile.family_backend
-        own = None if backend is None else backend.regime(self.indices)
-        if own is None:
-            own = self.hilbert().hf_poly_from
-        return max(base, own)
+        linear = all(self._profile.primes[i].linear for i in self.indices)
+        own = len(self.indices) - 1 if linear else self.hilbert().hf_poly_from
+        return max(1, self._profile.hilbert.hf_poly_from, own)
 
 
 class RankTableBackend:
@@ -128,7 +127,8 @@ class RankTableBackend:
     ``PRIME_SUBSET_LIMIT`` primes, and it checks that all blocks together
     have rank HF_I(t).  Without a table a family is ranked from its own
     blocks, so a caller that reads a few families of many primes never
-    pays for 2^a entries.
+    pays for 2^a entries.  These per-degree caches are the only store of
+    family dimensions; ``FamilyIntersection`` keeps none.
     """
 
     def __init__(self, profile: "RingProfile"):
@@ -212,25 +212,14 @@ class PrimeFamilyBackend(RankTableBackend):
     elimination, and its Hilbert series then gives every degree, where
     ranks would cost a normal form and a reduction per standard monomial
     in each degree read.
-
-    A family of linear primes is a subspace arrangement, whose ideal has
-    Castelnuovo-Mumford regularity at most |A| (Derksen and Sidman, Adv.
-    Math. 172, 2002); its quotient has positive depth, so its Hilbert
-    function is polynomial from degree |A| - 1 on.  A family holding a
-    nonlinear prime gets no bound here and its regime comes from the
-    family ideal.
     """
 
     def __init__(self, profile: "RingProfile"):
         super().__init__(profile)
         self._blocks: dict[tuple[int, int], list[int]] = {}
-        self._linear: dict[int, bool] = {}
-        self._monomial = tuple(
-            all(len(g.terms) == 1 for g in p.ideal.gens) for p in profile.primes
-        )
 
     def piece_dim(self, indices: tuple[int, ...], t: int) -> int | None:
-        if t not in self._tables and all(self._monomial[i] for i in indices):
+        if t not in self._tables and all(self._profile.primes[i].monomial for i in indices):
             return None
         return super().piece_dim(indices, t)
 
@@ -247,15 +236,6 @@ class PrimeFamilyBackend(RankTableBackend):
             words = _normal_form_block(self._profile.primes[i].ideal, monomials, packed)
             self._blocks[i, t] = words
         return words
-
-    def regime(self, indices: tuple[int, ...]) -> int | None:
-        for i in indices:
-            if i not in self._linear:
-                gb = groebner_basis(self._profile.primes[i].ideal)
-                self._linear[i] = all(sum(e) == 1 for e in gb.leading_exponents)
-            if not self._linear[i]:
-                return None
-        return max(1, len(indices) - 1)
 
 
 def _normal_form_block(prime: IdealPresentation, monomials, packed: PackedVectors) -> list[int]:
@@ -432,8 +412,11 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
             raise ValueError(f"prime #{k + 1} is the unit ideal") from exc
         if not ideal_contains(p, ideal):
             raise ValueError(f"prime #{k + 1} does not contain the ideal")
+        gb = groebner_basis(p)  # the basis hilbert_data just built
+        linear = all(sum(e) == 1 for e in gb.leading_exponents)
+        monomial = all(len(g.terms) == 1 for g in gb.elements)
         prime_data.append(
-            MinimalPrimeData(ideal=p, dim=pd.dim, mult=pd.multiplicity, is_top=pd.dim == hd.dim)
+            MinimalPrimeData(p, pd.dim, pd.multiplicity, pd.dim == hd.dim, linear, monomial)
         )
     prime_data = tuple(prime_data)
 

@@ -530,6 +530,47 @@ def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
         assert (status, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"at most {MAX_VARIABLES}" in err
+    names = [f"x{i + 1}" for i in range(n)]
+    ideal_path = tmp_path / "big_ideal.json"
+    ideal_path.write_text(json.dumps({"char": 2, "vars": names, "gens": names}))
+    for command in ("delta", "stabilize", "verify"):
+        status, out, err = run(capsys, command, str(ideal_path), "--t-max", "1")
+        assert (status, out) == (2, "")
+        assert err == f"error: {ideal_path}: ring needs 1..{MAX_VARIABLES} variables, got {n}\n"
+
+
+def test_twelve_variable_inputs_run_past_the_elimination_ring(capsys, tmp_path):
+    # groebner.intersect eliminates in a ring with one more variable, so a
+    # 12-variable input needs a 13-variable ring inside the computation
+    names = [f"x{i + 1}" for i in range(12)]
+    points = tmp_path / "points.json"
+    e1, e2 = [1] + [0] * 11, [0, 1] + [0] * 10
+    points.write_text(json.dumps({"char": 2, "ambient": 12, "points": [e1, e2, [1, 1] + [0] * 10]}))
+    # two points of P^11 on the line x1 = ... = x10 = 0; x11 + x12 is not a monomial
+    gens = names[:10] + ["x11*x12+x12^2"]
+    primes = [names[:10] + ["x12"], names[:10] + ["x11+x12"]]
+    bare = tmp_path / "ideal.json"
+    bare.write_text(json.dumps({"char": 2, "vars": names, "gens": gens}))
+    primed = tmp_path / "primed.json"
+    primed.write_text(json.dumps({"char": 2, "vars": names, "gens": gens, "minimal_primes": primes}))
+    cells = {
+        points: [2, 3, 3, 1, 2, 3],
+        bare: [1, 2, 2, 1, 2, 2],
+        primed: [1, 2, 2, 1, 2, 2],
+    }
+    for path, values in cells.items():
+        method = "brute" if path == bare else "both"
+        status, report = run_json(
+            capsys, "delta", str(path), "--method", method, "--t-max", "2", "--ell-max", "3"
+        )
+        assert status == 0
+        assert [cell["value"] for cell in report["cells"]] == values, path
+        status, report = run_json(capsys, "verify", str(path), "--t-max", "2", "--ell-max", "2")
+        assert (status, report["pass"]) == (0, True), path
+    for path in (points, primed):
+        status, report = run_json(capsys, "stabilize", str(path), "--ell-max", "3")
+        assert status == 0
+        assert [row["value"] for row in report["rows"]] == cells[path][3:], path
 
 
 def test_exponent_past_the_groebner_limit_is_exit_2(capsys, tmp_path):

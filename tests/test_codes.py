@@ -133,6 +133,32 @@ def test_backend_piece_dims_match_groebner_route():
         assert fam.quotient_dim(t) == 5 - j, j
 
 
+def test_point_families_read_hf_before_building_evaluation_vectors(monkeypatch):
+    # from the degree where HF_I reaches the point count every family has
+    # dimension n - |A|, so no degree-t evaluation vector is built there
+    built = []
+    original = ProjectivePointSet.evaluation_vectors
+
+    def recording(self, t):
+        built.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(ProjectivePointSet, "evaluation_vectors", recording)
+    from gmdkit.gmd import GmdQuery, delta_fast, regularity_index
+
+    ps = ProjectivePointSet(F3, 3, projective_points(F3, 3))
+    profile = ps.vanishing_profile()
+    n = len(ps)
+    spanning = next(t for t in range(n) if hilbert_function(profile.ideal, t) == n)
+    assert spanning == 5
+    for t in range(1, 40):
+        delta_fast(GmdQuery(profile, t, 1, method="fast"))
+        assert profile.intersect_family(tuple(range(7))).quotient_dim(t) >= 0
+    for ell in (1, 2, 3):
+        regularity_index(profile, ell)
+    assert built and max(built) < spanning
+
+
 def test_evaluation_code_shape():
     ps = ProjectivePointSet(F2, 2, list(P1_F2["points"]))
     code = evaluation_code(ps, 1)

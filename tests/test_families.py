@@ -75,7 +75,8 @@ def assert_families_match_intersections(profile):
         for indices in order:
             dims = expected[sum(1 << i for i in indices)][0]
             got = {t: single.piece_dim(indices, t) for t in degrees}
-            if isinstance(single, PrimeFamilyBackend) and all(single._monomial[i] for i in indices):
+            monomial = all(profile.primes[i].monomial for i in indices)
+            if isinstance(single, PrimeFamilyBackend) and monomial:
                 # a family of monomial primes is left to its ideal
                 assert set(got.values()) == {None}, indices
             else:
@@ -164,9 +165,12 @@ def test_point_regime_bounds_every_subset_of_the_plane_over_f3():
     profile = ProjectivePointSet(field, 3, projective_points(field, 3)).vanishing_profile()
     n = len(profile.primes)
     assert n == 13
-    # HF_I reaches 13 in degree 5, so subsets of 7 or more points take the cap
+    # HF_I reaches 13 in degree 5; points are linear primes, so a family of
+    # 7 points takes max(1, hf_poly_from(I), |A| - 1) = max(1, 5, 6)
     assert [hilbert_function(profile.ideal, t) for t in range(7)] == [1, 3, 6, 10, 12, 13, 13]
-    assert profile.family_backend.regime(tuple(range(7))) == 5
+    assert profile.hilbert.hf_poly_from == 5
+    assert all(p.linear for p in profile.primes)
+    assert profile.intersect_family(tuple(range(7))).regime() == 6
     subsets = (c for size in range(1, n + 1) for c in itertools.combinations(range(n), size))
     _assert_point_regimes_bound_every_subset(profile, subsets)
 
@@ -202,9 +206,12 @@ def test_normal_form_table_rechecks_the_certificate():
 
 def test_family_of_a_nonlinear_prime_takes_its_regime_from_the_ideal():
     profile = profile_of(EXAMPLE1)
-    backend = profile.family_backend
-    assert backend.regime((0, 1)) == 1
-    assert backend.regime((2,)) is None and backend.regime((0, 2)) is None
-    family = profile.intersect_family((0, 2))
-    assert family._ideal is None
-    assert family.regime() == max(1, profile.hilbert.hf_poly_from, family.hilbert().hf_poly_from)
+    assert [(p.linear, p.monomial) for p in profile.primes] == [
+        (True, True), (True, False), (False, False)]
+    base = max(1, profile.hilbert.hf_poly_from)
+    # the linear family takes the subspace-arrangement bound |A| - 1
+    assert profile.intersect_family((0, 1)).regime() == max(base, 1)
+    # every family through the nonlinear prime takes its own Hilbert series
+    for indices in ((2,), (0, 2), (1, 2), (0, 1, 2)):
+        family = profile.intersect_family(indices)
+        assert family.regime() == max(base, family.hilbert().hf_poly_from), indices

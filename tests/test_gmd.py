@@ -6,12 +6,12 @@ import pickle
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gmdkit import gmd
 from gmdkit.codes import ProjectivePointSet, projective_points
 from gmdkit.errors import HypothesisError, InvariantError
-from gmdkit.gflinalg import FieldSpec, SubspaceIterator, subspace_count
+from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, subspace_count
 from gmdkit.gmd import (
     FIXED_DIM,
     OWN_DIM,
@@ -188,7 +188,7 @@ def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
         assert all(0 < len(memo) <= 2 for memo in profile.line_values.values())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):
     # the premise of the row bound: I + (F) contains I + (f) for each row f
@@ -485,6 +485,46 @@ def test_regularity_rule_matches_case_analysis_on_point_sets(p, data):
     )
     profile = ProjectivePointSet(field, 3, points).vanishing_profile()
     _assert_rule_matches_cases(profile, points)
+
+
+def _regularity_by_definition(profile, ell, t_cap=40):
+    """Least t with delta_fast(t, l) equal to the limit; reads no regime."""
+    s = stabilization_value(profile, ell).value
+    return next(
+        (t for t in range(1, t_cap) if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s),
+        None,
+    )
+
+
+@st.composite
+def _point_sets_and_line_arrangements(draw):
+    """Points of P^2(F_2) or P^2(F_3), or distinct lines of P^3 over F_2 or F_3."""
+    field = FieldSpec(draw(st.sampled_from([2, 3]), label="p"))
+    if draw(st.booleans(), label="lines"):
+        ring = RingSpec(field, ("x", "y", "z", "w"))
+        units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+        form = st.lists(st.integers(0, field.p - 1), min_size=4, max_size=4)
+        lines = []
+        for _ in range(draw(st.integers(2, 5), label="count")):
+            rows = draw(st.lists(form, min_size=2, max_size=2), label="line")
+            assume(rank(FieldMatrix(field, rows)) == 2)
+            assume(all(rank(FieldMatrix(field, rows + other)) > 2 for other in lines))
+            lines.append(rows)
+        primes = [
+            IdealPresentation(ring, [Polynomial(ring, dict(zip(units, row))) for row in rows])
+            for rows in lines
+        ]
+        return build_profile_from_primes(primes)
+    universe = projective_points(field, 3)
+    points = draw(st.lists(st.sampled_from(universe), min_size=2, max_size=8, unique=True))
+    return ProjectivePointSet(field, 3, points).vanishing_profile()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_point_sets_and_line_arrangements())
+def test_regularity_index_is_the_first_degree_at_the_limit(profile):
+    for ell in (1, 2, 3):
+        assert regularity_index(profile, ell).value == _regularity_by_definition(profile, ell), ell
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

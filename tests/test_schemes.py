@@ -201,7 +201,7 @@ def test_unmixed_dimension_zero_branch_of_classifier():
 
     ring = RingSpec(FieldSpec(2), ("x", "y"))
     point = IdealPresentation.from_strings(ring, ["x", "y"])
-    fake = MinimalPrimeData(ideal=point, dim=0, mult=1, is_top=True)
+    fake = MinimalPrimeData(ideal=point, dim=0, mult=1, is_top=True, linear=True, monomial=True)
     label, warns = _classify(point, (fake, fake), 0, True)
     assert label == "unknown"
     assert any("dimension 0" in w for w in warns)
