@@ -23,6 +23,7 @@ from gmdkit.codes import (
 )
 from gmdkit.errors import InvariantError
 from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, rref, subspace_count
+from gmdkit.gmd import GmdQuery, delta_fast, regularity_index
 from gmdkit.groebner import groebner_basis, normal_form
 from gmdkit.hilbert import hilbert_function
 from gmdkit.polyring import graded_piece_basis
@@ -144,8 +145,6 @@ def test_point_families_read_hf_before_building_evaluation_vectors(monkeypatch):
         return original(self, t)
 
     monkeypatch.setattr(ProjectivePointSet, "evaluation_vectors", recording)
-    from gmdkit.gmd import GmdQuery, delta_fast, regularity_index
-
     ps = ProjectivePointSet(F3, 3, projective_points(F3, 3))
     profile = ps.vanishing_profile()
     n = len(ps)

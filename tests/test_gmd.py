@@ -487,11 +487,11 @@ def test_regularity_rule_matches_case_analysis_on_point_sets(p, data):
     _assert_rule_matches_cases(profile, points)
 
 
-def _regularity_by_definition(profile, ell, t_cap=40):
-    """Least t with delta_fast(t, l) equal to the limit; reads no regime."""
+def _regularity_by_definition(profile, ell):
+    """Least t < 40 with delta_fast(t, l) equal to the limit; reads no regime."""
     s = stabilization_value(profile, ell).value
     return next(
-        (t for t in range(1, t_cap) if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s),
+        (t for t in range(1, 40) if delta_fast(GmdQuery(profile, t, ell, method="fast")).value == s),
         None,
     )
 
