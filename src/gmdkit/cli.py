@@ -3,7 +3,8 @@
 Input documents are UTF-8 JSON.  The kind is detected from the keys:
 
   ideal      {"char": 2, "vars": ["x","y","z"], "gens": ["x*y+z^2"],
-              "minimal_primes": [["x","z"], ...]}   (primes optional)
+              "minimal_primes": [["x","z"], ...]}   (primes optional;
+                                                     none may contain another)
   complex    {"vertices": 3, "facets": [[1,2],[1,3],[2,3]], "char": 2}
   points     {"char": 2, "ambient": 2, "points": [[1,0],[0,1],[1,1]]}
   generator  {"char": 2, "generator": [[1,0,1],[0,1,1]]}
@@ -696,9 +697,9 @@ def _add_common(parser, counts=True, method=False, witnesses=False):
     """Flags shared by the subcommands; each command gets only those it reads.
 
     ``counts`` adds ``--ell``/``--ell-max`` and ``--jobs``: sr-info reads
-    neither a count nor a worker count.
+    neither a count nor a worker count.  ``--t-max`` is added by each
+    command that reads a degree range; stabilize reads none.
     """
-    parser.add_argument("--t-max", type=int, default=4, dest="t_max")
     if counts:
         group = parser.add_mutually_exclusive_group()
         group.add_argument("--ell", type=int, default=None)
@@ -727,6 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="distance table over a degree/count grid")
     p_delta.add_argument("input")
+    p_delta.add_argument("--t-max", type=int, default=4, dest="t_max")
     _add_common(p_delta, method=True, witnesses=True)
 
     p_stab = sub.add_parser("stabilize", help="limit values and least degrees")
@@ -738,10 +740,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ghw.add_argument(
         "--strategy", choices=["auto", "enumerate", "shorten"], default="auto"
     )
+    p_ghw.add_argument("--t-max", type=int, default=4, dest="t_max")
     _add_common(p_ghw, witnesses=True)
 
     p_sr = sub.add_parser("sr-info", help="face-ring facts of a complex")
     p_sr.add_argument("input")
+    p_sr.add_argument("--t-max", type=int, default=4, dest="t_max")
     _add_common(p_sr, counts=False)
 
     p_verify = sub.add_parser("verify", help="theorem checks on an input or the built-in suite")
@@ -749,6 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=["rings", "complexes", "bridge", "all"], default="all"
     )
+    p_verify.add_argument("--t-max", type=int, default=4, dest="t_max")
     _add_common(p_verify)
 
     return parser
@@ -769,7 +774,7 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
-    if args.t_max < 1:
+    if getattr(args, "t_max", 1) < 1:
         print("error: --t-max must be at least 1", file=sys.stderr)
         return 2
     try:

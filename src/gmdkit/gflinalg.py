@@ -141,41 +141,24 @@ def rref(matrix: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form.
 
     Returns (R, rank, pivot_columns).  Pivot entries are 1, pivot columns are
-    cleared above and below, and the pivot columns are strictly increasing.
+    cleared above and below, and the pivot columns are strictly increasing;
+    R keeps the input's row count, its zero rows last.  Each echelon row is
+    cleared at the later pivots in pivot order, which never refills one.
     """
-    field = matrix.field
-    p = field.p
-    inverses = field.inverses
-    a = [list(row) for row in matrix.data]
-    nrows = len(a)
-    pivots = []
-    r = 0
-    for c in range(matrix.cols):
-        if r == nrows:
-            break
-        hit = next((i for i in range(r, nrows) if a[i][c]), None)
-        if hit is None:
-            continue
-        if hit != r:
-            a[r], a[hit] = a[hit], a[r]
-        top = a[r]
-        lead = top[c]
-        if lead != 1:
-            inv = inverses[lead]
-            top = a[r] = [x * inv % p for x in top]
-        # the pivot row is zero left of c, so only the tails change
-        tail = top[c:]
-        for i, row in enumerate(a):
-            factor = row[c]
-            if factor and i != r:
-                row[c:] = [(x - factor * y) % p for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-    return FieldMatrix._raw(field, tuple(map(tuple, a)), matrix.cols), r, tuple(pivots)
+    packed = PackedVectors(matrix.field, matrix.cols)
+    rows = sorted(packed.echelon(map(packed.pack, matrix.data)), key=operator.itemgetter(0))
+    data = [
+        packed.unpack(packed.scale(packed.reduce(clear.word, rows[i + 1 :]), clear.inv))
+        for i, (_, clear) in enumerate(rows)
+    ]
+    data += [(0,) * matrix.cols] * (matrix.rows - len(rows))
+    pivots = tuple(offset // packed.width for offset, _ in rows)
+    return FieldMatrix._raw(matrix.field, tuple(data), matrix.cols), len(rows), pivots
 
 
 def rank(matrix: FieldMatrix) -> int:
-    return rref(matrix)[1]
+    packed = PackedVectors(matrix.field, matrix.cols)
+    return len(packed.echelon(map(packed.pack, matrix.data)))
 
 
 class PackedVectors:
@@ -191,12 +174,13 @@ class PackedVectors:
     zero vector packs to 0.
     """
 
-    __slots__ = ("field", "p", "shift", "width", "mask", "tops", "reach_p", "nonzero")
+    __slots__ = ("field", "p", "length", "shift", "width", "mask", "tops", "reach_p", "nonzero")
 
     def __init__(self, field: FieldSpec, length: int):
         p = field.p
         self.field = field
         self.p = p
+        self.length = length
         self.shift = p.bit_length()
         self.width = self.shift + 1
         self.mask = (1 << self.width) - 1
@@ -208,6 +192,10 @@ class PackedVectors:
     def pack(self, vector) -> int:
         p = self.p
         return sum((x % p) << (self.width * j) for j, x in enumerate(vector))
+
+    def unpack(self, word: int) -> tuple[int, ...]:
+        """The entries of a folded packed vector."""
+        return tuple((word >> (self.width * j)) & self.mask for j in range(self.length))
 
     def fold(self, word: int) -> int:
         """The sum of two packed vectors, reduced mod p."""

@@ -11,6 +11,7 @@ checked cheaply is checked.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError, PrimeSubsetLimitError
@@ -394,9 +395,10 @@ def _classify(
 def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> RingProfile:
     """Profile of S/I from an optional minimal-prime list.
 
-    Raises when a supplied prime is improper or fails to contain I, and when
-    a certified profile violates multiplicity additivity over the top primes
-    (which means the supplied list cannot be the minimal primes).  A prime
+    Raises when a supplied prime is improper, fails to contain I or contains
+    another supplied prime (a duplicate included), and when a certified
+    profile violates multiplicity additivity over the top primes (which
+    means the supplied list cannot be the minimal primes).  A prime
     list whose intersection differs from I yields an uncertified profile
     with a warning rather than an error.
     """
@@ -419,6 +421,19 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
             MinimalPrimeData(p, pd.dim, pd.multiplicity, pd.dim == hd.dim, linear, monomial)
         )
     prime_data = tuple(prime_data)
+    # only a prime of lower dimension can contain one of higher; homogeneous
+    # primes of equal dimension contain each other only when they are equal
+    for i, j in itertools.combinations(range(len(prime_data)), 2):
+        big, small = sorted((j, i), key=lambda k: prime_data[k].dim)
+        if prime_data[big].dim == prime_data[small].dim:
+            contains = groebner_basis(primes[big]).elements == groebner_basis(primes[small]).elements
+        else:
+            contains = ideal_contains(primes[big], primes[small])
+        if contains:
+            raise ValueError(
+                f"prime #{big + 1} contains prime #{small + 1}; "
+                "the supplied list cannot be the minimal primes"
+            )
 
     profile = RingProfile(ideal, hd, prime_data, False, "unknown", ())
     if _prefix_chain is not None:

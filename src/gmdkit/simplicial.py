@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .gflinalg import FieldMatrix, FieldSpec, rref
+from .gflinalg import FieldSpec, PackedVectors
 from .groebner import IdealPresentation
 from .polyring import Polynomial, RingSpec
 
@@ -177,18 +177,19 @@ def _faces_by_dim(facets) -> dict[int, list[tuple[int, ...]]]:
 
 
 def _boundary_rank(by_dim, k: int, field: FieldSpec) -> int:
-    """Rank of the boundary map from k-faces to (k-1)-faces."""
+    """Rank of the boundary map from k-faces to (k-1)-faces, one packed column per k-face."""
     rows = by_dim.get(k - 1, [])
     cols = by_dim.get(k, [])
     if not rows or not cols:
         return 0
-    index = {face: i for i, face in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        for drop in range(len(face)):
-            sub = face[:drop] + face[drop + 1 :]
-            mat[index[sub]][j] = 1 if drop % 2 == 0 else -1
-    return rref(FieldMatrix(field, mat))[1]
+    packed = PackedVectors(field, len(rows))
+    shift = {face: packed.width * i for i, face in enumerate(rows)}
+    signs = (1, field.p - 1)
+    words = [
+        sum(signs[drop % 2] << shift[face[:drop] + face[drop + 1 :]] for drop in range(len(face)))
+        for face in cols
+    ]
+    return len(packed.echelon(words))
 
 
 def _homology_of_facets(facets, field: FieldSpec) -> dict[int, int]:

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from gmdkit import suites
+
+# Every property test runs the same examples on every run and host: no
+# deadline, no example database, derandomized.  A test's own @settings
+# sets only its max_examples on top of this profile.
+settings.register_profile("tier1", deadline=None, database=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

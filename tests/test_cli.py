@@ -240,6 +240,15 @@ def test_bad_jobs_and_t_max(capsys, ex1_file):
     assert status == 2 and "--t-max" in err
 
 
+def test_stabilize_takes_no_t_max(capsys, ex1_file):
+    # stabilize reads no degree range, so the flag is an unrecognized argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stabilize", ex1_file, "--t-max", "1"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --t-max 1" in err
+
+
 def test_fast_method_without_certificate_is_exit_3(capsys, tmp_path):
     doc = {"char": 2, "vars": ["x", "y"], "gens": ["x*y"]}
     path = tmp_path / "primeless.json"
@@ -389,8 +398,9 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
 
 # Every subcommand's arguments as (flag or name, dest, type, nargs, choices,
 # default); a knob added, dropped or changed fails this on purpose.
-# Only delta and ghw report witnesses, and sr-info reads no count and no
-# worker count, so those commands do not take these flags.
+# Only delta and ghw report witnesses, sr-info reads no count and no
+# worker count, and stabilize reads no degree range, so those commands do
+# not take these flags.
 _T_MAX = [("--t-max", "t_max", "int", None, None, 4)]
 _COUNTS = [
     ("--ell", "ell", "int", None, None, None),
@@ -406,7 +416,7 @@ PINNED_OPTIONS = {
         ("--convention", "convention", None, None, ["fixed-dim", "own-dim"], "fixed-dim"),
         ("--method", "method", None, None, ["brute", "fast", "both"], None),
     ] + _FORMAT + _WITNESSES + _SEED + _JOBS,
-    "stabilize": _INPUT + _T_MAX + _COUNTS + _FORMAT + _SEED + _JOBS,
+    "stabilize": _INPUT + _COUNTS + _FORMAT + _SEED + _JOBS,
     "ghw": _INPUT + [
         ("--strategy", "strategy", None, None, ["auto", "enumerate", "shorten"], "auto"),
     ] + _T_MAX + _COUNTS + _FORMAT + _WITNESSES + _SEED + _JOBS,
@@ -483,21 +493,21 @@ def test_counts_past_the_limit_are_exit_2(capsys, ex1_file, points_file, triangl
     limit = cli.COUNT_LIMIT
     assert limit == 10_000
     for argv in (
-        ("delta", ex1_file),
+        ("delta", ex1_file, "--t-max", "1"),
         ("stabilize", ex1_file),
-        ("verify", points_file),
-        ("verify", "--suite", "bridge"),
-        ("ghw", code_file),
+        ("verify", points_file, "--t-max", "1"),
+        ("verify", "--suite", "bridge", "--t-max", "1"),
+        ("ghw", code_file, "--t-max", "1"),
     ):
         for flag in ("--ell", "--ell-max"):
             if argv[0] == "ghw" and flag == "--ell-max":
                 continue  # capped at the code dimension, see the next test
-            status, out, err = run(capsys, *argv, "--t-max", "1", flag, str(limit + 1))
+            status, out, err = run(capsys, *argv, flag, str(limit + 1))
             assert (status, out) == (2, ""), (argv, flag)
             assert err == f"error: {flag} {limit + 1} is above the supported limit of {limit}\n"
     # the limit itself is a count like any other
-    for argv in (("delta", ex1_file), ("stabilize", ex1_file)):
-        status, report = run_json(capsys, *argv, "--t-max", "1", "--ell", str(limit))
+    for argv in (("delta", ex1_file, "--t-max", "1"), ("stabilize", ex1_file)):
+        status, report = run_json(capsys, *argv, "--ell", str(limit))
         assert status == 0
     # sr-info reads no count, so it takes no count flag
     with pytest.raises(SystemExit) as exc:
@@ -533,8 +543,8 @@ def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
     names = [f"x{i + 1}" for i in range(n)]
     ideal_path = tmp_path / "big_ideal.json"
     ideal_path.write_text(json.dumps({"char": 2, "vars": names, "gens": names}))
-    for command in ("delta", "stabilize", "verify"):
-        status, out, err = run(capsys, command, str(ideal_path), "--t-max", "1")
+    for argv in (("delta", "--t-max", "1"), ("stabilize",), ("verify", "--t-max", "1")):
+        status, out, err = run(capsys, argv[0], str(ideal_path), *argv[1:])
         assert (status, out) == (2, "")
         assert err == f"error: {ideal_path}: ring needs 1..{MAX_VARIABLES} variables, got {n}\n"
 
@@ -578,11 +588,27 @@ def test_exponent_past_the_groebner_limit_is_exit_2(capsys, tmp_path):
 
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"char": 2, "vars": ["x", "y", "z"], "gens": ["x^40000"]}))
-    for command in ("delta", "stabilize", "verify"):
-        status, out, err = run(capsys, command, str(path), "--t-max", "1", "--ell-max", "1")
+    for argv in (("delta", "--t-max", "1"), ("stabilize",), ("verify", "--t-max", "1")):
+        status, out, err = run(capsys, argv[0], str(path), *argv[1:], "--ell-max", "1")
         assert (status, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"above {EXPONENT_LIMIT}" in err
+
+
+def test_prime_containing_another_is_exit_2(capsys, tmp_path):
+    # (x, y) contains (x); the list still intersects to the ideal, so before
+    # this check the low locus came out inflated and the commands exited 1
+    doc = {"char": 2, "vars": ["x", "y", "z"], "gens": ["x*y", "x*z"]}
+    for primes, message in (
+        ([["x"], ["y", "z"], ["x", "y"]], "prime #3 contains prime #1"),
+        ([["x"], ["y", "z"], ["z", "y+z"]], "prime #3 contains prime #2"),
+    ):
+        path = tmp_path / "nonminimal.json"
+        path.write_text(json.dumps(dict(doc, minimal_primes=primes)))
+        for argv in (("delta", "--t-max", "2"), ("stabilize",), ("verify", "--t-max", "2")):
+            status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (status, out) == (2, ""), argv
+            assert err.startswith(f"error: {path}: {message};") and err.count("\n") == 1
 
 
 def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypatch):

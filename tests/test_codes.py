@@ -262,7 +262,7 @@ def generator_codes(max_k=4, max_n=6):
     return st.sampled_from([2, 3, 5]).flatmap(build)
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(generator_codes(), st.data())
 def test_support_union_scan_matches_per_index_weights(g, data):
     r = data.draw(st.integers(1, g.rows))
@@ -332,7 +332,7 @@ def codes_with_zero_and_repeated_columns(draw):
     return LinearCode(field, FieldMatrix._raw(field, reduced.data[:rk], len(columns)))
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(codes_with_zero_and_repeated_columns())
 def test_shortening_matches_the_descending_column_set_scan(code):
     for r in range(1, code.dimension + 1):
@@ -462,7 +462,7 @@ def test_bridge_rows_build_each_degree_code_once(monkeypatch):
     ]
 
 
-@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_plane_point_sets_bridge(seed):
     import random

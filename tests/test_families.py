@@ -141,7 +141,7 @@ def arrangements(draw):
     return field, spans
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(arrangements())
 def test_subspace_arrangement_families_match_intersections(arrangement):
     field, spans = arrangement

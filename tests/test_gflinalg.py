@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmdkit.gflinalg import (
     FieldMatrix,
@@ -57,18 +57,42 @@ def test_field_inverses():
         f.inv(0)
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(matrices())
+def any_shape_matrices():
+    """Matrices up to 12 x 12 over p in {2, 3, 5, 7, 251}: empty, tall, wide,
+    and sparse enough to leave zero rows and free columns."""
+
+    def build(p, rows, cols, sparse):
+        entry = st.integers(0, p - 1)
+        if sparse:
+            entry = st.one_of(st.just(0), st.just(0), st.integers(1, p - 1))
+        return st.lists(
+            st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+        ).map(lambda data: FieldMatrix._raw(FieldSpec(p), tuple(map(tuple, data)), cols))
+
+    return st.tuples(
+        st.sampled_from([2, 3, 5, 7, 251]), st.integers(0, 12), st.integers(0, 12), st.booleans()
+    ).flatmap(lambda args: build(*args))
+
+
+@settings(max_examples=200)
+@given(any_shape_matrices())
+@example(FieldMatrix._raw(FieldSpec(2), (), 0))
+@example(FieldMatrix._raw(FieldSpec(3), (), 7))
+@example(FieldMatrix._raw(FieldSpec(5), ((),) * 6, 0))
+@example(FieldMatrix(FieldSpec(7), [[0] * 12] * 12))
+@example(FieldMatrix(FieldSpec(251), [[i * j + 1 for j in range(3)] for i in range(12)]))
+@example(FieldMatrix(FieldSpec(2), [[(i + j) % 3 % 2 for j in range(12)] for i in range(2)]))
 def test_rref_matches_naive(m):
     ours, rk, pivots = rref(m)
     theirs, naive_rk = naive_rref(m.to_lists(), m.field.p)
     assert rk == naive_rk == rank(m)
-    assert len(pivots) == rk
-    # the reduced echelon form of a matrix is unique; compare nonzero rows
-    assert ours.to_lists()[:rk] == [row for row in theirs if any(row)]
+    # the reduced echelon form of a matrix is unique, zero rows last
+    assert ours.to_lists() == theirs
+    assert (ours.rows, ours.cols) == (m.rows, m.cols)
+    assert pivots == tuple(next(j for j, x in enumerate(row) if x) for row in theirs[:rk])
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(matrices())
 def test_rref_idempotent(m):
     once, rk, _ = rref(m)
@@ -77,7 +101,7 @@ def test_rref_idempotent(m):
     assert once == twice
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(matrices())
 def test_kernel_orthogonality_and_nullity(m):
     k = kernel_basis(m)
@@ -191,7 +215,7 @@ def test_gaussian_binomial_known_values(m, l, p, expected):
     assert gaussian_binomial(m, l, p) == expected
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(
     st.sampled_from([2, 3]),
     st.integers(1, 4),
@@ -248,7 +272,7 @@ def _counter_rows(m, p, pivot, free):
     return out
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     st.sampled_from([2, 3]),
     st.integers(0, 4),
@@ -301,7 +325,7 @@ def vector_families():
     return SMALL_PRIMES.flatmap(build).map(mix)
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(vector_families())
 def test_subset_ranks_match_rank_of_every_subset(family):
     p, vectors = family
@@ -366,13 +390,13 @@ def assert_grouped_ranks(p, groups):
         assert ranks[mask] == (rank(FieldMatrix(f, rows)) if width else 0), (mask, rows)
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(vector_groups())
 def test_grouped_subset_ranks_match_rank_of_every_subset(family):
     assert_grouped_ranks(*family)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@settings(max_examples=30)
 @given(vector_groups(primes=(11, 37, 251)))
 def test_grouped_subset_ranks_over_large_fields(family):
     assert_grouped_ranks(*family)
@@ -387,7 +411,7 @@ def test_grouped_subset_ranks_hold_ranks_past_255():
     assert list(ranks) == [0, 150, 150, 300, 100, 200, 200, 300]
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     st.sampled_from([2, 3, 5, 7, 37, 251]).flatmap(
         lambda p: st.tuples(

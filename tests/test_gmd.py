@@ -3,13 +3,19 @@
 import itertools
 import math
 import pickle
+import random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gmdkit import gmd
-from gmdkit.codes import ProjectivePointSet, projective_points
+from gmdkit.codes import (
+    ProjectivePointSet,
+    evaluation_code,
+    generalized_hamming_weight,
+    projective_points,
+)
 from gmdkit.errors import HypothesisError, InvariantError
 from gmdkit.gflinalg import FieldMatrix, FieldSpec, SubspaceIterator, rank, subspace_count
 from gmdkit.gmd import (
@@ -46,6 +52,7 @@ from oracles import (
     TRIANGLE_BOUNDARY,
     TWO_LINES_F2,
     delta_bruteforce_unpruned,
+    naive_rank,
     regularity_by_cases,
 )
 
@@ -188,7 +195,7 @@ def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
         assert all(0 < len(memo) <= 2 for memo in profile.line_values.values())
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.data())
 def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):
     # the premise of the row bound: I + (F) contains I + (f) for each row f
@@ -475,7 +482,7 @@ def test_regularity_rule_matches_case_analysis(ring_cases, complex_cases):
         _assert_rule_matches_cases(profile, name)
 
 
-@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.sampled_from([2, 3]), st.data())
 def test_regularity_rule_matches_case_analysis_on_point_sets(p, data):
     field = FieldSpec(p)
@@ -520,14 +527,14 @@ def _point_sets_and_line_arrangements(draw):
     return ProjectivePointSet(field, 3, points).vanishing_profile()
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(_point_sets_and_line_arrangements())
 def test_regularity_index_is_the_first_degree_at_the_limit(profile):
     for ell in (1, 2, 3):
         assert regularity_index(profile, ell).value == _regularity_by_definition(profile, ell), ell
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=7), st.data())
 def test_top_subsets_with_sum_match_every_subset(primes, data):
     profile = SimpleNamespace(
@@ -799,7 +806,7 @@ def _least_proper_subset_sum_by_masks(mults, ell):
     return best
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.data())
 def test_least_proper_subset_sum_matches_mask_loop(mults, data):
     ell = data.draw(st.integers(1, sum(mults) + 1))
@@ -862,4 +869,75 @@ def test_reversed_face_ring_primes_leave_every_fact_unchanged(complex_cases):
     sr = sr_context(complex_, F2)
     expected = _order_free_facts(face_ring_profile(complex_, F2), 3, 4, "fast", sr=sr)
     assert _order_free_facts(reversed_profile, 3, 4, "fast", sr=sr) == expected
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a linear change of coordinates g in GL_n(F_p) is not part of
+# the input either
+
+
+def _invertible_matrix(p, n, seed):
+    rng = random.Random(seed)
+    while True:
+        g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if naive_rank(g, p) == n:
+            return g
+
+
+def _substitute(f, g):
+    """f(gx): x_i goes to the sum over j of g[i][j] x_j."""
+    ring = f.ring
+    images = [
+        Polynomial(ring, {tuple(int(k == j) for k in range(ring.n)): c for j, c in enumerate(row)})
+        for row in g
+    ]
+    out = Polynomial.zero(ring)
+    for e, c in f.terms.items():
+        term = Polynomial(ring, {(0,) * ring.n: c})
+        for image, power in zip(images, e):
+            for _ in range(power):
+                term = term * image
+        out = out + term
+    return out
+
+
+def _transformed(ideal, g):
+    return IdealPresentation(ideal.ring, [_substitute(f, g) for f in ideal.gens])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["f2-onedim-three-primes", "f3-plane-with-two-lines", "f2-triangle-boundary", "f3-points5-seed14"],
+)
+def test_a_change_of_coordinates_leaves_every_value_unchanged(name, ring_cases):
+    case = ring_cases[name]
+    profile = case.build()
+    p, n = case.field.p, profile.ring.n
+    g = _invertible_matrix(p, n, seed=sum(map(ord, name)))
+    moved = build_profile(
+        _transformed(profile.ideal, g), [_transformed(prime.ideal, g) for prime in profile.primes]
+    )
+    assert moved.reduced_certified and moved.classification == profile.classification
+    for t in (1, 2):
+        for ell in (1, 2):
+            # the default method cross-checks brute against fast
+            before = delta(GmdQuery(profile, t, ell))
+            after = delta(GmdQuery(moved, t, ell))
+            assert (after.value, after.status) == (before.value, before.status), (t, ell)
+    for ell in (1, 2, 3):
+        assert stabilization_value(moved, ell) == stabilization_value(profile, ell), ell
+        assert regularity_index(moved, ell) == regularity_index(profile, ell), ell
+    if case.kind == "points":
+        ambient, size, seed = case.data
+        points = seeded_point_set(case.field, ambient, size, seed)
+        image = ProjectivePointSet(
+            case.field, ambient, [[sum(a * x for a, x in zip(row, pt)) for row in g] for pt in points.points]
+        )
+        for t in (1, 2):
+            code, moved_code = evaluation_code(points, t), evaluation_code(image, t)
+            for r in range(1, code.dimension + 1):
+                assert (
+                    generalized_hamming_weight(moved_code, r).value
+                    == generalized_hamming_weight(code, r).value
+                ), (t, r)
 

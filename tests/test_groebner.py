@@ -77,7 +77,7 @@ def spoly(f, g, order):
     )
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(homogeneous_ideals(), st.sampled_from([GREVLEX, LEX]))
 def test_basis_reduces_generators_and_s_polynomials(ideal_, order):
     gb = groebner_basis(ideal_, order)
@@ -90,7 +90,7 @@ def test_basis_reduces_generators_and_s_polynomials(ideal_, order):
             assert normal_form(spoly(els[i], els[j], order), gb).is_zero()
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(homogeneous_ideals())
 def test_normal_form_is_idempotent_and_compatible_with_sums(ideal_):
     gb = groebner_basis(ideal_)
@@ -105,7 +105,7 @@ def test_normal_form_is_idempotent_and_compatible_with_sums(ideal_):
 QUEUE_ORDERS = [GREVLEX, LEX, elimination_order(1)]
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60)
 @given(homogeneous_ideals(), st.sampled_from(QUEUE_ORDERS), st.data())
 def test_pair_queue_gives_one_reduced_basis(ideal_, order, data):
     gens = list(ideal_.gens)
@@ -136,7 +136,7 @@ def wider_ideals(draw):
     return gens
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(wider_ideals(), st.sampled_from(QUEUE_ORDERS), st.data())
 def test_packed_kernel_matches_the_tuple_oracle(gens, order, data):
     # same elements in the same order, term for term
@@ -175,7 +175,7 @@ def exponent_pairs(draw):
     return order, tuple(a), tuple(b)
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(exponent_pairs())
 def test_packed_monomials_follow_the_order(case):
     order, a, b = case
@@ -279,7 +279,7 @@ def test_intersect_fast_path_matches_elimination_route():
         assert ideals_equal(fast, slow)
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(homogeneous_ideals(), homogeneous_ideals())
 def test_intersect_membership(a, b):
     if a.ring != b.ring:
@@ -310,7 +310,7 @@ def test_colon_known_values():
     assert groebner_basis(unit).is_unit_ideal
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40)
 @given(homogeneous_ideals())
 def test_colon_contains_and_multiplies_back(ideal_):
     ring = ideal_.ring

@@ -77,7 +77,7 @@ def monomial_ideals(draw):
     return IdealPresentation(ring, gens)
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(monomial_ideals())
 def test_random_monomial_ideals_match_span_oracle(ideal):
     maps = as_maps(ideal)
@@ -146,7 +146,7 @@ def test_minimal_monomial_generators():
     assert minimal_monomial_generators([]) == ()
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@settings(max_examples=200)
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=12)

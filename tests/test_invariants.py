@@ -48,3 +48,18 @@ def test_cli_reports_a_broken_invariant_in_one_line(capsys, monkeypatch, tmp_pat
     assert status == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_every_property_test_runs_under_the_tier1_profile():
+    # conftest.py loads one Hypothesis profile; a test's @settings only sets
+    # max_examples, so no property test can run randomized or with a deadline
+    import importlib
+
+    found = 0
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for name, test in vars(importlib.import_module(path.stem)).items():
+            if getattr(test, "is_hypothesis_test", False):
+                chosen = test._hypothesis_internal_use_settings
+                assert (chosen.deadline, chosen.database, chosen.derandomize) == (None, None, True), name
+                found += 1
+    assert found >= 31

@@ -49,7 +49,7 @@ def ring_and_poly(draw):
     return ring, Polynomial(ring, terms)
 
 
-@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@settings(max_examples=120)
 @given(ring_and_poly())
 def test_parse_print_round_trip(rp):
     ring, f = rp
@@ -57,7 +57,7 @@ def test_parse_print_round_trip(rp):
     assert parse_polynomial(text, ring) == f
 
 
-@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@settings(max_examples=120)
 @given(ring_and_poly())
 def test_print_is_canonical_descending(rp):
     ring, f = rp
@@ -113,7 +113,7 @@ def test_grevlex_and_lex_disagree_on_known_example():
     assert names(by_lex) == ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]
 
 
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@settings(max_examples=150)
 @given(
     st.sampled_from([GREVLEX, LEX, elimination_order(1), elimination_order(2)]),
     st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3),
@@ -163,7 +163,7 @@ def test_graded_piece_basis_is_sorted_descending():
         assert keys == sorted(keys, reverse=True)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=100)
 @given(ring_and_poly(), ring_and_poly())
 def test_ring_laws(rp1, rp2):
     ring, f = rp1

@@ -77,6 +77,26 @@ def test_unit_prime_rejected():
         build_profile(ideal, [primes[0], unit])
 
 
+def test_prime_containing_another_rejected():
+    # (x, y) contains (x): the list still intersects to I = (xy, xz) and
+    # passes additivity over the top primes, but (x, y) is not minimal
+    ring = RingSpec(FieldSpec(2), ("x", "y", "z"))
+    ideal = IdealPresentation.from_strings(ring, ["x*y", "x*z"])
+    px, pyz, pxy = (IdealPresentation.from_strings(ring, g) for g in (["x"], ["y", "z"], ["x", "y"]))
+    with pytest.raises(ValueError, match=r"prime #3 contains prime #1;"):
+        build_profile(ideal, [px, pyz, pxy])
+    with pytest.raises(ValueError, match=r"prime #1 contains prime #3;"):
+        build_profile(ideal, [pxy, pyz, px])
+    # a duplicate, under other generators, of a prime of the same dimension
+    twin = IdealPresentation.from_strings(ring, ["z", "y+z"])
+    with pytest.raises(ValueError, match=r"prime #3 contains prime #2;"):
+        build_profile(ideal, [px, pyz, twin])
+    with pytest.raises(ValueError, match=r"prime #2 contains prime #1;"):
+        build_profile(ideal, [px, px, pyz])
+    profile = build_profile(ideal, [px, pyz])
+    assert profile.reduced_certified
+
+
 def test_noncontaining_prime_rejected():
     ideal, primes = example1_parts()
     stranger = IdealPresentation.from_strings(ideal.ring, ["x+y"])

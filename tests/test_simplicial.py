@@ -1,12 +1,17 @@
 """Simplicial complexes, face rings, Betti numbers, shellings."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.hilbert import hilbert_function
 from gmdkit.polyring import RingSpec
 from gmdkit.simplicial import (
     SimplicialComplex,
+    _boundary_rank,
+    _faces_by_dim,
     betti_table,
     depth,
     face_count_hilbert,
@@ -20,7 +25,7 @@ from gmdkit.simplicial import (
 )
 from gmdkit.suites import complex_suite
 
-from oracles import PATH_FOUR, TRIANGLE_BOUNDARY, is_valid_shelling
+from oracles import PATH_FOUR, TRIANGLE_BOUNDARY, is_valid_shelling, naive_rank
 
 F2 = FieldSpec(2)
 
@@ -135,6 +140,48 @@ def test_reduced_homology_ranks():
     )
     assert reduced_homology(octa, 2, F2) == 1
     assert reduced_homology(octa, 1, F2) == 0
+
+
+def _dense_boundary(facets, k, p):
+    """The boundary map from k-faces to (k-1)-faces as a list of rows."""
+    faces = {sub for f in facets for r in range(len(f) + 1) for sub in itertools.combinations(sorted(f), r)}
+    rows = sorted(face for face in faces if len(face) == k)
+    cols = sorted(face for face in faces if len(face) == k + 1)
+    return [
+        [
+            next(((-1) ** drop % p for drop in range(k + 1) if col[:drop] + col[drop + 1 :] == row), 0)
+            for col in cols
+        ]
+        for row in rows
+    ]
+
+
+def assert_boundary_ranks_match_dense(complex_, p):
+    by_dim = _faces_by_dim(complex_.facets)
+    for k in range(0, complex_.dim() + 2):
+        dense = _dense_boundary(complex_.facets, k, p)
+        expected = naive_rank(dense, p) if dense and dense[0] else 0
+        assert _boundary_rank(by_dim, k, FieldSpec(p)) == expected, (complex_, k, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_boundary_ranks_match_the_dense_matrix_on_the_suite(p):
+    for case in complex_suite():
+        assert_boundary_ranks_match_dense(case.complex_, p)
+
+
+@st.composite
+def complexes(draw):
+    n = draw(st.integers(1, 6))
+    drawn = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), max_size=6))
+    sets = set(drawn) | {frozenset([v]) for v in range(n)}
+    return SimplicialComplex(n, [f for f in sets if not any(f < g for g in sets)])
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3]), complexes())
+def test_boundary_ranks_match_the_dense_matrix_on_random_complexes(p, complex_):
+    assert_boundary_ranks_match_dense(complex_, p)
 
 
 def test_frozen_depth_and_regularity_values():

@@ -185,7 +185,7 @@ def test_every_workload_kind_still_reaches_the_order_key(monkeypatch, tmp_path, 
         "brute-certified": (certified, ("delta", "--method", "both") + grid),
         "brute-colon": (ideal, ("delta",) + grid),
         "prime-scan delta": (points, ("delta", "--method", "fast") + grid),
-        "prime-scan stabilize": (points, ("stabilize",) + grid),
+        "prime-scan stabilize": (points, ("stabilize", "--ell-max", "2")),
         "prime-scan ghw": (points, ("ghw",) + grid),
     }
     for name, (doc, (command, *args)) in runs.items():
