@@ -421,15 +421,10 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
             MinimalPrimeData(p, pd.dim, pd.multiplicity, pd.dim == hd.dim, linear, monomial)
         )
     prime_data = tuple(prime_data)
-    # only a prime of lower dimension can contain one of higher; homogeneous
-    # primes of equal dimension contain each other only when they are equal
+    # only a prime of lower dimension can contain one of higher
     for i, j in itertools.combinations(range(len(prime_data)), 2):
         big, small = sorted((j, i), key=lambda k: prime_data[k].dim)
-        if prime_data[big].dim == prime_data[small].dim:
-            contains = groebner_basis(primes[big]).elements == groebner_basis(primes[small]).elements
-        else:
-            contains = ideal_contains(primes[big], primes[small])
-        if contains:
+        if ideal_contains(primes[big], primes[small]):
             raise ValueError(
                 f"prime #{big + 1} contains prime #{small + 1}; "
                 "the supplied list cannot be the minimal primes"

@@ -335,7 +335,7 @@ def test_subset_ranks_match_rank_of_every_subset(family):
     assert len(ranks) == 1 << len(vectors)
     for mask in range(len(ranks)):
         rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
-        assert ranks[mask] == rank(FieldMatrix(f, rows)), (mask, rows)
+        assert ranks[mask] == naive_rank(rows, p), (mask, rows)
 
 
 def vector_groups(primes=(2, 3, 5, 7)):
@@ -381,13 +381,11 @@ def grouped_ranks(p, groups):
 
 
 def assert_grouped_ranks(p, groups):
-    f = FieldSpec(p)
     ranks = grouped_ranks(p, groups)
     assert len(ranks) == 1 << len(groups)
     for mask in range(len(ranks)):
         rows = [v for i, g in enumerate(groups) if mask >> i & 1 for v in g]
-        width = len(rows[0]) if rows else 0
-        assert ranks[mask] == (rank(FieldMatrix(f, rows)) if width else 0), (mask, rows)
+        assert ranks[mask] == naive_rank(rows, p), (mask, rows)
 
 
 @settings(max_examples=150)
