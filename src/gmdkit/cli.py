@@ -89,6 +89,8 @@ def _document(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -98,9 +100,14 @@ def _document(path: str) -> dict:
     return doc
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int``, so true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, path: str) -> FieldSpec:
     char = doc.get("char", 2)
-    if not isinstance(char, int):
+    if not _is_integer(char):
         raise ParseError(f"{path}: \"char\" must be an integer")
     return FieldSpec(char)
 
@@ -111,7 +118,7 @@ def _integer_lists(doc: dict, path: str, key: str, entries: str) -> list:
     if not isinstance(rows, list) or not rows:
         of_rows = " of rows" if key == "generator" else ""
         raise ParseError(f"{path}: \"{key}\" must be a non-empty list{of_rows}")
-    if not all(isinstance(row, list) and all(isinstance(c, int) for c in row) for row in rows):
+    if not all(isinstance(row, list) and all(map(_is_integer, row)) for row in rows):
         raise ParseError(f"{path}: {entries}")
     return rows
 
@@ -158,7 +165,7 @@ def _load_ideal(doc: dict, path: str) -> _Loaded:
 def _load_complex(doc: dict, path: str) -> _Loaded:
     field = _field(doc, path)
     vertices = doc.get("vertices")
-    if not isinstance(vertices, int) or vertices < 1:
+    if not _is_integer(vertices) or vertices < 1:
         raise ParseError(f"{path}: \"vertices\" must be a positive integer")
     if vertices > MAX_VARIABLES:
         raise ParseError(f"{path}: at most {MAX_VARIABLES} vertices are supported, got {vertices}")
@@ -169,7 +176,7 @@ def _load_complex(doc: dict, path: str) -> _Loaded:
 def _load_points(doc: dict, path: str) -> _Loaded:
     field = _field(doc, path)
     ambient = doc.get("ambient")
-    if not isinstance(ambient, int):
+    if not _is_integer(ambient):
         raise ParseError(f"{path}: \"ambient\" must be an integer")
     if ambient > MAX_VARIABLES:
         raise ParseError(

@@ -299,37 +299,24 @@ def _enum_scan(generator: FieldMatrix, r: int, start: int, stop: int):
     longest, is read once.
     """
     supports = _row_supports(generator)
-    it = SubspaceIterator(generator.rows, r, generator.field, start, stop)
-    best = None
-    best_index = None
-    for lo, hi, rows in it.pivot_blocks():
+    it = SubspaceIterator(generator.rows, r, generator.field)
+    minima = []
+    for lo, hi, rows in it.pivot_blocks(start, stop):
         unions = supports(*rows[0])
         for row in rows[1:]:
             unions = _or_each(unions, list(supports(*row)))
         first = max(start, lo)
         unions = itertools.islice(unions, first - lo, min(stop, hi) - lo)
-        # (weight, index) pairs: min takes the least weight at its first index
-        weight, index = min(zip(map(int.bit_count, unions), itertools.count(first)))
-        if best is None or weight < best:
-            best = weight
-            best_index = index
-    return best, best_index
+        minima.append(min(zip(map(int.bit_count, unions), itertools.count(first))))
+    # (weight, index) pairs: min takes the least weight at its first index
+    return min(minima, default=(None, None))
 
 
 def _ghw_enumerate(code: LinearCode, r: int, jobs: int) -> GhwResult:
     g = code.generator
     it = SubspaceIterator(code.dimension, r, code.field)
-    partials = scan_in_chunks(it, jobs, _enum_scan, (g, r))
-    best = None
-    best_index = None
-    for weight, index in partials:
-        if weight is None:
-            continue
-        if best is None or weight < best or (weight == best and index < best_index):
-            best = weight
-            best_index = index
-    u = SubspaceIterator(code.dimension, r, code.field).matrix_at(best_index)
-    witness = rref(u.matmul(g))[0].to_lists()
+    best, best_index = scan_in_chunks(it.count, jobs, _enum_scan, (g, r))
+    witness = rref(it.matrix_at(best_index).matmul(g))[0].to_lists()
     return GhwResult(best, r, "enumerate", witness)
 
 

@@ -344,10 +344,11 @@ def kernel_basis(matrix: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._raw(matrix.field, tuple(out), cols)
 
 
-def gaussian_binomial(m: int, l: int, p: int) -> int:
-    """Number of l-dimensional subspaces of F_p^m, exact."""
+def subspace_count(m: int, l: int, field: FieldSpec) -> int:
+    """Number of l-dimensional subspaces of F_p^m: the Gaussian binomial, exact."""
     if l < 0 or l > m:
         return 0
+    p = field.p
     num = 1
     den = 1
     for i in range(l):
@@ -361,15 +362,16 @@ def gaussian_binomial(m: int, l: int, p: int) -> int:
 class SubspaceIterator:
     """Canonical enumeration of l-dimensional subspaces of F_p^m.
 
-    Subspaces are emitted as l x m RREF matrices without zero rows.  The
-    global order is: pivot-column combinations in lexicographic order, and
-    within a combination the free entries run through base-p counters over
-    the free positions in row-major order.  ``split`` partitions the index
-    range into contiguous chunks so scans parallelize without changing the
-    overall order.
+    Subspaces are emitted as l x m RREF matrices without zero rows, each
+    at its index in 0..count-1.  The global order is: pivot-column
+    combinations in lexicographic order, and within a combination the free
+    entries run through base-p counters over the free positions in
+    row-major order.  The iterator holds no range; a scan of indices
+    [start, stop) reads ``matrix_at`` or ``pivot_blocks(start, stop)``,
+    and ``scan_in_chunks`` cuts the full range for parallel scans.
     """
 
-    def __init__(self, m: int, l: int, field: FieldSpec, start: int = 0, stop: int | None = None):
+    def __init__(self, m: int, l: int, field: FieldSpec):
         if m < 0 or l < 0:
             raise ValueError("dimensions must be non-negative")
         self.m = m
@@ -390,10 +392,6 @@ class SubspaceIterator:
             self._free.append(free)
             self._cum.append(self._cum[-1] + field.p ** len(free))
         self.count = self._cum[-1]
-        self.start = start
-        self.stop = self.count if stop is None else stop
-        if not (0 <= self.start <= self.stop <= self.count):
-            raise ValueError("invalid index range")
 
     def matrix_at(self, index: int) -> FieldMatrix:
         if not (0 <= index < self.count):
@@ -409,7 +407,7 @@ class SubspaceIterator:
             offset, rows[i][j] = divmod(offset, p)
         return FieldMatrix._raw(self.field, tuple(map(tuple, rows)), self.m)
 
-    def pivot_blocks(self):
+    def pivot_blocks(self, start: int, stop: int):
         """The pivot combinations overlapping [start, stop), in index order.
 
         Yields ``(lo, hi, rows)`` per combination: its subspaces have the
@@ -418,10 +416,10 @@ class SubspaceIterator:
         ``free`` columns, the last one fastest.  The product of the rows'
         counters, row 0 outermost, lists the bases in index order.
         """
-        if self.start >= self.stop:
+        if start >= stop:
             return
-        b = bisect_right(self._cum, self.start) - 1
-        while b < len(self._combos) and self._cum[b] < self.stop:
+        b = bisect_right(self._cum, start) - 1
+        while b < len(self._combos) and self._cum[b] < stop:
             rows = [
                 (c, [j for k, j in self._free[b] if k == i])
                 for i, c in enumerate(self._combos[b])
@@ -429,46 +427,32 @@ class SubspaceIterator:
             yield self._cum[b], self._cum[b + 1], rows
             b += 1
 
-    def split(self, parts: int) -> list["SubspaceIterator"]:
-        if parts < 1:
-            raise ValueError("parts must be positive")
-        total = self.stop - self.start
-        out = []
-        base = total // parts
-        extra = total % parts
-        pos = self.start
-        for k in range(parts):
-            size = base + (1 if k < extra else 0)
-            out.append(SubspaceIterator(self.m, self.l, self.field, pos, pos + size))
-            pos += size
-        return out
-
-    def __len__(self):
-        return self.stop - self.start
-
 
 def _run_task(task):
     return task[0](*task[1:])
 
 
-def scan_in_chunks(it: SubspaceIterator, jobs: int, scan, args: tuple) -> list:
-    """Results of ``scan(*args, start, stop)`` over contiguous chunks of ``it``.
+def scan_in_chunks(count: int, jobs: int, scan, args: tuple):
+    """Least ``(value, index)`` of ``scan(*args, start, stop)`` over range(count).
 
-    The worker count is clamped to min(jobs, cpu count, subspace count)
-    before the range is split or any process starts, so every chunk is
-    nonempty.  Results come back in index order; with one worker the
-    chunk runs in this process.
+    The range is cut into contiguous chunks, one per worker; the worker
+    count is clamped to min(jobs, cpu count, count) before any process
+    starts, so no worker gets an empty chunk of a nonempty range.  Each
+    scan returns the least value over its chunk and the first index
+    reaching it, or ``(None, None)`` when no index there qualifies.  The
+    least pair over the chunks is the least value at its first index, the
+    same for any worker count; ``(None, None)`` when no chunk has a value.
+    With one worker the chunk runs in this process.
     """
-    workers = max(1, min(jobs, os.cpu_count() or 1, len(it)))
-    tasks = [(scan, *args, c.start, c.stop) for c in it.split(workers)]
+    workers = max(1, min(jobs, os.cpu_count() or 1, count))
+    cuts = [count * k // workers for k in range(workers + 1)]
+    tasks = [(scan, *args, start, stop) for start, stop in zip(cuts, cuts[1:])]
     if workers == 1:
-        return [_run_task(task) for task in tasks]
-    # imported here so that a single-worker run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        results = map(_run_task, tasks)
+    else:
+        # imported here so that a single-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks))
-
-
-def subspace_count(m: int, l: int, field: FieldSpec) -> int:
-    return gaussian_binomial(m, l, field.p)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_task, tasks))
+    return min((pair for pair in results if pair[0] is not None), default=(None, None))

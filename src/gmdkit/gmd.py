@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import HypothesisError, InvariantError
-from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks, subspace_count
+from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks
 from .groebner import (
     IdealPresentation,
     colon,
@@ -227,19 +227,21 @@ def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple, ann_m
 
 
 def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
-    """Scan a contiguous index range of subspaces; return (best, first index reaching it).
+    """Scan a contiguous index range of subspaces for the least distance value.
 
-    Under fixed-dim the scan is a branch and bound.  S/(I + (F)) is a
-    quotient of S/(I + (f)) for every row f of F's RREF, so its multiplicity
-    at dim(S/I) is at most each row's line value.  Once the range has a
-    best, an l >= 2 subspace with a row whose line value is at most that
-    best cannot replace it (ties keep the earlier index) and is skipped
-    before its annihilator test and extension.  l = 1 subspaces are lines:
-    they are scanned in full and leave their values in the line memo.
-    Own-dim is never pruned: its multiplicity is not monotone once the
-    dimension drops.
+    Returns (e(S/I) minus the best multiplicity, first index reaching it),
+    or (None, None) when no subspace in the range has a nonzero
+    annihilator.  Under fixed-dim the scan is a branch and bound.
+    S/(I + (F)) is a quotient of S/(I + (f)) for every row f of F's RREF,
+    so its multiplicity at dim(S/I) is at most each row's line value.  Once
+    the range has a best, an l >= 2 subspace with a row whose line value is
+    at most that best cannot replace it (ties keep the earlier index) and
+    is skipped before its annihilator test and extension.  l = 1 subspaces
+    are lines: they are scanned in full and leave their values in the line
+    memo.  Own-dim is never pruned: its multiplicity is not monotone once
+    the dimension drops.
     """
-    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field, start, stop)
+    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field)
     bounded = convention == FIXED_DIM
     best = None
     best_index = None
@@ -257,7 +259,9 @@ def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, s
         if value is not None and (best is None or value > best):
             best = value
             best_index = index
-    return best, best_index
+    if best is None:
+        return None, None
+    return profile.multiplicity - best, best_index
 
 
 def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> DeltaResult:
@@ -265,47 +269,33 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
 
     Walks every l-dimensional subspace of the degree-t piece of S/I (the
     value only depends on the span), keeps those with nonzero annihilator,
-    and takes the maximum quotient multiplicity.  ``jobs`` partitions the
-    index range; results are identical for any worker count.
+    and takes the least e(S/I) minus quotient multiplicity.  ``jobs``
+    partitions the index range; results are identical for any worker count.
     """
     profile = query.profile
     e_total = profile.multiplicity
     basis_monomials = tuple(graded_piece_of_quotient(profile.ideal, query.t))
     m = len(basis_monomials)
+    empty = DeltaResult(e_total, query.t, query.ell, query.convention, "brute", "empty", None)
     if query.ell > m:
-        return DeltaResult(
-            e_total, query.t, query.ell, query.convention, "brute", "empty", None
-        )
-    total = subspace_count(m, query.ell, profile.ring.field)
-    partials = scan_in_chunks(
-        SubspaceIterator(m, query.ell, profile.ring.field),
+        return empty
+    it = SubspaceIterator(m, query.ell, profile.ring.field)
+    best, best_index = scan_in_chunks(
+        it.count,
         jobs,
         _brute_scan,
         (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
     )
-    best = None
-    best_index = None
-    for value, index in partials:
-        if value is None:
-            continue
-        if best is None or value > best or (value == best and index < best_index):
-            best = value
-            best_index = index
     if best is None:
-        return DeltaResult(
-            e_total, query.t, query.ell, query.convention, "brute", "empty", None
-        )
-    matrix = SubspaceIterator(m, query.ell, profile.ring.field).matrix_at(best_index)
+        return empty
     witness = {
         "subspace_index": best_index,
-        "matrix": matrix.to_lists(),
+        "matrix": it.matrix_at(best_index).to_lists(),
         "basis_monomials": [monomial_to_str(profile.ring, mo) for mo in basis_monomials],
-        "quotient_multiplicity": best,
-        "searched": total,
+        "quotient_multiplicity": e_total - best,
+        "searched": it.count,
     }
-    return DeltaResult(
-        e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
-    )
+    return DeltaResult(best, query.t, query.ell, query.convention, "brute", "ok", witness)
 
 
 def _subset_table(profile: RingProfile, t: int) -> list:

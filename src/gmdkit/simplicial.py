@@ -59,26 +59,14 @@ class SimplicialComplex:
         """Dimension of the complex (max facet size minus 1)."""
         return max(len(f) for f in self.facets) - 1
 
-    def faces(self) -> set[frozenset[int]]:
-        out: set[frozenset[int]] = set()
-        for f in self.facets:
-            elems = sorted(f)
-            for r in range(len(elems) + 1):
-                for sub in itertools.combinations(elems, r):
-                    out.add(frozenset(sub))
-        return out
-
     def is_face(self, s) -> bool:
         fs = frozenset(s)
         return any(fs <= f for f in self.facets)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_0, ..., f_dim) with f_i = number of i-dimensional faces."""
-        counts = [0] * (self.dim() + 1)
-        for face in self.faces():
-            if face:
-                counts[len(face) - 1] += 1
-        return tuple(counts)
+        by_dim = _faces_by_dim(self.facets)
+        return tuple(len(by_dim[i]) for i in range(self.dim() + 1))
 
     def induced(self, vertices) -> list[frozenset[int]]:
         """Facets of the subcomplex induced on a vertex subset."""

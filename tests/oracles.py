@@ -206,15 +206,15 @@ def _unpruned_scan(profile, t, ell, convention, ann_mode, basis_monomials, start
     from gmdkit.gflinalg import SubspaceIterator
     from gmdkit.gmd import _quotient_multiplicity, ann_nonzero, subspace_to_polys
 
-    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field, start, stop)
+    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field)
     best = None
     best_index = None
     for index in range(start, stop):
         polys = subspace_to_polys(profile, basis_monomials, it.matrix_at(index))
         if not ann_nonzero(profile, polys, ann_mode):
             continue
-        value = _quotient_multiplicity(profile, polys, convention)
-        if best is None or value > best:
+        value = profile.multiplicity - _quotient_multiplicity(profile, polys, convention)
+        if best is None or value < best:
             best = value
             best_index = index
     return best, best_index
@@ -226,7 +226,7 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
     Groebner extension.  The reference the branch and bound is compared
     with, value, status and witness alike.
     """
-    from gmdkit.gflinalg import SubspaceIterator, scan_in_chunks, subspace_count
+    from gmdkit.gflinalg import SubspaceIterator, scan_in_chunks
     from gmdkit.gmd import DeltaResult
     from gmdkit.hilbert import graded_piece_of_quotient
     from gmdkit.polyring import monomial_to_str
@@ -235,36 +235,26 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
     e_total = profile.multiplicity
     basis_monomials = tuple(graded_piece_of_quotient(profile.ideal, query.t))
     m = len(basis_monomials)
-    field = profile.ring.field
     empty = DeltaResult(e_total, query.t, query.ell, query.convention, "brute", "empty", None)
     if query.ell > m:
         return empty
-    partials = scan_in_chunks(
-        SubspaceIterator(m, query.ell, field),
+    it = SubspaceIterator(m, query.ell, profile.ring.field)
+    best, best_index = scan_in_chunks(
+        it.count,
         jobs,
         _unpruned_scan,
         (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
     )
-    best = None
-    best_index = None
-    for value, index in partials:
-        if value is None:
-            continue
-        if best is None or value > best or (value == best and index < best_index):
-            best = value
-            best_index = index
     if best is None:
         return empty
     witness = {
         "subspace_index": best_index,
-        "matrix": SubspaceIterator(m, query.ell, field).matrix_at(best_index).to_lists(),
+        "matrix": it.matrix_at(best_index).to_lists(),
         "basis_monomials": [monomial_to_str(profile.ring, mo) for mo in basis_monomials],
-        "quotient_multiplicity": best,
-        "searched": subspace_count(m, query.ell, field),
+        "quotient_multiplicity": e_total - best,
+        "searched": it.count,
     }
-    return DeltaResult(
-        e_total - best, query.t, query.ell, query.convention, "brute", "ok", witness
-    )
+    return DeltaResult(best, query.t, query.ell, query.convention, "brute", "ok", witness)
 
 
 def ann_nonzero_by_colon(profile, polys):

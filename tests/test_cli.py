@@ -225,6 +225,55 @@ def test_bad_polynomial_keeps_position(capsys, tmp_path):
     assert "position 2" in err
 
 
+def test_non_utf8_file_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    status, out, err = run(capsys, "delta", str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+# One boolean in an integer field per input kind, with the field's message;
+# JSON true and false are Python ints, so they used to pass as 1 and 0.
+BOOLEAN_INPUTS = {
+    "ideal-char": (
+        {"char": True, "vars": ["x"], "gens": ["x"]},
+        '"char" must be an integer',
+    ),
+    "complex-vertices": (
+        {"vertices": True, "facets": [[1]]},
+        '"vertices" must be a positive integer',
+    ),
+    "complex-facets": (
+        {"vertices": 3, "facets": [[True, 2], [2, 3]]},
+        "facets must be lists of 1-based vertex numbers",
+    ),
+    "points-ambient": (
+        {"char": 2, "ambient": True, "points": [[1]]},
+        '"ambient" must be an integer',
+    ),
+    "points": (
+        {"char": 2, "ambient": 3, "points": [[True, False, False], [0, 1, 0]]},
+        "points must be lists of integers",
+    ),
+    "generator": (
+        {"char": 2, "generator": [[1, 0, True], [0, 1, 1]]},
+        "generator rows must be lists of integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_INPUTS))
+def test_boolean_in_an_integer_field_is_exit_2(capsys, tmp_path, name):
+    doc, message = BOOLEAN_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    command = "ghw" if name == "generator" else "delta"
+    status, out, err = run(capsys, command, str(path))
+    assert (status, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_unknown_kind_is_exit_2(capsys, tmp_path):
     path = tmp_path / "odd.json"
     path.write_text('{"char": 2, "rows": []}')
@@ -362,19 +411,26 @@ class SerialPool:
 def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, monkeypatch):
     import concurrent.futures
 
-    from gmdkit import gflinalg
+    from gmdkit import codes, gflinalg, gmd
 
     # scan_in_chunks imports the pool class from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(gflinalg.os, "cpu_count", lambda: 3)
-    split_sizes = []
-    real_split = gflinalg.SubspaceIterator.split
+    scans = []  # (count, [(start, stop) of each task]) per scan_in_chunks call
+    real_scan_in_chunks = gflinalg.scan_in_chunks
+    real_run_task = gflinalg._run_task
 
-    def recording_split(self, parts):
-        split_sizes.append(parts)
-        return real_split(self, parts)
+    def recording_scan_in_chunks(count, *rest):
+        scans.append((count, []))
+        return real_scan_in_chunks(count, *rest)
 
-    monkeypatch.setattr(gflinalg.SubspaceIterator, "split", recording_split)
+    def recording_run_task(task):
+        scans[-1][1].append(task[-2:])
+        return real_run_task(task)
+
+    for module in (gmd, codes):
+        monkeypatch.setattr(module, "scan_in_chunks", recording_scan_in_chunks)
+    monkeypatch.setattr(gflinalg, "_run_task", recording_run_task)
     for argv in (
         ["delta", ex1_file, "--t-max", "2", "--ell-max", "2", "--witnesses"],
         ["ghw", points_file, "--t-max", "2", "--strategy", "enumerate", "--witnesses"],
@@ -384,16 +440,48 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
         outputs = []
         for jobs in (1, 2, 10**6):
             SerialPool.sizes.clear()
-            split_sizes.clear()
+            scans.clear()
             status, out, err = run(capsys, *argv, "--jobs", str(jobs))
             assert status == 0, err
             outputs.append(out)
-            assert split_sizes and max(split_sizes) <= min(jobs, 3)
+            assert scans
+            for count, ranges in scans:
+                # contiguous nonempty pieces that tile [0, count)
+                assert 1 <= len(ranges) <= min(jobs, 3)
+                assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+                assert ranges[-1][1] == count
+                assert all(start < stop for start, stop in ranges)
             if jobs == 1:
                 assert SerialPool.sizes == []
             else:
                 assert SerialPool.sizes and max(SerialPool.sizes) <= min(jobs, 3)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Values a fake scan reads: ties for the least value (2 at 8 and 10, 3 at 2,
+# 4 and 5) that chunk boundaries cut through, and runs of indices with none.
+LISTED_VALUES = [None, 5, 3, None, 3, 3, None, None, 2, 4, 2, None]
+
+
+def _listed_scan(values, start, stop):
+    pairs = [(v, i) for i, v in enumerate(values[start:stop], start) if v is not None]
+    return min(pairs, default=(None, None))
+
+
+@pytest.mark.parametrize("values", [LISTED_VALUES, [None] * 5])
+def test_scan_in_chunks_returns_the_least_value_at_its_first_index(monkeypatch, values):
+    import concurrent.futures
+
+    from gmdkit import gflinalg
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(gflinalg.os, "cpu_count", lambda: len(values))
+    want = _listed_scan(values, 0, len(values))
+    assert want == ((2, 8) if values is LISTED_VALUES else (None, None))
+    for workers in range(1, len(values) + 1):
+        SerialPool.sizes.clear()
+        assert gflinalg.scan_in_chunks(len(values), workers, _listed_scan, (values,)) == want
+        assert SerialPool.sizes == ([] if workers == 1 else [workers])
 
 
 # Every subcommand's arguments as (flag or name, dest, type, nargs, choices,

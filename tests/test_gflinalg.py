@@ -12,7 +12,6 @@ from gmdkit.gflinalg import (
     FieldSpec,
     PackedVectors,
     SubspaceIterator,
-    gaussian_binomial,
     kernel_basis,
     rank,
     rref,
@@ -212,7 +211,7 @@ def test_import_keeps_multiprocessing_out():
     ],
 )
 def test_gaussian_binomial_known_values(m, l, p, expected):
-    assert gaussian_binomial(m, l, p) == expected
+    assert subspace_count(m, l, FieldSpec(p)) == expected
 
 
 @settings(max_examples=30)
@@ -232,7 +231,7 @@ def test_subspace_enumeration_is_complete_and_canonical(p, m, l):
         assert rk == l
         assert reduced == mat  # emitted in reduced echelon form
         seen.add(mat)
-    assert len(seen) == gaussian_binomial(m, l, p) == subspace_count(m, l, f)
+    assert len(seen) == it.count == subspace_count(m, l, f)
 
 
 def test_subspace_iterator_indexing_and_split():
@@ -251,12 +250,15 @@ def test_subspace_iterator_indexing_and_split():
     for bad in (-1, 35):
         with pytest.raises(IndexError):
             it.matrix_at(bad)
-    parts = it.split(4)
+    # four contiguous ranges, cut through pivot combinations, list every index once
     covered = []
-    for part in parts:
-        covered.extend(range(part.start, part.stop))
-        for i in range(part.start, part.stop):
-            assert part.matrix_at(i) == it.matrix_at(i)
+    for start, stop in ((0, 8), (8, 17), (17, 26), (26, 35)):
+        for lo, hi, rows in it.pivot_blocks(start, stop):
+            bases = itertools.product(*(_counter_rows(4, 2, *row) for row in rows))
+            for index, basis in enumerate(bases, lo):
+                if start <= index < stop:
+                    assert basis == it.matrix_at(index).data
+                    covered.append(index)
     assert covered == list(range(35))
 
 
@@ -281,12 +283,11 @@ def _counter_rows(m, p, pivot, free):
 )
 def test_pivot_blocks_list_the_range_in_index_order(p, m, l, data):
     f = FieldSpec(p)
-    count = SubspaceIterator(m, l, f).count
-    start = data.draw(st.integers(0, count))
-    stop = data.draw(st.integers(start, count))
-    it = SubspaceIterator(m, l, f, start, stop)
+    it = SubspaceIterator(m, l, f)
+    start = data.draw(st.integers(0, it.count))
+    stop = data.draw(st.integers(start, it.count))
     covered = []
-    for lo, hi, rows in it.pivot_blocks():
+    for lo, hi, rows in it.pivot_blocks(start, stop):
         assert lo < stop and hi > start  # only combinations that overlap
         bases = list(itertools.product(*(_counter_rows(m, p, *row) for row in rows)))
         assert len(bases) == hi - lo

@@ -63,7 +63,6 @@ def test_dim_faces_f_vector():
     assert TRIANGLE.f_vector() == (3, 3)
     assert FULL_TRIANGLE.f_vector() == (3, 3, 1)
     assert SQUARE.f_vector() == (4, 4)
-    assert len(TRIANGLE.faces()) == 7  # empty set, 3 vertices, 3 edges
     assert TRIANGLE.is_face((0, 1))
     assert not TRIANGLE.is_face((0, 1, 2))
 
