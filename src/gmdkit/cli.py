@@ -15,8 +15,9 @@ codes: 0 ok, 1 verification failure (a failed internal invariant check
 included), 2 malformed input or input beyond a supported bound (more than
 12 variables, a count above 10000, a Groebner computation needing an
 exponent above 32767, a prime-subset table over more than 22 minimal
-primes, a forced GHW enumeration over more than 20000000 subcodes), 3
-operation outside its mathematical hypotheses.
+primes, a forced GHW enumeration over more than 20000000 subcodes, a
+brute-force cell over more than 10000000 subspaces), 3 operation outside
+its mathematical hypotheses.
 """
 
 from __future__ import annotations

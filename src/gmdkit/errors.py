@@ -83,3 +83,19 @@ class EnumerationLimitError(Exception):
             f"forced enumeration supports at most {self.limit} subcodes, got {self.count}; "
             "use --strategy shorten or --strategy auto"
         )
+
+
+class BruteLimitError(EnumerationLimitError):
+    """A brute-force distance cell would scan more subspaces than gmdkit allows.
+
+    ``gmd.delta_bruteforce`` visits every l-dimensional subspace of a
+    degree-t piece, so its count is capped at ``gmd.BRUTE_SUBSPACE_LIMIT``;
+    the prime-subset route has no such count.  The CLI exits 2, as for a
+    forced GHW enumeration.
+    """
+
+    def __str__(self):
+        return (
+            f"brute force supports at most {self.limit} subspaces per cell, got {self.count}; "
+            "lower --t-max or --ell-max, or use --method fast"
+        )

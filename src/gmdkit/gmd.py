@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import HypothesisError, InvariantError
-from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks
+from .errors import BruteLimitError, HypothesisError, InvariantError
+from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks, subspace_count
 from .groebner import (
     IdealPresentation,
     colon,
@@ -86,31 +86,19 @@ def _row_to_poly(ring, basis_monomials, row) -> Polynomial:
     return Polynomial(ring, {mono: c for c, mono in zip(row, basis_monomials) if c})
 
 
-def _ann_route(profile: RingProfile, mode: str) -> str:
-    """The annihilator mode that ``mode`` stands for on this profile."""
-    if mode not in ("auto", "colon", "prime"):
-        raise ValueError(f"unknown annihilator mode {mode!r}")
-    if mode == "auto":
-        return "prime" if profile.reduced_certified else "colon"
-    return mode
-
-
-def ann_nonzero(profile: RingProfile, polys, mode: str = "auto", extension=None) -> bool:
+def ann_nonzero(profile: RingProfile, polys, extension=None) -> bool:
     """Whether the annihilator of (the images of) the polynomials is nonzero.
 
-    That is (I : (F)) != I.  "colon" decides it without the primes: for one
-    homogeneous f of positive degree it compares Hilbert series
-    (``_colon_grows``), for several polynomials it computes the colon ideal.
-    "prime" checks containment in some minimal prime and needs a certified
-    profile.  "auto" uses the prime route when available.  Both routes agree
-    on certified reduced profiles.  ``extension`` is I + (f) as
-    ``_extension`` builds it; a caller passes it to reuse it afterwards for
-    the multiplicity, and colon mode builds it when it is not given.
+    That is (I : (F)) != I.  On a certified reduced profile it checks
+    containment in some minimal prime.  Otherwise it decides from the
+    definition: for one homogeneous f of positive degree it compares Hilbert
+    series (``_colon_grows``), for several polynomials it computes the colon
+    ideal.  Both routes agree on certified reduced profiles.  ``extension``
+    is I + (f) as ``_extension`` builds it; a caller passes it to reuse it
+    afterwards for the multiplicity, and the Hilbert-series test builds it
+    when it is not given.
     """
-    mode = _ann_route(profile, mode)
-    if mode == "prime":
-        if not profile.reduced_certified:
-            raise HypothesisError("prime-based annihilator test needs a certified profile")
+    if profile.reduced_certified:
         for prime in profile.primes:
             gb = groebner_basis(prime.ideal)
             if all(_in_ideal(f, gb) for f in polys):
@@ -180,18 +168,18 @@ def _quotient_multiplicity(profile: RingProfile, polys, convention: str, extensi
     return data.multiplicity
 
 
-def _subspace_multiplicity(profile: RingProfile, polys, ann_mode: str, convention: str):
+def _subspace_multiplicity(profile: RingProfile, polys, convention: str):
     """Quotient multiplicity of F's span, or None when its annihilator is zero.
 
-    A line in colon mode builds I + (f) first: its Hilbert series decides
-    the annihilator test and then gives the multiplicity, so each line
-    costs one extension and no colon ideal.  l >= 2 subspaces and the
-    prime mode extend only once the test has passed.
+    Without certified primes a line builds I + (f) first: its Hilbert
+    series decides the annihilator test and then gives the multiplicity, so
+    each line costs one extension and no colon ideal.  l >= 2 subspaces and
+    certified profiles extend only once the test has passed.
     """
     extension = None
-    if len(polys) == 1 and _ann_route(profile, ann_mode) == "colon":
+    if len(polys) == 1 and not profile.reduced_certified:
         extension = _extension(profile, polys)
-    if not ann_nonzero(profile, polys, ann_mode, extension):
+    if not ann_nonzero(profile, polys, extension):
         return None
     return _quotient_multiplicity(profile, polys, convention, extension)
 
@@ -202,31 +190,24 @@ def _subspace_multiplicity(profile: RingProfile, polys, ann_mode: str, conventio
 LINE_MEMO_LIMIT = 1 << 14
 
 
-def _remember_line(profile: RingProfile, t: int, row: tuple, value: int) -> int:
+def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple):
+    """Fixed-dim quotient multiplicity of the line spanned by one RREF row.
+
+    None when the row has zero annihilator: a nonzerodivisor, whose
+    quotient drops dimension and measures 0, and which no qualifying
+    subspace contains.  This is the only writer of ``profile.line_values``.
+    """
     memo = profile.line_values.setdefault(t, {})
+    if row in memo:
+        return memo[row]
     if len(memo) >= LINE_MEMO_LIMIT:
         memo.clear()
-    memo[row] = value
+    polys = [_row_to_poly(profile.ring, basis_monomials, row)]
+    value = memo[row] = _subspace_multiplicity(profile, polys, FIXED_DIM)
     return value
 
 
-def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple, ann_mode: str) -> int:
-    """Fixed-dim quotient multiplicity of the line spanned by one RREF row.
-
-    A row with zero annihilator is a nonzerodivisor: its quotient drops
-    dimension and measures 0.  The value does not depend on the annihilator
-    mode, which only decides how that case is recognised, so one memo per
-    (profile, t) serves every mode.
-    """
-    value = profile.line_values.get(t, {}).get(row)
-    if value is not None:
-        return value
-    polys = [_row_to_poly(profile.ring, basis_monomials, row)]
-    value = _subspace_multiplicity(profile, polys, ann_mode, FIXED_DIM)
-    return _remember_line(profile, t, row, value or 0)
-
-
-def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
+def _brute_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
     """Scan a contiguous index range of subspaces for the least distance value.
 
     Returns (e(S/I) minus the best multiplicity, first index reaching it),
@@ -235,27 +216,27 @@ def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, s
     S/(I + (F)) is a quotient of S/(I + (f)) for every row f of F's RREF,
     so its multiplicity at dim(S/I) is at most each row's line value.  Once
     the range has a best, an l >= 2 subspace with a row whose line value is
-    at most that best cannot replace it (ties keep the earlier index) and
-    is skipped before its annihilator test and extension.  l = 1 subspaces
-    are lines: they are scanned in full and leave their values in the line
-    memo.  Own-dim is never pruned: its multiplicity is not monotone once
-    the dimension drops.
+    at most that best, or with a nonzerodivisor row, cannot replace it
+    (ties keep the earlier index) and is skipped before its annihilator
+    test and extension.  l = 1 subspaces are lines: they are scanned in
+    full through the line memo.  Own-dim is never pruned: its multiplicity
+    is not monotone once the dimension drops.
     """
-    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field)
     bounded = convention == FIXED_DIM
     best = None
     best_index = None
     for index in range(start, stop):
         matrix = it.matrix_at(index)
-        if bounded and ell > 1 and best is not None and any(
-            _line_value(profile, t, basis_monomials, row, ann_mode) <= best
-            for row in matrix.data
+        if bounded and ell == 1:
+            value = _line_value(profile, t, basis_monomials, matrix.data[0])
+        elif bounded and best is not None and any(
+            line is None or line <= best
+            for line in (_line_value(profile, t, basis_monomials, row) for row in matrix.data)
         ):
             continue
-        polys = subspace_to_polys(profile, basis_monomials, matrix)
-        value = _subspace_multiplicity(profile, polys, ann_mode, convention)
-        if bounded and ell == 1:
-            _remember_line(profile, t, matrix.data[0], value or 0)
+        else:
+            polys = subspace_to_polys(profile, basis_monomials, matrix)
+            value = _subspace_multiplicity(profile, polys, convention)
         if value is not None and (best is None or value > best):
             best = value
             best_index = index
@@ -264,13 +245,23 @@ def _brute_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, s
     return profile.multiplicity - best, best_index
 
 
-def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> DeltaResult:
+# Largest number of subspaces one brute-force cell may scan.  On a
+# fixed-dim l >= 2 cell with certified primes the row bound skips most of
+# them, and a subspace costs about 6-15 us, so the largest allowed cell
+# takes one to two and a half minutes.  A subspace tested in full (lines,
+# own-dim, colon ideals) costs 20 us to 2.4 ms.
+BRUTE_SUBSPACE_LIMIT = 10_000_000
+
+
+def delta_bruteforce(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     """Distance value by direct subspace enumeration.
 
     Walks every l-dimensional subspace of the degree-t piece of S/I (the
     value only depends on the span), keeps those with nonzero annihilator,
-    and takes the least e(S/I) minus quotient multiplicity.  ``jobs``
-    partitions the index range; results are identical for any worker count.
+    and takes the least e(S/I) minus quotient multiplicity.  A cell of more
+    than ``BRUTE_SUBSPACE_LIMIT`` subspaces raises ``BruteLimitError``
+    before the scan.  ``jobs`` partitions the index range; results are
+    identical for any worker count.
     """
     profile = query.profile
     e_total = profile.multiplicity
@@ -279,12 +270,15 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
     empty = DeltaResult(e_total, query.t, query.ell, query.convention, "brute", "empty", None)
     if query.ell > m:
         return empty
+    count = subspace_count(m, query.ell, profile.ring.field)
+    if count > BRUTE_SUBSPACE_LIMIT:
+        raise BruteLimitError(count, BRUTE_SUBSPACE_LIMIT)
     it = SubspaceIterator(m, query.ell, profile.ring.field)
     best, best_index = scan_in_chunks(
-        it.count,
+        count,
         jobs,
         _brute_scan,
-        (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
+        (profile, query.t, query.ell, query.convention, basis_monomials, it),
     )
     if best is None:
         return empty
@@ -293,7 +287,7 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1, ann_mode: str = "auto") -> 
         "matrix": it.matrix_at(best_index).to_lists(),
         "basis_monomials": [monomial_to_str(profile.ring, mo) for mo in basis_monomials],
         "quotient_multiplicity": e_total - best,
-        "searched": it.count,
+        "searched": count,
     }
     return DeltaResult(best, query.t, query.ell, query.convention, "brute", "ok", witness)
 
@@ -647,7 +641,9 @@ def verify_theorems(
     else:
         out.append(Verdict("dim-bound", "skipped", "facet graph is disconnected"))
 
-    if sr.shellable == "shellable":
+    if profile.ideal.is_zero_ideal():
+        out.append(Verdict("reg-bound", "skipped", "zero face ideal: reg = 0 but degrees start at 1"))
+    elif sr.shellable == "shellable":
         bad = [ell for ell, r in r_values.items() if r > sr.regularity + ell - 1]
         passed = f"r(l) <= reg+l-1 with reg={sr.regularity}"
         out.append(_law("reg-bound", bad, passed, f"violations at l={bad}"))

@@ -62,10 +62,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(operator.le, a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(operator.sub, a, b))
-
-
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
@@ -198,16 +194,6 @@ class Polynomial:
         ordered = sorted(self.terms, key=GREVLEX.key, reverse=True)
         return [(e, self.terms[e]) for e in ordered]
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading(order)
-        if c == 1:
-            return self
-        inv = self.ring.field.inv(c)
-        p = self.ring.field.p
-        return Polynomial._raw(self.ring, {e: (a * inv) % p for e, a in self.terms.items()})
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         p = self.ring.field.p
         out = dict(self.terms)
@@ -242,23 +228,6 @@ class Polynomial:
                 elif e in out:
                     del out[e]
         return Polynomial._raw(self.ring, out)
-
-    def scale(self, c: int) -> "Polynomial":
-        p = self.ring.field.p
-        c %= p
-        if c == 0:
-            return Polynomial.zero(self.ring)
-        return Polynomial._raw(self.ring, {e: (a * c) % p for e, a in self.terms.items()})
-
-    def term_mul(self, e: Monomial, c: int) -> "Polynomial":
-        """Multiply by the single term c * x^e."""
-        p = self.ring.field.p
-        c %= p
-        if c == 0:
-            return Polynomial.zero(self.ring)
-        return Polynomial._raw(
-            self.ring, {monomial_mul(a, e): (b * c) % p for a, b in self.terms.items()}
-        )
 
     def __eq__(self, other):
         return (

@@ -278,8 +278,9 @@ class RingProfile:
         self._families: dict[tuple[int, ...], FamilyIntersection] = {}
         # per-degree best-value tables of the prime-subset scan (gmd.delta_fast)
         self.subset_tables: dict[int, list] = {}
-        # per-degree {RREF row: fixed-dim line value} memo of the brute scan's
-        # bound (gmd._brute_scan); bounded by gmd.LINE_MEMO_LIMIT per degree
+        # per-degree {RREF row: fixed-dim line value, None for a
+        # nonzerodivisor} memo of the brute scan's bound (gmd._line_value);
+        # bounded by gmd.LINE_MEMO_LIMIT per degree
         self.line_values: dict[int, dict] = {}
 
     @property

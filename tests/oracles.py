@@ -202,16 +202,14 @@ def ghw_by_descending_column_sets(code, r):
 # brute-force distance without the row bound
 
 
-def _unpruned_scan(profile, t, ell, convention, ann_mode, basis_monomials, start, stop):
-    from gmdkit.gflinalg import SubspaceIterator
+def _unpruned_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
     from gmdkit.gmd import _quotient_multiplicity, ann_nonzero, subspace_to_polys
 
-    it = SubspaceIterator(len(basis_monomials), ell, profile.ring.field)
     best = None
     best_index = None
     for index in range(start, stop):
         polys = subspace_to_polys(profile, basis_monomials, it.matrix_at(index))
-        if not ann_nonzero(profile, polys, ann_mode):
+        if not ann_nonzero(profile, polys):
             continue
         value = profile.multiplicity - _quotient_multiplicity(profile, polys, convention)
         if best is None or value < best:
@@ -220,7 +218,7 @@ def _unpruned_scan(profile, t, ell, convention, ann_mode, basis_monomials, start
     return best, best_index
 
 
-def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
+def delta_bruteforce_unpruned(query, jobs=1):
     """``delta_bruteforce`` as it was before the row bound: every subspace
     of every chunk gets its annihilator test and, when it qualifies, its
     Groebner extension.  The reference the branch and bound is compared
@@ -243,7 +241,7 @@ def delta_bruteforce_unpruned(query, jobs=1, ann_mode="auto"):
         it.count,
         jobs,
         _unpruned_scan,
-        (profile, query.t, query.ell, query.convention, ann_mode, basis_monomials),
+        (profile, query.t, query.ell, query.convention, basis_monomials, it),
     )
     if best is None:
         return empty
@@ -309,7 +307,7 @@ def reduce_by_tuples(terms, reducers, order, p):
     """Full normal form of {exponent tuple: coefficient} against
     (leading exponent, inverse leading coefficient, terms) reducers, each
     term reduced by the first reducer whose leading exponent divides it."""
-    from gmdkit.polyring import monomial_div, monomial_divides, monomial_mul
+    from gmdkit.polyring import monomial_divides, monomial_mul
 
     work = dict(terms)
     out = {}
@@ -326,7 +324,7 @@ def reduce_by_tuples(terms, reducers, order, p):
             out[mu] = c
             continue
         lt, lc_inv, gterms = hit
-        shift = monomial_div(mu, lt)
+        shift = tuple(a - b for a, b in zip(mu, lt))
         factor = (c * lc_inv) % p
         for e, a in gterms.items():
             if e == lt:
@@ -346,15 +344,15 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
     exponent tuples compared through cached ``order.key`` values."""
     import heapq
 
-    from gmdkit.polyring import (
-        Polynomial,
-        monomial_div,
-        monomial_divides,
-        monomial_lcm,
-        monomial_mul,
-    )
+    from gmdkit.polyring import Polynomial, monomial_divides, monomial_lcm, monomial_mul
 
-    basis = [g.monic(order) for g in generators if not g.is_zero()]
+    def monic(g):
+        return Polynomial(g.ring, {(0,) * g.ring.n: g.ring.field.inv(g.leading(order)[1])}) * g
+
+    def shifted(g, lcm, lt):
+        return Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, lt)): 1}) * g
+
+    basis = [monic(g) for g in generators if not g.is_zero()]
     if not basis:
         return []
     ring = basis[0].ring
@@ -389,13 +387,11 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
             if k not in (i, j)
         ):
             continue
-        s = basis[i].term_mul(monomial_div(lcm, lt_i), 1) - basis[j].term_mul(
-            monomial_div(lcm, lt_j), 1
-        )
+        s = shifted(basis[i], lcm, lt_i) - shifted(basis[j], lcm, lt_j)
         reduced = reduce_by_tuples(s.terms, reducers, order, p)
         if not reduced:
             continue
-        h = Polynomial._raw(ring, reduced).monic(order)
+        h = monic(Polynomial._raw(ring, reduced))
         lt = h.leading(order)[0]
         basis.append(h)
         lts.append(lt)

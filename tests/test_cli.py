@@ -162,6 +162,22 @@ def test_verify_points_input(capsys, points_file):
     }
 
 
+@pytest.mark.parametrize("vertices", [1, 3])
+def test_verify_skips_the_regularity_bound_on_a_full_simplex(capsys, tmp_path, vertices):
+    # the face ideal is zero, so reg = 0 while r(1) = 1 (degrees start at 1)
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"vertices": vertices, "facets": [list(range(1, vertices + 1))]}))
+    status, report = run_json(capsys, "verify", str(path))
+    assert status == 0 and report["pass"] is True
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["reg-bound"] == {
+        "name": "reg-bound",
+        "status": "skipped",
+        "detail": "zero face ideal: reg = 0 but degrees start at 1",
+    }
+    assert all(v["status"] != "fail" for v in report["verdicts"])
+
+
 def test_verify_failure_exit_code(capsys, ex1_file, monkeypatch):
     from gmdkit.gmd import Verdict
 
@@ -769,6 +785,96 @@ def test_forced_enumeration_past_its_limit_is_exit_2(capsys, tmp_path, monkeypat
     status, out, err = run(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "1")
     assert (status, out) == (2, "") and "at most 29523 subcodes, got 29524" in err
     assert walked == [1]
+
+
+def test_brute_cell_past_its_limit_is_exit_2(capsys, triangle_file, monkeypatch):
+    # the subspace count is checked before the scan: the default delta grid
+    # on the triangle's face ring reaches [12 3]_2 = 408,345,795 subspaces
+    # at t = 4, l = 3, and its t = 3 cells hold 43,435 and 788,035
+    from gmdkit import gmd
+    from gmdkit.errors import BruteLimitError
+
+    profile = cli._profile_for(cli.load_input(triangle_file))
+    scanned = []
+    scan = gmd._brute_scan
+
+    def never(*args):
+        raise AssertionError("the cell past the limit was scanned")
+
+    def counted(*args):
+        scanned.append(args[1:3])
+        return scan(*args)
+
+    monkeypatch.setattr(gmd, "_brute_scan", never)
+    with pytest.raises(BruteLimitError, match="at most 10000000 subspaces per cell, got 408345795"):
+        gmd.delta_bruteforce(gmd.GmdQuery(profile, 4, 3, method="brute"))
+    monkeypatch.setattr(gmd, "_brute_scan", counted)
+    monkeypatch.setattr(gmd, "BRUTE_SUBSPACE_LIMIT", 43435)
+    expected = (
+        "error: brute force supports at most 43435 subspaces per cell, got 788035; "
+        "lower --t-max or --ell-max, or use --method fast\n"
+    )
+    assert run(capsys, "delta", triangle_file) == (2, "", expected)
+    assert (3, 3) not in scanned and (3, 2) in scanned
+    # the limit itself still scans, and the prime-subset route has no limit
+    status, report = run_json(capsys, "delta", triangle_file, "--t-max", "3", "--ell-max", "2")
+    assert status == 0 and len(report["cells"]) == 6
+    status, report = run_json(capsys, "delta", triangle_file, "--method", "fast")
+    assert status == 0 and len(report["cells"]) == 12
+
+
+def test_brute_limit_leaves_every_benchmark_op_and_golden_command_alone(
+    capsys, tmp_path, monkeypatch
+):
+    # perfbench runs brute delta ops over --t-max/--ell-max grids on the
+    # inputs perfbench/workloads.py writes, and checks the five-lines ops of
+    # prime-scan against brute cells at t = 1; a cell past the limit would
+    # turn an op or a reference into a failure, and a golden report into exit 2
+    import importlib
+    from pathlib import Path
+
+    from gmdkit import gmd
+    from gmdkit.gflinalg import subspace_count
+    from gmdkit.hilbert import hilbert_function
+
+    from test_golden import COMMANDS, EXIT_CODES, GOLDEN
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cells = {}
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.VARIANTS[workload]):
+            for op in workloads.generate(workload, 701, variant):
+                flags = dict(zip(op.args[::2], op.args[1::2]))
+                if workload == "prime-scan":
+                    if (op.family, op.command) != ("lines", "delta"):
+                        continue
+                    flags["--t-max"] = "1"
+                path = tmp_path / op.file_name()
+                path.write_text(json.dumps(op.twin))
+                profile = cli._profile_for(cli.load_input(str(path)))
+                for t in range(1, int(flags["--t-max"]) + 1):
+                    m = hilbert_function(profile.ideal, t)
+                    for ell in range(1, int(flags["--ell-max"]) + 1):
+                        count = subspace_count(m, ell, profile.ring.field)
+                        cells[op.name, t, ell] = max(count, cells.get((op.name, t, ell), 0))
+    counted = gmd.subspace_count
+
+    def recorded(m, ell, field):
+        count = counted(m, ell, field)
+        cells["golden", m, ell, field.p] = count
+        return count
+
+    monkeypatch.setattr(gmd, "subspace_count", recorded)
+    monkeypatch.chdir(GOLDEN)
+    codes = json.loads(EXIT_CODES.read_text())
+    for name, argv in COMMANDS.items():
+        if argv[0] in ("delta", "verify"):
+            status, _, _ = run(capsys, *argv, "--format", "json")
+            assert status == codes[f"{name}.json"], name
+    assert any(key[0] == "golden" for key in cells)
+    largest = max(cells.values())
+    assert largest < gmd.BRUTE_SUBSPACE_LIMIT, max(cells, key=cells.get)
 
 
 def test_readme_quick_start_table(capsys, tmp_path, monkeypatch):

@@ -118,7 +118,7 @@ def test_brute_jobs_split_agrees(ex1_profile):
 
 
 # Largest subspace count of a cell compared with the unpruned scan, per
-# annihilator mode (the colon test is the slower one).
+# annihilator test (the colon test is the slower one).
 ORACLE_CELL_CAP = {"prime": 400, "colon": 120}
 BATTERY = [case.name for case in ring_suite()]
 
@@ -126,6 +126,14 @@ BATTERY = [case.name for case in ring_suite()]
 def _fresh_profile(case: RingCase):
     """The case's profile built anew, with empty memos (``build`` is cached)."""
     return RingCase.build.__wrapped__(case)
+
+
+def _colon_twin(profile):
+    """The profile's ideal without its primes: ``ann_nonzero`` decides there
+    from the definition, the reference the prime test is compared with."""
+    twin = build_profile(profile.ideal)
+    assert not twin.reduced_certified
+    return twin
 
 
 def _affordable_cells(profile, cap=ORACLE_CELL_CAP["prime"]):
@@ -136,22 +144,24 @@ def _affordable_cells(profile, cap=ORACLE_CELL_CAP["prime"]):
                 yield t, ell
 
 
-def _assert_matches_unpruned(profile, t, ell, convention, ann_mode, jobs=1):
+def _assert_matches_unpruned(profile, t, ell, convention, jobs=1):
     query = GmdQuery(profile, t, ell, convention=convention, method="brute")
-    got = delta_bruteforce(query, jobs=jobs, ann_mode=ann_mode)
-    want = delta_bruteforce_unpruned(query, ann_mode=ann_mode)
-    assert got == want, (t, ell, convention, ann_mode, jobs)
+    got = delta_bruteforce(query, jobs=jobs)
+    want = delta_bruteforce_unpruned(query)
+    assert got == want, (t, ell, convention, jobs)
 
 
-@pytest.mark.parametrize("ann_mode", ["prime", "colon"])
+@pytest.mark.parametrize("route", ["prime", "colon"])
 @pytest.mark.parametrize("name", BATTERY)
-def test_row_bound_matches_unpruned_scan(ring_cases, name, ann_mode):
+def test_row_bound_matches_unpruned_scan(ring_cases, name, route):
     # every cell in the order the CLI asks them (l = 1 first at each t), so
     # l >= 2 cells read line values the l = 1 cell left in the memo
     profile = _fresh_profile(ring_cases[name])
-    for t, ell in _affordable_cells(profile, ORACLE_CELL_CAP[ann_mode]):
+    if route == "colon":
+        profile = _colon_twin(profile)
+    for t, ell in _affordable_cells(profile, ORACLE_CELL_CAP[route]):
         for convention in (FIXED_DIM, OWN_DIM):
-            _assert_matches_unpruned(profile, t, ell, convention, ann_mode)
+            _assert_matches_unpruned(profile, t, ell, convention)
     assert profile.line_values
 
 
@@ -161,8 +171,8 @@ def test_own_dim_scan_is_not_pruned(ring_cases):
     # would skip it; the cell is past the cap of the battery test above
     profile = _fresh_profile(ring_cases["f3-plane-with-two-lines"])
     for convention in (FIXED_DIM, OWN_DIM):
-        _assert_matches_unpruned(profile, 2, 1, convention, "prime")
-    _assert_matches_unpruned(profile, 2, 2, OWN_DIM, "prime")
+        _assert_matches_unpruned(profile, 2, 1, convention)
+    _assert_matches_unpruned(profile, 2, 2, OWN_DIM)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +182,7 @@ def test_row_bound_matches_unpruned_scan_over_two_workers(ring_cases, name):
     # workers get the profile without its memo and prune against their own best
     profile = _fresh_profile(ring_cases[name])
     for t, ell in _affordable_cells(profile):
-        _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "prime", jobs=2)
+        _assert_matches_unpruned(profile, t, ell, FIXED_DIM, jobs=2)
     assert pickle.loads(pickle.dumps(profile)).line_values == {}
 
 
@@ -183,7 +193,7 @@ def test_row_bound_computes_line_values_on_demand(ring_cases, name):
     cells = [(t, ell) for t, ell in _affordable_cells(profile) if ell == 2]
     assert cells
     t, ell = cells[-1]
-    _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "auto")
+    _assert_matches_unpruned(profile, t, ell, FIXED_DIM)
 
 
 def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
@@ -191,8 +201,58 @@ def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
     for name in ("f2-onedim-three-primes", "f3-plane-with-two-lines", "f3-points5-seed14"):
         profile = _fresh_profile(ring_cases[name])
         for t, ell in _affordable_cells(profile):
-            _assert_matches_unpruned(profile, t, ell, FIXED_DIM, "auto")
+            _assert_matches_unpruned(profile, t, ell, FIXED_DIM)
         assert all(0 < len(memo) <= 2 for memo in profile.line_values.values())
+
+
+@pytest.mark.parametrize("route", ["prime", "colon"])
+def test_line_memo_keeps_nonzerodivisors_apart_from_multiplicity_zero(
+    ring_cases, monkeypatch, route
+):
+    # degree-1 lines on the plane with two lines over F_3: nonzerodivisors,
+    # memoised as None, and zero divisors whose quotient drops dimension,
+    # memoised as 0
+    profile = _fresh_profile(ring_cases["f3-plane-with-two-lines"])
+    if route == "colon":
+        profile = _colon_twin(profile)
+    t = 1
+    basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+    delta_bruteforce(GmdQuery(profile, t, 1, method="brute"))
+    memo = profile.line_values[t]
+    assert len(memo) == subspace_count(len(basis), 1, profile.ring.field)
+    for row, value in memo.items():
+        polys = [gmd._row_to_poly(profile.ring, basis, row)]
+        assert ann_nonzero(profile, polys) is (value is not None), row
+    nonzerodivisors = {row for row, value in memo.items() if value is None}
+    assert nonzerodivisors and 0 in memo.values()
+
+    def key(polys):
+        return tuple(tuple(sorted(f.terms.items())) for f in polys)
+
+    it = SubspaceIterator(len(basis), 2, profile.ring.field)
+    index_of = {key(subspace_to_polys(profile, basis, it.matrix_at(i))): i for i in range(it.count)}
+    tested = []
+    original = gmd.ann_nonzero
+
+    def counted(profile, polys, extension=None):
+        answer = original(profile, polys, extension)
+        tested.append((index_of[key(polys)], answer))
+        return answer
+
+    monkeypatch.setattr(gmd, "ann_nonzero", counted)
+    query = GmdQuery(profile, t, 2, method="brute")
+    result = delta_bruteforce(query)
+    monkeypatch.undo()
+    # once the scan has a best, a plane with a nonzerodivisor row is skipped
+    first_best = next(index for index, answer in tested if answer)
+    after = [
+        i for i in range(first_best + 1, it.count)
+        if nonzerodivisors & set(it.matrix_at(i).data)
+    ]
+    assert after and not set(after) & {index for index, _ in tested}
+    assert len(tested) == len({index for index, _ in tested}) < it.count
+    assert result == delta_bruteforce_unpruned(query)
+    assert pickle.loads(pickle.dumps(profile)).line_values == {}
 
 
 @settings(max_examples=40)
@@ -207,22 +267,22 @@ def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):
     matrix = it.matrix_at(data.draw(st.integers(0, it.count - 1), label="index"))
     polys = subspace_to_polys(profile, basis, matrix)
     value = gmd._quotient_multiplicity(profile, polys, FIXED_DIM)
+    twin = _colon_twin(profile)
     for f in polys:
         line = gmd._quotient_multiplicity(profile, [f], FIXED_DIM)
         assert value <= line
-        if not ann_nonzero(profile, [f], "colon"):
+        if not ann_nonzero(twin, [f]):
             assert line == 0
 
 
 def test_annihilator_modes_agree(ex1_profile):
     ring = ex1_profile.ring
+    twin = _colon_twin(ex1_profile)
     for text in ("x", "x+z", "y", "x^2+y*z", "z^2"):
         polys = [parse_polynomial(text, ring)]
-        colon_answer = ann_nonzero(ex1_profile, polys, "colon")
-        prime_answer = ann_nonzero(ex1_profile, polys, "prime")
+        colon_answer = ann_nonzero(twin, polys)
+        prime_answer = ann_nonzero(ex1_profile, polys)
         assert colon_answer == prime_answer, text
-    with pytest.raises(ValueError):
-        ann_nonzero(ex1_profile, [], "oracle")
 
 
 # Subspaces checked per (t, l) cell; smaller cells are checked whole.
@@ -242,6 +302,7 @@ GRID_CELL_CAP = 75
 def test_annihilator_modes_agree_over_grid(ring_cases, name):
     profile = ring_cases[name].build()
     assert profile.reduced_certified
+    twin = _colon_twin(profile)
     answers = set()
     for t in (1, 2):
         basis = tuple(graded_piece_of_quotient(profile.ideal, t))
@@ -252,8 +313,8 @@ def test_annihilator_modes_agree_over_grid(ring_cases, name):
             it = SubspaceIterator(len(basis), ell, profile.ring.field)
             for index in range(0, count, math.ceil(count / GRID_CELL_CAP)):
                 polys = subspace_to_polys(profile, basis, it.matrix_at(index))
-                prime = ann_nonzero(profile, polys, "prime")
-                assert prime == ann_nonzero(profile, polys, "colon"), (t, ell, index)
+                prime = ann_nonzero(profile, polys)
+                assert prime == ann_nonzero(twin, polys), (t, ell, index)
                 answers.add(prime)
     assert answers == {True, False}
 
@@ -283,7 +344,7 @@ def _colon_only_profile(char, names, gens):
        for doc in COLON_ONLY_IDEALS],
 )
 def test_colon_mode_on_lines_matches_the_definition(ring_cases, profile_of):
-    # the profile carries no primes, so the colon mode reads none; lines go
+    # the profile carries no primes, so the test reads none; lines go
     # through the Hilbert series of I + (f), the oracle through (I : f)
     from oracles import ann_nonzero_by_colon
 
@@ -297,7 +358,7 @@ def test_colon_mode_on_lines_matches_the_definition(ring_cases, profile_of):
         it = SubspaceIterator(len(basis), 1, profile.ring.field)
         for index in range(0, it.count, math.ceil(it.count / LINE_CELL_CAP)):
             polys = subspace_to_polys(profile, basis, it.matrix_at(index))
-            answer = ann_nonzero(profile, polys, "colon")
+            answer = ann_nonzero(profile, polys)
             assert answer == ann_nonzero_by_colon(profile, polys), (t, index)
             checked += 1
     assert checked
@@ -309,12 +370,13 @@ def test_colon_line_test_falls_back_to_the_colon_ideal_off_its_hypotheses(ex1_pr
     from oracles import ann_nonzero_by_colon
 
     ring = ex1_profile.ring
+    twin = _colon_twin(ex1_profile)
     one = [parse_polynomial("1", ring)]
-    assert ann_nonzero(ex1_profile, one, "colon") is ann_nonzero_by_colon(ex1_profile, one) is False
+    assert ann_nonzero(twin, one) is ann_nonzero_by_colon(twin, one) is False
     with pytest.raises(ValueError, match="zero polynomial"):
-        ann_nonzero(ex1_profile, [Polynomial.zero(ring)], "colon")
+        ann_nonzero(twin, [Polynomial.zero(ring)])
     with pytest.raises(ValueError, match="homogeneous"):
-        ann_nonzero(ex1_profile, [parse_polynomial("x+y^2", ring)], "colon")
+        ann_nonzero(twin, [parse_polynomial("x+y^2", ring)])
 
 
 def test_monomial_normal_form_memo_stays_bounded(ex1_profile, monkeypatch):
@@ -324,7 +386,7 @@ def test_monomial_normal_form_memo_stays_bounded(ex1_profile, monkeypatch):
     basis = graded_piece_of_quotient(ex1_profile.ideal, 3)
     polys = [Polynomial(ex1_profile.ring, {e: 1 for e in basis})]
     assert len(basis) > 4
-    assert ann_nonzero(ex1_profile, polys, "prime") == ann_nonzero(ex1_profile, polys, "colon")
+    assert ann_nonzero(ex1_profile, polys) == ann_nonzero(_colon_twin(ex1_profile), polys)
     assert 0 < len(gb.monomial_normal_forms) <= 4
 
 
