@@ -23,20 +23,11 @@ its mathematical hypotheses.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
 from pathlib import Path
 
-from .codes import (
-    LinearCode,
-    ProjectivePointSet,
-    bridge_rows,
-    evaluation_code,
-    generalized_hamming_weight,
-    standard_ring,
-)
 from .errors import (
     EnumerationLimitError,
     ExponentOverflowError,
@@ -49,6 +40,7 @@ from .gmd import (
     CONVENTIONS,
     FIXED_DIM,
     GmdQuery,
+    brute_count,
     delta,
     regularity_index,
     stabilization_value,
@@ -56,17 +48,11 @@ from .gmd import (
 )
 from .groebner import IdealPresentation
 from .hilbert import hilbert_data, hilbert_function
-from .polyring import MAX_VARIABLES, RingSpec, parse_polynomial
+from .polyring import MAX_VARIABLES, RingSpec, parse_polynomial, standard_ring
 from .schemes import RingProfile, build_profile
-from .simplicial import (
-    SimplicialComplex,
-    betti_table,
-    face_count_hilbert,
-    is_shellable,
-    proj_connected,
-    stanley_reisner_ideal,
-)
-from . import suites
+
+# ``codes``, ``simplicial`` and ``suites`` are imported by the loaders and
+# commands that read them, so a command loads only the modules it runs.
 
 # The largest count --ell or --ell-max may ask for; ghw caps --ell-max at the
 # code dimension instead.
@@ -164,6 +150,8 @@ def _load_ideal(doc: dict, path: str) -> _Loaded:
 
 
 def _load_complex(doc: dict, path: str) -> _Loaded:
+    from .simplicial import SimplicialComplex
+
     field = _field(doc, path)
     vertices = doc.get("vertices")
     if not _is_integer(vertices) or vertices < 1:
@@ -175,6 +163,8 @@ def _load_complex(doc: dict, path: str) -> _Loaded:
 
 
 def _load_points(doc: dict, path: str) -> _Loaded:
+    from .codes import ProjectivePointSet
+
     field = _field(doc, path)
     ambient = doc.get("ambient")
     if not _is_integer(ambient):
@@ -188,6 +178,8 @@ def _load_points(doc: dict, path: str) -> _Loaded:
 
 
 def _load_generator(doc: dict, path: str) -> _Loaded:
+    from .codes import LinearCode
+
     field = _field(doc, path)
     rows = _integer_lists(doc, path, "generator", "generator rows must be lists of integers")
     if len({len(row) for row in rows}) > 1:
@@ -223,7 +215,9 @@ def _profile_for(loaded: _Loaded) -> RingProfile:
     if loaded.profile is not None:
         return loaded.profile
     if loaded.complex_ is not None:
-        loaded.profile = suites.face_ring_profile(loaded.complex_, FieldSpec(loaded.char))
+        from .simplicial import face_ring_profile
+
+        loaded.profile = face_ring_profile(loaded.complex_, FieldSpec(loaded.char))
         return loaded.profile
     if loaded.points is not None:
         loaded.profile = loaded.points.vanishing_profile()
@@ -281,6 +275,14 @@ def cmd_delta(args) -> tuple[dict, int]:
     if method is None:
         method = "both" if profile.reduced_certified and convention == FIXED_DIM else "brute"
     ells = _ell_range(args, 3)
+    hilbert = [hilbert_function(profile.ideal, t) for t in range(0, args.t_max + 1)]
+    if method != "fast":
+        # refuse the first oversized cell, in grid order, before any scan
+        for m in hilbert[1:]:
+            for ell in ells:
+                if ell > m:
+                    break
+                brute_count(m, ell, profile.ring.field)
     cells = []
     for t in range(1, args.t_max + 1):
         for ell in ells:
@@ -304,7 +306,7 @@ def cmd_delta(args) -> tuple[dict, int]:
         "convention": convention,
         "method": method,
         "ring": _profile_meta(profile),
-        "hilbert": [hilbert_function(profile.ideal, t) for t in range(0, args.t_max + 1)],
+        "hilbert": hilbert,
         "cells": cells,
     }
     return report, 0
@@ -337,6 +339,8 @@ def cmd_stabilize(args) -> tuple[dict, int]:
 
 
 def cmd_ghw(args) -> tuple[dict, int]:
+    from .codes import evaluation_code, generalized_hamming_weight
+
     loaded = load_input(args.input)
     entries = []
     if loaded.code is not None:
@@ -374,6 +378,8 @@ def cmd_ghw(args) -> tuple[dict, int]:
 
 
 def cmd_sr_info(args) -> tuple[dict, int]:
+    from .simplicial import betti_table, is_shellable, proj_connected, stanley_reisner_ideal
+
     loaded = load_input(args.input)
     if loaded.complex_ is None:
         raise ParseError("the sr-info command needs a complex input")
@@ -411,7 +417,9 @@ def _verify_input(args) -> tuple[dict, int]:
     profile = _profile_for(loaded)
     sr = None
     if loaded.complex_ is not None:
-        sr = suites.sr_context(loaded.complex_, FieldSpec(loaded.char))
+        from .simplicial import sr_context
+
+        sr = sr_context(loaded.complex_, FieldSpec(loaded.char))
     ells = _ell_range(args, 3)
     report = {
         **_header(args, loaded.kind),
@@ -421,6 +429,8 @@ def _verify_input(args) -> tuple[dict, int]:
     }
     failed = _failed(report["verdicts"])
     if loaded.points is not None:
+        from .codes import bridge_rows
+
         report["bridge"] = list(bridge_rows(loaded.points, args.t_max, ells, args.jobs))
         failed = failed or not all(r["agree"] for r in report["bridge"])
     report["pass"] = not failed
@@ -428,6 +438,10 @@ def _verify_input(args) -> tuple[dict, int]:
 
 
 def _verify_builtin(args) -> tuple[dict, int]:
+    from . import suites
+    from .codes import bridge_rows
+    from .simplicial import face_count_hilbert, face_ring_profile, sr_context
+
     sections = {}
     ok = True
     which = args.suite
@@ -461,8 +475,8 @@ def _verify_builtin(args) -> tuple[dict, int]:
         bound_names = {case.name for case in suites.bound_suite_members()}
         for case in suites.complex_suite():
             complex_ = case.complex_
-            sr = suites.sr_context(complex_, field)
-            profile = suites.face_ring_profile(complex_, field)
+            sr = sr_context(complex_, field)
+            profile = face_ring_profile(complex_, field)
             hochster_ok = all(
                 face_count_hilbert(complex_, t) == hilbert_function(profile.ideal, t)
                 for t in range(0, 7)
@@ -523,6 +537,8 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

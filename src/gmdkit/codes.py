@@ -9,7 +9,6 @@ equals the distance function of the ideal at that degree and count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import EnumerationLimitError, InvariantError
 from .gflinalg import (
@@ -25,7 +24,7 @@ from .gflinalg import (
 )
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
-from .polyring import Polynomial, RingSpec, graded_piece_basis
+from .polyring import Polynomial, RingSpec, graded_piece_basis, standard_ring
 from .schemes import RankTableBackend, RingProfile, build_profile_from_primes, check_prime_count
 
 ENUMERATE_LIMIT = 20000
@@ -33,15 +32,6 @@ ENUMERATE_LIMIT = 20000
 # on a 2-core host under Python 3.11, so this keeps a forced run under
 # about 25 s; past it ``strategy="enumerate"`` raises.
 FORCED_ENUMERATE_LIMIT = 20_000_000
-
-_SHORT_NAMES = ("x", "y", "z", "w")
-
-
-def standard_ring(field: FieldSpec, nvars: int) -> RingSpec:
-    if nvars <= len(_SHORT_NAMES):
-        return RingSpec(field, _SHORT_NAMES[:nvars])
-    return RingSpec(field, tuple(f"x{i + 1}" for i in range(nvars)))
-
 
 def _normalize_point(field: FieldSpec, coords) -> tuple[int, ...]:
     vec = tuple(c % field.p for c in coords)
@@ -205,16 +195,18 @@ def evaluate_monomial(exponents, point, p: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
 class LinearCode:
-    field: FieldSpec
-    generator: FieldMatrix  # full row rank
+    """A linear code over F_p given by a generator matrix of full row rank."""
 
-    def __post_init__(self):
-        if self.generator.rows == 0:
+    __slots__ = ("field", "generator")
+
+    def __init__(self, field: FieldSpec, generator: FieldMatrix):
+        if generator.rows == 0:
             raise ValueError("a code needs at least one generator row")
-        if rank(self.generator) != self.generator.rows:
+        if rank(generator) != generator.rows:
             raise ValueError("generator rows are linearly dependent")
+        self.field = field
+        self.generator = generator
 
     @property
     def length(self) -> int:
@@ -241,12 +233,23 @@ def support_size(matrix: FieldMatrix) -> int:
     return sum(1 for col in zip(*matrix.data) if any(col))
 
 
-@dataclass(frozen=True)
 class GhwResult:
-    value: int
-    r: int
-    strategy: str
-    witness: list[list[int]]  # RREF basis of a minimum-support subcode
+    """The r-th weight, the strategy that found it, and the RREF basis of a
+    minimum-support subcode as its witness; equal results compare equal.
+    The witness is a list, so a result is not hashable."""
+
+    __slots__ = ("value", "r", "strategy", "witness")
+
+    def __init__(self, value: int, r: int, strategy: str, witness: list[list[int]]):
+        self.value = value
+        self.r = r
+        self.strategy = strategy
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is GhwResult and (
+            self.value, self.r, self.strategy, self.witness
+        ) == (other.value, other.r, other.strategy, other.witness)
 
 
 def _or_each(unions, masks):

@@ -14,7 +14,6 @@ import operator
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantError
@@ -31,15 +30,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """A prime field F_p with 2 <= p <= 251."""
+    """A prime field F_p with 2 <= p <= 251; equal fields compare and hash equal."""
 
-    p: int
+    def __init__(self, p: int):
+        if not (2 <= p <= 251) or not _is_prime(p):
+            raise ValueError(f"characteristic must be a prime in [2, 251], got {p}")
+        self.p = p
 
-    def __post_init__(self):
-        if not (2 <= self.p <= 251) or not _is_prime(self.p):
-            raise ValueError(f"characteristic must be a prime in [2, 251], got {self.p}")
+    def __eq__(self, other):
+        return type(other) is FieldSpec and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:

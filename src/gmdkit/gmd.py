@@ -24,8 +24,6 @@ quotient at its own dimension.  The default everywhere is fixed-dim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import BruteLimitError, HypothesisError, InvariantError
 from .gflinalg import FieldMatrix, SubspaceIterator, scan_in_chunks, subspace_count
 from .groebner import (
@@ -45,36 +43,70 @@ OWN_DIM = "own-dim"
 CONVENTIONS = (FIXED_DIM, OWN_DIM)
 
 
-@dataclass(frozen=True)
 class GmdQuery:
     """One distance evaluation request."""
 
-    profile: RingProfile
-    t: int
-    ell: int
-    convention: str = FIXED_DIM
-    method: str = "both"
+    __slots__ = ("profile", "t", "ell", "convention", "method")
 
-    def __post_init__(self):
-        if self.t < 1:
+    def __init__(
+        self,
+        profile: RingProfile,
+        t: int,
+        ell: int,
+        convention: str = FIXED_DIM,
+        method: str = "both",
+    ):
+        if t < 1:
             raise ValueError("degree t must be at least 1")
-        if self.ell < 1:
+        if ell < 1:
             raise ValueError("count l must be at least 1")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"unknown convention {self.convention!r}")
-        if self.method not in ("brute", "fast", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if convention not in CONVENTIONS:
+            raise ValueError(f"unknown convention {convention!r}")
+        if method not in ("brute", "fast", "both"):
+            raise ValueError(f"unknown method {method!r}")
+        self.profile = profile
+        self.t = t
+        self.ell = ell
+        self.convention = convention
+        self.method = method
 
 
-@dataclass(frozen=True)
 class DeltaResult:
-    value: int
-    t: int
-    ell: int
-    convention: str
-    method: str
-    status: str  # "ok" | "empty"  (empty: no qualifying F exists)
-    witness: dict | None
+    """One distance value; results with equal fields compare equal.
+
+    ``status`` is "ok", or "empty" when no qualifying F exists.
+    """
+
+    __slots__ = ("value", "t", "ell", "convention", "method", "status", "witness")
+
+    def __init__(
+        self,
+        value: int,
+        t: int,
+        ell: int,
+        convention: str,
+        method: str,
+        status: str,
+        witness: dict | None,
+    ):
+        self.value = value
+        self.t = t
+        self.ell = ell
+        self.convention = convention
+        self.method = method
+        self.status = status
+        self.witness = witness
+
+    def __eq__(self, other):
+        return type(other) is DeltaResult and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self):
+        return (
+            self.value, self.t, self.ell, self.convention, self.method, self.status, self.witness
+        )
 
 
 def subspace_to_polys(profile: RingProfile, basis_monomials, matrix: FieldMatrix):
@@ -253,6 +285,18 @@ def _brute_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
 BRUTE_SUBSPACE_LIMIT = 10_000_000
 
 
+def brute_count(m: int, ell: int, field) -> int:
+    """Subspaces a brute-force cell scans: the l-dimensional subspaces of F_p^m.
+
+    Raises ``BruteLimitError`` past ``BRUTE_SUBSPACE_LIMIT``, so a caller can
+    refuse a whole grid before its first scan.
+    """
+    count = subspace_count(m, ell, field)
+    if count > BRUTE_SUBSPACE_LIMIT:
+        raise BruteLimitError(count, BRUTE_SUBSPACE_LIMIT)
+    return count
+
+
 def delta_bruteforce(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     """Distance value by direct subspace enumeration.
 
@@ -270,9 +314,7 @@ def delta_bruteforce(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     empty = DeltaResult(e_total, query.t, query.ell, query.convention, "brute", "empty", None)
     if query.ell > m:
         return empty
-    count = subspace_count(m, query.ell, profile.ring.field)
-    if count > BRUTE_SUBSPACE_LIMIT:
-        raise BruteLimitError(count, BRUTE_SUBSPACE_LIMIT)
+    count = brute_count(m, query.ell, profile.ring.field)
     it = SubspaceIterator(m, query.ell, profile.ring.field)
     best, best_index = scan_in_chunks(
         count,
@@ -363,7 +405,7 @@ def delta(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     if query.method == "fast":
         return delta_fast(query)
     brute = delta_bruteforce(query, jobs=jobs)
-    fast = delta_fast(replace(query, method="fast"))
+    fast = delta_fast(GmdQuery(query.profile, query.t, query.ell, query.convention, "fast"))
     if brute.value != fast.value or brute.status != fast.status:
         raise RuntimeError(
             f"brute/fast disagreement at t={query.t}, l={query.ell}: "
@@ -375,11 +417,25 @@ def delta(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     )
 
 
-@dataclass(frozen=True)
 class StabilizationResult:
-    value: int
-    case: int  # 1..7 in the case analysis of the limit value
-    detail: str
+    """A limit value, its case (1..7) in the case analysis, and the reason;
+    equal results compare equal."""
+
+    __slots__ = ("value", "case", "detail")
+
+    def __init__(self, value: int, case: int, detail: str):
+        self.value = value
+        self.case = case
+        self.detail = detail
+
+    def __eq__(self, other):
+        return type(other) is StabilizationResult and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self):
+        return (self.value, self.case, self.detail)
 
 
 def _require_certified(profile: RingProfile):
@@ -444,11 +500,25 @@ def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
     raise HypothesisError(f"no stabilization rule for classification {cls!r}")
 
 
-@dataclass(frozen=True)
 class RegularityResult:
-    value: int
-    method: str
-    stable_value: int
+    """A regularity index, its method label and the limit it reaches; equal
+    results compare equal."""
+
+    __slots__ = ("value", "method", "stable_value")
+
+    def __init__(self, value: int, method: str, stable_value: int):
+        self.value = value
+        self.method = method
+        self.stable_value = stable_value
+
+    def __eq__(self, other):
+        return type(other) is RegularityResult and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self):
+        return (self.value, self.method, self.stable_value)
 
 
 def _first_degree_reaching(profile: RingProfile, family, ell: int) -> int | None:
@@ -527,21 +597,30 @@ def regularity_index(profile: RingProfile, ell: int) -> RegularityResult:
     return RegularityResult(min(degrees), label, s)
 
 
-@dataclass(frozen=True)
 class SRContext:
-    """Face-ring facts used by the bound verifiers."""
+    """Face-ring facts used by the bound verifiers.
 
-    depth: int
-    regularity: int
-    proj_connected: bool
-    shellable: str  # "shellable" | "not_shellable" | "inconclusive"
+    ``shellable`` is "shellable", "not_shellable" or "inconclusive".
+    """
+
+    __slots__ = ("depth", "regularity", "proj_connected", "shellable")
+
+    def __init__(self, depth: int, regularity: int, proj_connected: bool, shellable: str):
+        self.depth = depth
+        self.regularity = regularity
+        self.proj_connected = proj_connected
+        self.shellable = shellable
 
 
-@dataclass(frozen=True)
 class Verdict:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
+    """One law's outcome: ``status`` is "pass", "fail" or "skipped"."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        self.name = name
+        self.status = status
+        self.detail = detail
 
 
 def _law(name: str, bad, passed: str, failed: str) -> Verdict:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ExponentOverflowError
@@ -244,11 +243,22 @@ class IdealPresentation:
         return f"Ideal({body})"
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    ring: RingSpec
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+    """A reduced Groebner basis; equal ring, order and elements compare and hash equal."""
+
+    def __init__(self, ring: RingSpec, order: MonomialOrder, elements: tuple[Polynomial, ...]):
+        self.ring = ring
+        self.order = order
+        self.elements = elements
+
+    def __eq__(self, other):
+        return type(other) is GroebnerBasis and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self):
+        return (self.ring, self.order, self.elements)
 
     @cached_property
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:

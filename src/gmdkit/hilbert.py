@@ -10,7 +10,6 @@ d is the Krull dimension and e = Q(1) the multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError
 from .groebner import IdealPresentation, groebner_basis
@@ -127,7 +126,6 @@ def _poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-@dataclass(frozen=True)
 class HilbertData:
     """Series data of a graded quotient S/I.
 
@@ -137,12 +135,23 @@ class HilbertData:
     its Hilbert polynomial.
     """
 
-    nvars: int
-    series_numerator: IntPoly
-    numerator: IntPoly
-    dim: int
-    multiplicity: int
-    hf_poly_from: int
+    __slots__ = ("nvars", "series_numerator", "numerator", "dim", "multiplicity", "hf_poly_from")
+
+    def __init__(
+        self,
+        nvars: int,
+        series_numerator: IntPoly,
+        numerator: IntPoly,
+        dim: int,
+        multiplicity: int,
+        hf_poly_from: int,
+    ):
+        self.nvars = nvars
+        self.series_numerator = series_numerator
+        self.numerator = numerator
+        self.dim = dim
+        self.multiplicity = multiplicity
+        self.hf_poly_from = hf_poly_from
 
 
 def hilbert_data(ideal: IdealPresentation) -> HilbertData:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError
@@ -23,21 +22,30 @@ Monomial = tuple[int, ...]
 MAX_VARIABLES = 12
 
 
-@dataclass(frozen=True)
 class RingSpec:
-    """Standard graded polynomial ring K[x_1..x_n], deg x_i = 1."""
+    """Standard graded polynomial ring K[x_1..x_n], deg x_i = 1.
 
-    field: FieldSpec
-    names: tuple[str, ...]
+    Rings with the same field and variable names compare and hash equal.
+    """
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, field: FieldSpec, names: tuple[str, ...]):
+        if not names:
             raise ValueError("a ring needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        for name in self.names:
+        for name in names:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
                 raise ValueError(f"invalid variable name {name!r}")
+        self.field = field
+        self.names = names
+
+    def __eq__(self, other):
+        return (
+            type(other) is RingSpec and self.names == other.names and self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.names))
 
     @property
     def n(self) -> int:
@@ -52,6 +60,16 @@ class RingSpec:
         while name in self.names:
             name = name + "_"
         return RingSpec(self.field, (name,) + self.names)
+
+
+_SHORT_NAMES = ("x", "y", "z", "w")
+
+
+def standard_ring(field: FieldSpec, nvars: int) -> RingSpec:
+    """K[x, y, z, w] up to four variables, K[x1, ..., xn] beyond."""
+    if nvars <= len(_SHORT_NAMES):
+        return RingSpec(field, _SHORT_NAMES[:nvars])
+    return RingSpec(field, tuple(f"x{i + 1}" for i in range(nvars)))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -84,17 +102,28 @@ def _grevlex_key(e: Monomial):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """grevlex, lex, or a two-block elimination order.
 
     ``elim`` with block k compares the first k exponents by grevlex, then the
     remaining ones by grevlex; monomials involving the first block dominate,
-    which is what variable elimination needs.
+    which is what variable elimination needs.  Equal orders compare and hash
+    equal, so they key caches.
     """
 
-    kind: str
-    block: int = 0
+    __slots__ = ("kind", "block")
+
+    def __init__(self, kind: str, block: int = 0):
+        self.kind = kind
+        self.block = block
+
+    def __eq__(self, other):
+        return (
+            type(other) is MonomialOrder and self.kind == other.kind and self.block == other.block
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.block))
 
     def key(self, e: Monomial):
         if self.kind == "grevlex":

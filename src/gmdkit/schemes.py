@@ -12,7 +12,6 @@ checked cheaply is checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import HypothesisError, InvariantError, PrimeSubsetLimitError
 from .gflinalg import PackedVectors, subset_ranks_of_words
@@ -47,7 +46,6 @@ def check_prime_count(count: int) -> None:
         raise PrimeSubsetLimitError(count, PRIME_SUBSET_LIMIT)
 
 
-@dataclass(frozen=True)
 class MinimalPrimeData:
     """One minimal prime with its quotient dimension and multiplicity.
 
@@ -56,15 +54,25 @@ class MinimalPrimeData:
     ``monomial`` that P is generated by linear forms, or by monomials.
     """
 
-    ideal: IdealPresentation
-    dim: int
-    mult: int
-    is_top: bool
-    linear: bool
-    monomial: bool
+    __slots__ = ("ideal", "dim", "mult", "is_top", "linear", "monomial")
+
+    def __init__(
+        self,
+        ideal: IdealPresentation,
+        dim: int,
+        mult: int,
+        is_top: bool,
+        linear: bool,
+        monomial: bool,
+    ):
+        self.ideal = ideal
+        self.dim = dim
+        self.mult = mult
+        self.is_top = is_top
+        self.linear = linear
+        self.monomial = monomial
 
 
-@dataclass
 class FamilyIntersection:
     """Intersection of a subset of the minimal primes, with degree data.
 
@@ -73,9 +81,17 @@ class FamilyIntersection:
     tables) without ever running the elimination-order Groebner chain.
     """
 
-    indices: tuple[int, ...]
-    _profile: "RingProfile"
-    _ideal: IdealPresentation | None = None
+    __slots__ = ("indices", "_profile", "_ideal")
+
+    def __init__(
+        self,
+        indices: tuple[int, ...],
+        profile: "RingProfile",
+        ideal: IdealPresentation | None = None,
+    ):
+        self.indices = indices
+        self._profile = profile
+        self._ideal = ideal
 
     @property
     def ideal(self) -> IdealPresentation:

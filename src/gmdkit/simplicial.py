@@ -11,12 +11,14 @@ an exhaustive subset search with an explicit budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .gflinalg import FieldSpec, PackedVectors
+from .gmd import SRContext
 from .groebner import IdealPresentation
-from .polyring import Polynomial, RingSpec
+from .polyring import Polynomial, RingSpec, standard_ring
+from .schemes import RingProfile, build_profile
 
 SHELLING_FACET_BUDGET = 12
 
@@ -201,12 +203,14 @@ def reduced_homology(complex_: SimplicialComplex, k: int, field: FieldSpec) -> i
     return _homology_of_facets(complex_.facets, field).get(k, 0)
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of the face ring, nonzero entries only."""
 
-    nvars: int
-    entries: dict[tuple[int, int], int]
+    __slots__ = ("nvars", "entries")
+
+    def __init__(self, nvars: int, entries: dict[tuple[int, int], int]):
+        self.nvars = nvars
+        self.entries = entries
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -254,10 +258,26 @@ def depth(complex_: SimplicialComplex, field: FieldSpec) -> int:
     return betti_table(complex_, field).depth()
 
 
-@dataclass(frozen=True)
 class ShellingResult:
-    status: str  # "shellable" | "not_shellable" | "inconclusive"
-    order: tuple[int, ...] | None  # facet indices when shellable
+    """``status`` is "shellable", "not_shellable" or "inconclusive"; ``order``
+    holds the facet indices of a shelling when there is one.  Equal results
+    compare equal."""
+
+    __slots__ = ("status", "order")
+
+    def __init__(self, status: str, order: tuple[int, ...] | None):
+        self.status = status
+        self.order = order
+
+    def __eq__(self, other):
+        return (
+            type(other) is ShellingResult
+            and self.status == other.status
+            and self.order == other.order
+        )
+
+    def __hash__(self):
+        return hash((self.status, self.order))
 
     @property
     def is_shellable(self) -> bool | None:
@@ -319,3 +339,23 @@ def is_shellable(complex_: SimplicialComplex) -> ShellingResult:
                     next_frontier.add(new_mask)
         frontier = next_frontier
     return ShellingResult("not_shellable", None)
+
+
+@lru_cache(maxsize=None)
+def face_ring_profile(complex_: SimplicialComplex, field: FieldSpec) -> RingProfile:
+    """The profile of the face ring over F_p, certified by its facet primes."""
+    ring = standard_ring(field, complex_.n)
+    ideal = stanley_reisner_ideal(complex_, ring)
+    primes = face_ring_minimal_primes(complex_, ring)
+    return build_profile(ideal, primes)
+
+
+def sr_context(complex_: SimplicialComplex, field: FieldSpec) -> SRContext:
+    """The face-ring facts that the bound laws of ``verify_theorems`` read."""
+    table = betti_table(complex_, field)
+    return SRContext(
+        depth=table.depth(),
+        regularity=table.regularity(),
+        proj_connected=proj_connected(complex_),
+        shellable=is_shellable(complex_).status,
+    )

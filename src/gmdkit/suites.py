@@ -9,12 +9,11 @@ up to 3 wherever the graded pieces are small enough.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import ProjectivePointSet, projective_points, standard_ring
+from .codes import ProjectivePointSet, projective_points
 from .gflinalg import FieldSpec, subspace_count
-from .gmd import GmdQuery, SRContext, delta_bruteforce, delta_fast
+from .gmd import GmdQuery, delta_bruteforce, delta_fast
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import RingSpec
@@ -22,35 +21,15 @@ from .schemes import RingProfile, build_profile
 from .simplicial import (
     SimplicialComplex,
     betti_table,
-    face_ring_minimal_primes,
-    is_shellable,
+    face_ring_profile,
     minimal_non_faces,
     proj_connected,
-    stanley_reisner_ideal,
 )
 
 CELL_BUDGET = 20000
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
-
-
-@lru_cache(maxsize=None)
-def face_ring_profile(complex_: SimplicialComplex, field: FieldSpec) -> RingProfile:
-    ring = standard_ring(field, complex_.n)
-    ideal = stanley_reisner_ideal(complex_, ring)
-    primes = face_ring_minimal_primes(complex_, ring)
-    return build_profile(ideal, primes)
-
-
-def sr_context(complex_: SimplicialComplex, field: FieldSpec) -> SRContext:
-    table = betti_table(complex_, field)
-    return SRContext(
-        depth=table.depth(),
-        regularity=table.regularity(),
-        proj_connected=proj_connected(complex_),
-        shellable=is_shellable(complex_).status,
-    )
 
 
 def seeded_point_set(field: FieldSpec, ambient: int, size: int, seed: int) -> ProjectivePointSet:
@@ -62,14 +41,19 @@ def seeded_point_set(field: FieldSpec, ambient: int, size: int, seed: int) -> Pr
     return ProjectivePointSet(field, ambient, rng.sample(universe, size))
 
 
-@dataclass(frozen=True)
 class RingCase:
-    """One suite member; the profile is built lazily and memoized."""
+    """One suite member; the profile is built lazily and memoized.
 
-    name: str
-    kind: str  # "ideal" | "face-ring" | "points"
-    field: FieldSpec
-    data: tuple
+    ``kind`` is "ideal", "face-ring" or "points" and says how ``data`` reads.
+    """
+
+    __slots__ = ("name", "kind", "field", "data")
+
+    def __init__(self, name: str, kind: str, field: FieldSpec, data: tuple):
+        self.name = name
+        self.kind = kind
+        self.field = field
+        self.data = data
 
     @lru_cache(maxsize=None)
     def build(self) -> RingProfile:
@@ -191,10 +175,12 @@ def equivalence_cells(
     return checked, disagreements
 
 
-@dataclass(frozen=True)
 class ComplexCase:
-    name: str
-    complex_: SimplicialComplex
+    __slots__ = ("name", "complex_")
+
+    def __init__(self, name: str, complex_: SimplicialComplex):
+        self.name = name
+        self.complex_ = complex_
 
 
 @lru_cache(maxsize=1)
@@ -250,13 +236,26 @@ def bound_suite_members() -> list[ComplexCase]:
     return out
 
 
-@dataclass(frozen=True)
 class BridgeCase:
-    name: str
-    field: FieldSpec
-    ambient: int
-    size: int
-    seed: int
+    """A seeded point set of the bridge battery; equal cases compare equal."""
+
+    __slots__ = ("name", "field", "ambient", "size", "seed")
+
+    def __init__(self, name: str, field: FieldSpec, ambient: int, size: int, seed: int):
+        self.name = name
+        self.field = field
+        self.ambient = ambient
+        self.size = size
+        self.seed = seed
+
+    def __eq__(self, other):
+        return type(other) is BridgeCase and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self):
+        return (self.name, self.field, self.ambient, self.size, self.seed)
 
     def point_set(self) -> ProjectivePointSet:
         return seeded_point_set(self.field, self.ambient, self.size, self.seed)

@@ -15,6 +15,7 @@ from gmdkit.simplicial import (
     face_count_hilbert,
     is_shellable,
     proj_connected,
+    sr_context,
     stanley_reisner_ideal,
 )
 from gmdkit.suites import (
@@ -25,7 +26,6 @@ from gmdkit.suites import (
     face_ring_profile,
     ring_suite,
     seeded_point_set,
-    sr_context,
 )
 
 from oracles import EXAMPLE1, EXAMPLE2, P1_F2

@@ -191,16 +191,18 @@ def test_verify_failure_exit_code(capsys, ex1_file, monkeypatch):
 
 
 def test_status_mismatch_is_listed_in_the_rings_report(capsys, monkeypatch):
-    import dataclasses
-
     from gmdkit import suites
+    from gmdkit.gmd import DeltaResult
 
     real = suites.delta_fast
 
     def flipped_status(query):
         result = real(query)
         flipped = "ok" if result.status == "empty" else "empty"
-        return dataclasses.replace(result, status=flipped) if query.t == 1 else result
+        if query.t != 1:
+            return result
+        r = result
+        return DeltaResult(r.value, r.t, r.ell, r.convention, r.method, flipped, r.witness)
 
     monkeypatch.setattr(suites, "delta_fast", flipped_status)
     status, report = run_json(
@@ -621,12 +623,14 @@ def test_counts_past_the_limit_are_exit_2(capsys, ex1_file, points_file, triangl
 
 
 def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
+    from gmdkit import simplicial
     from gmdkit.polyring import MAX_VARIABLES
 
     def no_face_ring_work(*args):
         raise AssertionError("the input should be rejected before any face-ring work")
 
-    monkeypatch.setattr(cli, "betti_table", no_face_ring_work)
+    # the face-ring commands read betti_table from simplicial when they run
+    monkeypatch.setattr(simplicial, "betti_table", no_face_ring_work)
     n = MAX_VARIABLES + 1
     complex_path = tmp_path / "big_complex.json"
     complex_path.write_text(json.dumps({"vertices": n, "facets": [list(range(1, n + 1))]}))
@@ -808,6 +812,13 @@ def test_brute_cell_past_its_limit_is_exit_2(capsys, triangle_file, monkeypatch)
     monkeypatch.setattr(gmd, "_brute_scan", never)
     with pytest.raises(BruteLimitError, match="at most 10000000 subspaces per cell, got 408345795"):
         gmd.delta_bruteforce(gmd.GmdQuery(profile, 4, 3, method="brute"))
+    # delta checks every cell of its grid before the first scan, so the
+    # default grid exits 2 at once instead of scanning t <= 4, l <= 2 first
+    expected = (
+        "error: brute force supports at most 10000000 subspaces per cell, got 408345795; "
+        "lower --t-max or --ell-max, or use --method fast\n"
+    )
+    assert run(capsys, "delta", triangle_file) == (2, "", expected)
     monkeypatch.setattr(gmd, "_brute_scan", counted)
     monkeypatch.setattr(gmd, "BRUTE_SUBSPACE_LIMIT", 43435)
     expected = (
@@ -815,7 +826,7 @@ def test_brute_cell_past_its_limit_is_exit_2(capsys, triangle_file, monkeypatch)
         "lower --t-max or --ell-max, or use --method fast\n"
     )
     assert run(capsys, "delta", triangle_file) == (2, "", expected)
-    assert (3, 3) not in scanned and (3, 2) in scanned
+    assert scanned == []
     # the limit itself still scans, and the prime-subset route has no limit
     status, report = run_json(capsys, "delta", triangle_file, "--t-max", "3", "--ell-max", "2")
     assert status == 0 and len(report["cells"]) == 6

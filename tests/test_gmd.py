@@ -36,13 +36,13 @@ from gmdkit.hilbert import graded_piece_of_quotient
 from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
 from gmdkit.hilbert import hilbert_function
 from gmdkit.schemes import build_profile, build_profile_from_primes
+from gmdkit.simplicial import sr_context
 from gmdkit.suites import (
     RingCase,
     bridge_suite,
     face_ring_profile,
     ring_suite,
     seeded_point_set,
-    sr_context,
 )
 
 from oracles import (

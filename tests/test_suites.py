@@ -1,10 +1,9 @@
 """Built-in verification suites: membership, certification, determinism."""
 
-import dataclasses
-
 import pytest
 
 from gmdkit import suites
+from gmdkit.gmd import DeltaResult
 from gmdkit.suites import (
     bound_suite_members,
     bridge_suite,
@@ -59,9 +58,12 @@ def test_equivalence_cells_on_small_member(ring_cases, monkeypatch):
     assert equivalence_cells(profile, 3, 2, 1) == (6, [])
     # a fast route that is off by 10 lists every cell with both values
     real = suites.delta_fast
-    monkeypatch.setattr(
-        suites, "delta_fast", lambda q: dataclasses.replace(real(q), value=real(q).value + 10)
-    )
+
+    def off_by_ten(query):
+        r = real(query)
+        return DeltaResult(r.value + 10, r.t, r.ell, r.convention, r.method, r.status, r.witness)
+
+    monkeypatch.setattr(suites, "delta_fast", off_by_ten)
     checked, disagreements = equivalence_cells(profile, 1, 2, 1)
     assert checked == 2
     assert disagreements == [
