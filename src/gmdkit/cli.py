@@ -23,7 +23,6 @@ its mathematical hypotheses.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -536,182 +535,11 @@ def cmd_verify(args) -> tuple[dict, int]:
     return _verify_input(args)
 
 
-def _csv_text(header, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def render_csv(report: dict) -> str:
-    command = report["command"]
-    table = {
-        "delta": ("cells", ("t", "ell", "value", "status", "method", "convention")),
-        "stabilize": (
-            "rows",
-            ("ell", "value", "case", "regularity_index", "regularity_exact", "regularity_method"),
-        ),
-    }.get(command)
-    if table is not None:
-        entries, keys = table
-        return _csv_text(keys, [[entry[k] for k in keys] for entry in report[entries]])
-    if command == "ghw":
-        rows = []
-        for entry in report["codes"]:
-            for w in entry["weights"]:
-                rows.append(
-                    ("" if entry["t"] is None else entry["t"], w["r"], w["value"], w["strategy"])
-                )
-        return _csv_text(("t", "r", "value", "strategy"), rows)
-    if command == "sr-info":
-        keys = (
-            "vertices", "complex_dim", "ring_dim", "multiplicity", "depth",
-            "regularity", "proj_connected", "shellable",
-        )
-        return _csv_text(("key", "value"), [(k, report[k]) for k in keys])
-    if report.get("input_kind") == "builtin-suite":
-        rows = []
-        for section, entries in sorted(report["sections"].items()):
-            for entry in entries:
-                if section == "rings":
-                    rows.append((section, entry["name"], "equivalence",
-                                 "pass" if not entry["disagreements"] else "fail"))
-                    for v in entry["verdicts"]:
-                        rows.append((section, entry["name"], v["name"], v["status"]))
-                elif section == "complexes":
-                    rows.append((section, entry["name"], "hilbert",
-                                 "pass" if entry["hilbert_ok"] else "fail"))
-                    rows.append((section, entry["name"], "depth-connectivity",
-                                 "pass" if entry["depth_connectivity_ok"] else "fail"))
-                    for v in entry["verdicts"] or ():
-                        rows.append((section, entry["name"], v["name"], v["status"]))
-                else:
-                    rows.append((section, entry["name"], "bridge",
-                                 "pass" if entry["all_agree"] else "fail"))
-        return _csv_text(("section", "member", "check", "status"), rows)
-    rows = [("verdict", v["name"], v["status"], v["detail"]) for v in report["verdicts"]]
-    for r in report.get("bridge", ()):
-        rows.append(
-            ("bridge", f"t={r['t']},l={r['ell']}", "pass" if r["agree"] else "fail",
-             f"delta={r['delta']} ghw={r['ghw']}")
-        )
-    return _csv_text(("kind", "name", "status", "detail"), rows)
-
-
-def _grid_text(report: dict) -> str:
-    cells = report["cells"]
-    ts = sorted({c["t"] for c in cells})
-    ells = sorted({c["ell"] for c in cells})
-    value = {(c["t"], c["ell"]): c for c in cells}
-    width = max(
-        [len(str(c["value"])) + (1 if c["status"] == "empty" else 0) for c in cells] + [5]
-    )
-    lines = [
-        "distance table: convention={} method={} classification={}".format(
-            report["convention"], report["method"], report["ring"]["classification"]
-        )
-    ]
-    header = "    " + " ".join(f"l={ell}".rjust(width) for ell in ells)
-    lines.append(header)
-    for t in ts:
-        row = [f"t={t}".ljust(4)]
-        for ell in ells:
-            c = value[(t, ell)]
-            text = str(c["value"]) + ("*" if c["status"] == "empty" else "")
-            row.append(text.rjust(width))
-        lines.append(row[0] + " ".join(row[1:]))
-    if any(c["status"] == "empty" for c in cells):
-        lines.append("* no qualifying subspace at this degree; the value is e(R)")
-    return "\n".join(lines) + "\n"
-
-
-def render_text(report: dict) -> str:
-    command = report["command"]
-    if command == "delta":
-        return _grid_text(report)
-    if command == "stabilize":
-        ring = report["ring"]
-        lines = [
-            "stabilization: classification={} e={}".format(
-                ring["classification"], ring["multiplicity"]
-            )
-        ]
-        for r in report["rows"]:
-            lines.append(
-                "l={}: limit {} (case {}), first reached at t={} [{}, exact]".format(
-                    r["ell"], r["value"], r["case"], r["regularity_index"], r["regularity_method"],
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if command == "ghw":
-        lines = []
-        for entry in report["codes"]:
-            label = "generator input" if entry["t"] is None else f"degree t={entry['t']}"
-            mono = "strictly increasing" if entry["strictly_increasing"] else "NOT strictly increasing"
-            weights = ", ".join(f"r={w['r']} -> {w['value']}" for w in entry["weights"])
-            lines.append(
-                f"[{entry['length']},{entry['dimension']}] code ({label}): {weights} ({mono})"
-            )
-        return "\n".join(lines) + "\n"
-    if command == "sr-info":
-        keys = (
-            "vertices", "complex_dim", "ring_dim", "multiplicity", "f_vector", "depth",
-            "regularity", "proj_connected", "shellable", "shelling_order", "hilbert",
-        )
-        lines = [f"{k}: {report[k]}" for k in keys]
-        return "\n".join(lines) + "\n"
-    lines = []
-    if report.get("input_kind") == "builtin-suite":
-        for section, entries in sorted(report["sections"].items()):
-            for entry in entries:
-                if section == "rings":
-                    eq = "pass" if not entry["disagreements"] else "fail"
-                    lines.append(
-                        f"[rings/{entry['name']}] equivalence: {eq} "
-                        f"({entry['cells_checked']} cells)"
-                    )
-                    for v in entry["verdicts"]:
-                        lines.append(f"[rings/{entry['name']}] {v['name']}: {v['status']}")
-                elif section == "complexes":
-                    lines.append(
-                        "[complexes/{}] hilbert: {}, depth-connectivity: {}".format(
-                            entry["name"],
-                            "pass" if entry["hilbert_ok"] else "fail",
-                            "pass" if entry["depth_connectivity_ok"] else "fail",
-                        )
-                    )
-                    for v in entry["verdicts"] or ():
-                        lines.append(f"[complexes/{entry['name']}] {v['name']}: {v['status']}")
-                else:
-                    lines.append(
-                        "[bridge/{}] {}: {}".format(
-                            entry["name"],
-                            f"{len(entry['cases'])} cases",
-                            "pass" if entry["all_agree"] else "fail",
-                        )
-                    )
-    else:
-        for v in report["verdicts"]:
-            lines.append(f"{v['name']}: {v['status']} ({v['detail']})")
-        for r in report.get("bridge", ()):
-            lines.append(
-                "bridge t={} l={}: delta={} ghw={} {}".format(
-                    r["t"], r["ell"], r["delta"], r["ghw"],
-                    "agree" if r["agree"] else "DISAGREE",
-                )
-            )
-    if "pass" in report:
-        lines.append("RESULT: {}".format("PASS" if report["pass"] else "FAIL"))
-    return "\n".join(lines) + "\n"
-
-
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    from .formats import render_csv, render_text
+
     if fmt == "csv":
         return render_csv(report)
     return render_text(report)
@@ -743,43 +571,70 @@ def _add_common(parser, counts=True, method=False, witnesses=False):
         parser.add_argument("--jobs", type=int, default=1)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _delta_arguments(parser):
+    parser.add_argument("input")
+    parser.add_argument("--t-max", type=int, default=4, dest="t_max")
+    _add_common(parser, method=True, witnesses=True)
+
+
+def _stabilize_arguments(parser):
+    parser.add_argument("input")
+    _add_common(parser)
+
+
+def _ghw_arguments(parser):
+    parser.add_argument("input")
+    parser.add_argument(
+        "--strategy", choices=["auto", "enumerate", "shorten"], default="auto"
+    )
+    parser.add_argument("--t-max", type=int, default=4, dest="t_max")
+    _add_common(parser, witnesses=True)
+
+
+def _sr_info_arguments(parser):
+    parser.add_argument("input")
+    parser.add_argument("--t-max", type=int, default=4, dest="t_max")
+    _add_common(parser, counts=False)
+
+
+def _verify_arguments(parser):
+    parser.add_argument("input", nargs="?", default=None)
+    parser.add_argument(
+        "--suite", choices=["rings", "complexes", "bridge", "all"], default="all"
+    )
+    parser.add_argument("--t-max", type=int, default=4, dest="t_max")
+    _add_common(parser)
+
+
+_SUBCOMMANDS = {
+    "delta": ("distance table over a degree/count grid", _delta_arguments),
+    "stabilize": ("limit values and least degrees", _stabilize_arguments),
+    "ghw": ("generalized Hamming weights", _ghw_arguments),
+    "sr-info": ("face-ring facts of a complex", _sr_info_arguments),
+    "verify": ("theorem checks on an input or the built-in suite", _verify_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser with all five subcommands; only the one argv names gets its arguments.
+
+    The top-level parser takes no option with a value, so the first
+    argument that does not start with "-" names the command.  The command
+    list in ``--help`` and the invalid-choice error read only the names and
+    help strings, so they do not change.  ``argv`` defaults to sys.argv[1:].
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="gmdkit",
         description="Distance functions of graded ideals, face rings, and evaluation codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_delta = sub.add_parser("delta", help="distance table over a degree/count grid")
-    p_delta.add_argument("input")
-    p_delta.add_argument("--t-max", type=int, default=4, dest="t_max")
-    _add_common(p_delta, method=True, witnesses=True)
-
-    p_stab = sub.add_parser("stabilize", help="limit values and least degrees")
-    p_stab.add_argument("input")
-    _add_common(p_stab)
-
-    p_ghw = sub.add_parser("ghw", help="generalized Hamming weights")
-    p_ghw.add_argument("input")
-    p_ghw.add_argument(
-        "--strategy", choices=["auto", "enumerate", "shorten"], default="auto"
-    )
-    p_ghw.add_argument("--t-max", type=int, default=4, dest="t_max")
-    _add_common(p_ghw, witnesses=True)
-
-    p_sr = sub.add_parser("sr-info", help="face-ring facts of a complex")
-    p_sr.add_argument("input")
-    p_sr.add_argument("--t-max", type=int, default=4, dest="t_max")
-    _add_common(p_sr, counts=False)
-
-    p_verify = sub.add_parser("verify", help="theorem checks on an input or the built-in suite")
-    p_verify.add_argument("input", nargs="?", default=None)
-    p_verify.add_argument(
-        "--suite", choices=["rings", "complexes", "bridge", "all"], default="all"
-    )
-    p_verify.add_argument("--t-max", type=int, default=4, dest="t_max")
-    _add_common(p_verify)
-
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_arguments(command)
     return parser
 
 
@@ -793,8 +648,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2

@@ -187,7 +187,11 @@ def _in_ideal(f: Polynomial, gb) -> bool:
 
 
 def _extension(profile: RingProfile, polys) -> IdealPresentation:
-    """I + (F), with its grevlex basis extended from the cached basis of I."""
+    """I + (F), with its grevlex basis extended from the cached basis of I.
+
+    The scan reads only its Hilbert series, so only in(I + (F)): the basis
+    is completed from I's packed records and never interreduced here.
+    """
     gb = groebner_basis(profile.ideal)
     return IdealPresentation.from_basis(groebner_basis_extending(gb, polys))
 
@@ -246,13 +250,15 @@ def _brute_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
     or (None, None) when no subspace in the range has a nonzero
     annihilator.  Under fixed-dim the scan is a branch and bound.
     S/(I + (F)) is a quotient of S/(I + (f)) for every row f of F's RREF,
-    so its multiplicity at dim(S/I) is at most each row's line value.  Once
-    the range has a best, an l >= 2 subspace with a row whose line value is
-    at most that best, or with a nonzerodivisor row, cannot replace it
-    (ties keep the earlier index) and is skipped before its annihilator
-    test and extension.  l = 1 subspaces are lines: they are scanned in
-    full through the line memo.  Own-dim is never pruned: its multiplicity
-    is not monotone once the dimension drops.
+    so its multiplicity at dim(S/I) is at most each row's line value.  An
+    l >= 2 subspace with a nonzerodivisor row f has a zero annihilator,
+    since (I : (F)) is contained in (I : f) = I, so it is skipped even
+    before the range has a best.  Once the range has a best, one with a row
+    whose line value is at most that best cannot replace it (ties keep the
+    earlier index) and is skipped as well, before its annihilator test and
+    extension.  l = 1 subspaces are lines: they are scanned in full through
+    the line memo.  Own-dim is never pruned: its multiplicity is not
+    monotone once the dimension drops.
     """
     bounded = convention == FIXED_DIM
     best = None
@@ -261,8 +267,8 @@ def _brute_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
         matrix = it.matrix_at(index)
         if bounded and ell == 1:
             value = _line_value(profile, t, basis_monomials, matrix.data[0])
-        elif bounded and best is not None and any(
-            line is None or line <= best
+        elif bounded and any(
+            line is None or (best is not None and line <= best)
             for line in (_line_value(profile, t, basis_monomials, row) for row in matrix.data)
         ):
             continue

@@ -198,7 +198,7 @@ class IdealPresentation:
     Groebner bases and Hilbert data are cached on the instance.
     """
 
-    __slots__ = ("ring", "gens", "_gb_cache", "_hilbert", "__weakref__")
+    __slots__ = ("ring", "_gens", "_gb_cache", "_hilbert", "__weakref__")
 
     def __init__(self, ring: RingSpec, generators):
         gens = []
@@ -211,9 +211,17 @@ class IdealPresentation:
                 raise ValueError(f"generator must be homogeneous: {g!r}")
             gens.append(g)
         self.ring = ring
-        self.gens = tuple(gens)
+        self._gens = tuple(gens)
         self._gb_cache = {}
         self._hilbert = None
+
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        gens = self._gens
+        if gens is None:
+            # an ideal made by from_basis takes its basis's elements on first read
+            gens = self._gens = next(iter(self._gb_cache.values())).elements
+        return gens
 
     @classmethod
     def from_strings(cls, ring: RingSpec, texts) -> "IdealPresentation":
@@ -223,12 +231,13 @@ class IdealPresentation:
     def from_basis(cls, gb: "GroebnerBasis") -> "IdealPresentation":
         """The ideal a Groebner basis generates, with that basis already cached.
 
-        The elements of a reduced basis of a homogeneous ideal are nonzero,
+        Its generators are the basis's elements, taken when first read.  The
+        elements of a reduced basis of a homogeneous ideal are nonzero,
         homogeneous and in the basis's ring, so they are not checked again.
         """
         ideal = cls.__new__(cls)
         ideal.ring = gb.ring
-        ideal.gens = gb.elements
+        ideal._gens = None
         ideal._gb_cache = {gb.order.cache_token(): gb}
         ideal._hilbert = None
         return ideal
@@ -252,7 +261,7 @@ class GroebnerBasis:
         self.elements = elements
 
     def __eq__(self, other):
-        return type(other) is GroebnerBasis and self._fields() == other._fields()
+        return isinstance(other, GroebnerBasis) and self._fields() == other._fields()
 
     def __hash__(self):
         return hash(self._fields())
@@ -284,6 +293,38 @@ class GroebnerBasis:
         return {"ring": self.ring, "order": self.order, "elements": self.elements}
 
 
+class _PackedBasis(GroebnerBasis):
+    """The reduced basis of an ideal, held as the monic records ``buchberger``
+    returned for it: a Groebner basis, neither minimal nor reduced.
+
+    Its leading exponents are those of the records with minimal leading
+    monomials, which the reduced basis shares; its ``elements`` are
+    interreduced from those records only when read.  The records serve
+    ``normal_form`` as they are, since a remainder modulo a Groebner basis
+    does not depend on which basis of the ideal reduces it.
+    """
+
+    def __init__(self, ring: RingSpec, order: MonomialOrder, pk: _Packing, records: list):
+        self.ring = ring
+        self.order = order
+        self.packed = (pk, records)
+
+    @cached_property
+    def _minimal_records(self) -> list:
+        """Records of the minimal leading monomials, smallest first."""
+        pk, records = self.packed
+        return [records[k] for k in _minimal(records, pk)]
+
+    @cached_property
+    def elements(self) -> tuple[Polynomial, ...]:
+        return tuple(_interreduce(self._minimal_records, self.packed[0], self.ring))
+
+    @cached_property
+    def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
+        unpack = self.packed[0].unpack
+        return tuple(unpack(rec[1]) for rec in reversed(self._minimal_records))
+
+
 def _spoly(f, g, lcm, p, low, guard):
     """Packed terms of the S-polynomial of two monic records with the given lcm."""
     _, lt_f, tail_f, hull_f = f
@@ -302,29 +343,24 @@ def _spoly(f, g, lcm, p, low, guard):
     return work
 
 
-def buchberger(
-    generators, order: MonomialOrder = GREVLEX, groebner_prefix: int = 0
-) -> list[Polynomial]:
-    """Reduced Groebner basis of the generated ideal.
+def buchberger(basis, pk: _Packing, field, groebner_prefix: int = 0) -> list:
+    """Monic records of a Groebner basis of the ideal that monic records generate.
 
+    ``basis`` lists records (see ``_record``) packed with ``pk``.  The
+    result is a new list: those records, then every nonzero reduced
+    S-polynomial in the order found.  It is neither minimal nor reduced;
+    ``_minimal`` and ``_interreduce`` make it so.
     Normal selection: the pending pair with the smallest lcm in the order
     goes next.  Pending pairs sit in a heap of (packed lcm, i, j), whose
     order key makes the smallest lcm come first; the chain criterion
     consults the set of pending pairs.
-    ``groebner_prefix`` marks the first k generators as already a Groebner
+    ``groebner_prefix`` marks the first k records as already a Groebner
     basis, so their mutual pairs are skipped (used when extending a cached
     basis by new elements).
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return []
-    ring = gens[0].ring
-    p = ring.field.p
-    pk = _packing(order, ring.n)
+    basis = list(basis)
+    p = field.p
     low, guard = pk.low, pk.guard
-    basis = [pk.record(g.terms, ring.field) for g in gens]
-    # an input that was already monic is returned as is if interreduction keeps it
-    originals = [g if g.terms[pk.unpack(rec[1])] == 1 else None for g, rec in zip(gens, basis)]
     lt_lows = [rec[0] for rec in basis]
 
     pending = set()
@@ -360,36 +396,49 @@ def buchberger(
         reduced = _reduce(_spoly(basis[i], basis[j], lcm, p, low, guard), basis, p, low, guard)
         if not reduced:
             continue
-        rec = _record(reduced, ring.field, low, guard)
+        rec = _record(reduced, field, low, guard)
         basis.append(rec)
-        originals.append(None)
         lt_lows.append(rec[0])
         new = len(basis) - 1
         for m in range(new):
             add_pair(m, new)
-    return _interreduce(basis, originals, pk, ring)
+    return basis
 
 
-def _interreduce(basis, originals, pk, ring):
-    """Reduced basis, descending by leading monomial, from monic reducer records."""
+def _minimal(basis, pk) -> list[int]:
+    """Indices of the records whose leading monomials minimally generate the
+    leading ideal, smallest leading monomial first; of equal ones the first stays."""
+    guard = pk.guard
+    kept, lows = [], []
+    for _, idx in sorted([(rec[1], k) for k, rec in enumerate(basis)]):
+        probe = basis[idx][0] | guard
+        for lt_low in lows:
+            if (probe - lt_low) & guard == guard:
+                break
+        else:
+            kept.append(idx)
+            lows.append(basis[idx][0])
+    return kept
+
+
+def _interreduce(minimal, pk, ring, originals=None):
+    """Reduced basis, descending by leading monomial, from minimal monic records.
+
+    ``minimal`` lists records smallest leading monomial first, as
+    ``_minimal`` picks them.  ``originals[i]``, where not None, is the
+    monic polynomial that record i was packed from; it is returned as is
+    when interreduction leaves its tail alone.
+    """
     p = ring.field.p
     low, guard, unpack = pk.low, pk.guard, pk.unpack
-    # minimal leading terms, smallest first; duplicates drop
-    kept = []
-    for idx in sorted(range(len(basis)), key=lambda k: basis[k][1]):
-        probe = basis[idx][0] | guard
-        if any((probe - basis[k][0]) & guard == guard for k in kept):
-            continue
-        kept.append(idx)
     out = []
-    for pos, idx in enumerate(kept):
-        _, lt, tail, _ = basis[idx]
-        others = [basis[k] for k in kept[:pos] + kept[pos + 1 :]]
+    for pos, (_, lt, tail, _) in enumerate(minimal):
+        others = minimal[:pos] + minimal[pos + 1 :]
         # no other leading term divides lt, so only the tail can change
         terms = dict(tail)
         reduced = _reduce(dict(terms), others, p, low, guard)
-        if reduced == terms and originals[idx] is not None:
-            out.append(originals[idx])
+        if reduced == terms and originals is not None and originals[pos] is not None:
+            out.append(originals[pos])
             continue
         poly = {unpack(lt): 1}
         poly.update((unpack(m), c) for m, c in reduced.items())
@@ -398,12 +447,27 @@ def _interreduce(basis, originals, pk, ring):
     return out
 
 
+def _reduced_basis(ring: RingSpec, generators, order: MonomialOrder) -> list[Polynomial]:
+    """Reduced Groebner basis of the generated ideal: pack, complete, interreduce."""
+    gens = [g for g in generators if not g.is_zero()]
+    pk = _packing(order, ring.n)
+    records = [pk.record(g.terms, ring.field) for g in gens]
+    basis = buchberger(records, pk, ring.field)
+    kept = _minimal(basis, pk)
+    # an input that was already monic is returned as is if interreduction keeps it
+    originals = [
+        gens[k] if k < len(gens) and gens[k].terms[pk.unpack(basis[k][1])] == 1 else None
+        for k in kept
+    ]
+    return _interreduce([basis[k] for k in kept], pk, ring, originals)
+
+
 def groebner_basis(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     token = order.cache_token()
     cached = ideal._gb_cache.get(token)
     if cached is not None:
         return cached
-    gb = GroebnerBasis(ideal.ring, order, tuple(buchberger(ideal.gens, order)))
+    gb = GroebnerBasis(ideal.ring, order, tuple(_reduced_basis(ideal.ring, ideal.gens, order)))
     ideal._gb_cache[token] = gb
     return gb
 
@@ -467,7 +531,7 @@ def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
     one = Polynomial.one(ext)
     mixed = [w * _lift(f, ext) for f in a.gens]
     mixed += [(one - w) * _lift(g, ext) for g in b.gens]
-    basis = buchberger(mixed, elimination_order(1))
+    basis = _reduced_basis(ext, mixed, elimination_order(1))
     kept = []
     for g in basis:
         if all(e[0] == 0 for e in g.terms):
@@ -514,7 +578,12 @@ def colon(ideal: IdealPresentation, polys) -> IdealPresentation:
 
 
 def groebner_basis_extending(gb: GroebnerBasis, extra) -> GroebnerBasis:
-    """Groebner basis of (gb) + (extra) in gb's order, skipping pairs inside gb."""
-    seed = list(gb.elements)
-    basis = buchberger(seed + list(extra), gb.order, groebner_prefix=len(seed))
-    return GroebnerBasis(gb.ring, gb.order, tuple(basis))
+    """Groebner basis of (gb) + (extra) in gb's order, skipping pairs inside gb.
+
+    The completion starts from gb's packed records, and its records are
+    interreduced into ``elements`` only when something reads them.
+    """
+    pk, seed = gb.packed
+    field = gb.ring.field
+    records = seed + [pk.record(g.terms, field) for g in extra if not g.is_zero()]
+    return _PackedBasis(gb.ring, gb.order, pk, buchberger(records, pk, field, groebner_prefix=len(seed)))

@@ -155,14 +155,19 @@ class HilbertData:
 
 
 def hilbert_data(ideal: IdealPresentation) -> HilbertData:
-    """Series data of S/I from the grevlex leading terms, cached on the ideal."""
+    """Series data of S/I from the grevlex leading exponents, cached on the ideal.
+
+    By Macaulay's theorem the series depends only on the leading ideal, so
+    no basis element is read.
+    """
     if ideal._hilbert is not None:
         return ideal._hilbert
     gb = groebner_basis(ideal)
     if gb.is_unit_ideal:
         raise ValueError("unit ideal: the quotient is the zero ring")
     n = ideal.ring.n
-    series_num = monomial_ideal_numerator(gb.leading_exponents, n)
+    # a reduced basis's leading exponents minimally generate the leading ideal
+    series_num = _numerator(tuple(sorted(gb.leading_exponents)), n)
     q = series_num
     d = n
     while q and _poly_eval1(q) == 0:

@@ -534,11 +534,18 @@ PINNED_OPTIONS = {
 }
 
 
+def _subcommands(parser):
+    import argparse
+
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_every_subcommand_option_is_pinned():
     import argparse
 
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # the parser gives a subcommand its arguments only when argv names it
+    assert list(_subcommands(cli.build_parser([]))) == list(PINNED_OPTIONS)
     options = {
         name: [
             (
@@ -549,12 +556,20 @@ def test_every_subcommand_option_is_pinned():
                 None if a.choices is None else list(a.choices),
                 a.default,
             )
-            for a in command._actions
+            for a in _subcommands(cli.build_parser([name]))[name]._actions
             if not isinstance(a, argparse._HelpAction)
         ]
-        for name, command in sub.choices.items()
+        for name in PINNED_OPTIONS
     }
     assert options == PINNED_OPTIONS
+
+
+def test_only_the_named_subcommand_gets_its_arguments():
+    for name in PINNED_OPTIONS:
+        choices = _subcommands(cli.build_parser([name, "input.json", "--jobs", "1"]))
+        assert list(choices) == list(PINNED_OPTIONS)
+        # every subparser has -h; the others have nothing else
+        assert {other for other, parser in choices.items() if len(parser._actions) > 1} == {name}
 
 
 def test_ell_and_ell_max_are_exclusive(capsys, ex1_file):

@@ -255,6 +255,71 @@ def test_line_memo_keeps_nonzerodivisors_apart_from_multiplicity_zero(
     assert pickle.loads(pickle.dumps(profile)).line_values == {}
 
 
+def _uncertified_example1():
+    ring = RingSpec(FieldSpec(EXAMPLE1["char"]), EXAMPLE1["vars"])
+    return build_profile(IdealPresentation.from_strings(ring, EXAMPLE1["gens"]))
+
+
+@pytest.mark.parametrize("case", ["plane-with-two-lines", "example1"])
+def test_no_colon_ideal_is_built_for_a_subspace_with_a_nonzerodivisor_row(
+    ring_cases, monkeypatch, case
+):
+    # (I : (F)) lies in (I : f) = I for a nonzerodivisor row f, so such an F
+    # is skipped before its colon ideal even while the scan has no best
+    if case == "example1":
+        profile, t = _uncertified_example1(), 2
+    else:
+        profile, t = _colon_twin(_fresh_profile(ring_cases["f3-plane-with-two-lines"])), 1
+    received = []
+    original = gmd.colon
+
+    def recording(ideal, polys):
+        received.append(list(polys))
+        return original(ideal, polys)
+
+    monkeypatch.setattr(gmd, "colon", recording)
+    query = GmdQuery(profile, t, 2, method="brute")
+    result = delta_bruteforce(query)
+    monkeypatch.undo()
+    basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+    line = {
+        gmd._row_to_poly(profile.ring, basis, row): value
+        for row, value in profile.line_values[t].items()
+    }
+    assert None in line.values() and received
+    assert all(line[f] is not None for polys in received for f in polys)
+    assert result == delta_bruteforce_unpruned(query)
+
+
+def test_a_certified_line_cell_interreduces_no_extension(ring_cases, monkeypatch):
+    # the multiplicity reads only in(I + (f)), which the extension takes
+    # from its records; its reduced elements are never built
+    from gmdkit import groebner
+
+    profile = _fresh_profile(ring_cases["f2-onedim-three-primes"])
+    assert profile.reduced_certified
+    for ideal in [profile.ideal] + [prime.ideal for prime in profile.primes]:
+        groebner_basis(ideal)
+    extensions = []
+    interreduced = []
+    extending, interreduce = gmd.groebner_basis_extending, groebner._interreduce
+
+    def recording(gb, extra):
+        extensions.append(extending(gb, extra))
+        return extensions[-1]
+
+    def counted(*args, **kwargs):
+        interreduced.append(args)
+        return interreduce(*args, **kwargs)
+
+    monkeypatch.setattr(gmd, "groebner_basis_extending", recording)
+    monkeypatch.setattr(groebner, "_interreduce", counted)
+    result = delta_bruteforce(GmdQuery(profile, 2, 1, method="brute"))
+    assert result.status == "ok" and extensions
+    assert not interreduced
+    assert not any("elements" in vars(gb) for gb in extensions)
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):

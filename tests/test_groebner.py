@@ -12,7 +12,6 @@ from gmdkit.groebner import (
     EXPONENT_LIMIT,
     GroebnerBasis,
     IdealPresentation,
-    buchberger,
     colon,
     colon_single,
     exact_divide,
@@ -23,6 +22,7 @@ from gmdkit.groebner import (
     intersect,
     normal_form,
     _packing,
+    _reduced_basis,
 )
 from gmdkit.polyring import (
     GREVLEX,
@@ -45,6 +45,12 @@ R4 = RingSpec(FieldSpec(2), ("x", "y", "z", "w"))
 
 def ideal(ring, *texts):
     return IdealPresentation.from_strings(ring, texts)
+
+
+def buchberger(gens, order=GREVLEX):
+    """Reduced basis of polynomials as the Groebner entry points build it:
+    packed, completed by ``groebner.buchberger`` and interreduced."""
+    return _reduced_basis(gens[0].ring, gens, order) if gens else []
 
 
 @st.composite
@@ -153,6 +159,39 @@ def test_packed_kernel_matches_the_tuple_oracle(gens, order, data):
     monos = degree_monomials(ring.n, data.draw(st.integers(min_value=1, max_value=3)))
     f = Polynomial(ring, {e: data.draw(st.integers(min_value=0, max_value=4)) for e in monos})
     assert normal_form(f, extended).terms == reduce_by_tuples(f.terms, reducers, order, ring.field.p)
+
+
+EXTENSION_ORDERS = [GREVLEX, LEX, elimination_order(1), elimination_order(2)]
+
+
+@settings(max_examples=150)
+@given(wider_ideals(), st.sampled_from(EXTENSION_ORDERS), st.data())
+def test_extension_takes_its_leading_exponents_from_the_records(gens, order, data):
+    # the minimal leading monomials of the completion are those of the
+    # reduced basis, in the same descending order, before any interreduction
+    expected = tuple(g.leading(order)[0] for g in buchberger_by_tuples(gens, order))
+    k = data.draw(st.integers(min_value=0, max_value=len(gens)))
+    seed = groebner_basis(IdealPresentation(gens[0].ring, gens[:k]), order)
+    extended = groebner_basis_extending(seed, gens[k:])
+    assert extended.leading_exponents == expected
+    assert "elements" not in vars(extended)
+    assert tuple(g.leading(order)[0] for g in extended.elements) == expected
+
+
+@settings(max_examples=100)
+@given(wider_ideals(), st.data())
+def test_extension_hilbert_data_matches_the_ideal_built_from_scratch(gens, data):
+    from gmdkit.hilbert import HilbertData, hilbert_data
+
+    ring = gens[0].ring
+    k = data.draw(st.integers(min_value=0, max_value=len(gens)))
+    seed = groebner_basis(IdealPresentation(ring, gens[:k]))
+    shell = IdealPresentation.from_basis(groebner_basis_extending(seed, gens[k:]))
+    got = hilbert_data(shell)
+    want = hilbert_data(IdealPresentation(ring, gens))
+    assert [getattr(got, f) for f in HilbertData.__slots__] == [getattr(want, f) for f in HilbertData.__slots__]
+    assert "elements" not in vars(groebner_basis(shell))
+    assert list(shell.gens) == list(groebner_basis(IdealPresentation(ring, gens)).elements)
 
 
 @st.composite

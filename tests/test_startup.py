@@ -52,6 +52,13 @@ def test_delta_on_an_ideal_loads_no_code_complex_or_suite_module():
     assert not {"gmdkit.codes", "gmdkit.simplicial", "gmdkit.suites"} & loaded
 
 
+def test_only_text_and_csv_reports_load_the_text_renderer():
+    assert "gmdkit.formats" not in loaded_by("delta", "example1.json", "--t-max", "1", "--ell-max", "1")
+    for fmt in ("text", "csv"):
+        loaded = loaded_by("delta", "example1.json", "--t-max", "1", "--ell-max", "1", "--format", fmt)
+        assert "gmdkit.formats" in loaded, fmt
+
+
 def test_delta_on_a_complex_loads_no_suite_module():
     loaded = loaded_by("delta", "complex.json", "--t-max", "1", "--ell-max", "1")
     assert "gmdkit.simplicial" in loaded
