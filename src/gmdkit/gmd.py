@@ -34,7 +34,13 @@ from .groebner import (
     ideal_contains,
     normal_form,
 )
-from .hilbert import graded_piece_of_quotient, hilbert_data, multiplicity_at_dim
+from .hilbert import (
+    dim_and_multiplicity,
+    graded_piece_of_quotient,
+    hilbert_data,
+    monomial_ideal_numerator,
+    multiplicity_at_dim,
+)
 from .polyring import Polynomial, monomial_to_str
 from .schemes import RingProfile
 
@@ -220,9 +226,10 @@ def _subspace_multiplicity(profile: RingProfile, polys, convention: str):
     return _quotient_multiplicity(profile, polys, convention, extension)
 
 
-# Largest number of line values memoised per degree on one profile.  A
-# degree-t piece of dimension m over F_p has (p^m - 1)/(p - 1) lines; the
-# brute scan only stays affordable on pieces far below this.
+# Largest number of line values memoised per degree on one profile, and of
+# footprint bounds.  A degree-t piece of dimension m over F_p has
+# (p^m - 1)/(p - 1) lines; the brute scan only stays affordable on pieces
+# far below this.
 LINE_MEMO_LIMIT = 1 << 14
 
 
@@ -243,51 +250,78 @@ def _line_value(profile: RingProfile, t: int, basis_monomials, row: tuple):
     return value
 
 
+def _footprint_bound(profile: RingProfile, pivots: tuple) -> int:
+    """Multiplicity at dim(S/I) of S/(in(I) + (pivots)), memoised on the profile.
+
+    ``pivots`` are the basis monomials at a pivot block's pivot columns.
+    This is the only writer of ``profile.footprint_bounds``.
+    """
+    memo = profile.footprint_bounds
+    bound = memo.get(pivots)
+    if bound is None:
+        if len(memo) >= LINE_MEMO_LIMIT:
+            memo.clear()
+        n = profile.ring.n
+        exponents = groebner_basis(profile.ideal).leading_exponents + pivots
+        d, e, _ = dim_and_multiplicity(monomial_ideal_numerator(exponents, n), n)
+        bound = memo[pivots] = e if d == profile.dim else 0
+    return bound
+
+
 def _brute_scan(profile, t, ell, convention, basis_monomials, it, start, stop):
     """Scan a contiguous index range of subspaces for the least distance value.
 
     Returns (e(S/I) minus the best multiplicity, first index reaching it),
     or (None, None) when no subspace in the range has a nonzero
-    annihilator.  Under fixed-dim the scan is a branch and bound.
-    S/(I + (F)) is a quotient of S/(I + (f)) for every row f of F's RREF,
-    so its multiplicity at dim(S/I) is at most each row's line value.  An
-    l >= 2 subspace with a nonzerodivisor row f has a zero annihilator,
-    since (I : (F)) is contained in (I : f) = I, so it is skipped even
-    before the range has a best.  Once the range has a best, one with a row
-    whose line value is at most that best cannot replace it (ties keep the
-    earlier index) and is skipped as well, before its annihilator test and
-    extension.  l = 1 subspaces are lines: they are scanned in full through
-    the line memo.  Own-dim is never pruned: its multiplicity is not
-    monotone once the dimension drops.
+    annihilator.  Under fixed-dim the scan is a branch and bound on the
+    multiplicity at dim(S/I): it skips only subspaces that cannot strictly
+    beat the range's best, and ties keep the earlier index anyway.
+
+    Footprint: the basis monomials descend in grevlex, so in the pivot
+    block with pivot columns c_1 < ... < c_l each RREF row i leads with
+    m_{c_i}, and in(I + (F)) contains in(I) + (m_{c_1}, ..., m_{c_l}).
+    Once the range has a best, a block, or the rest of one, whose
+    footprint bound is at most that best is left unread.  Rows:
+    S/(I + (F)) is a quotient of S/(I + (f)) for every row f, so each
+    row's line value bounds F.  An l >= 2 subspace with a nonzerodivisor
+    row f has (I : (F)) inside (I : f) = I and is skipped even before the
+    range has a best; once it has one, so is a subspace with a row whose
+    line value is at most that best.  Own-dim is never pruned: its
+    multiplicity is not monotone once the dimension drops.
     """
     bounded = convention == FIXED_DIM
     best = None
     best_index = None
-    for index in range(start, stop):
-        matrix = it.matrix_at(index)
-        if bounded and ell == 1:
-            value = _line_value(profile, t, basis_monomials, matrix.data[0])
-        elif bounded and any(
-            line is None or (best is not None and line <= best)
-            for line in (_line_value(profile, t, basis_monomials, row) for row in matrix.data)
-        ):
-            continue
-        else:
-            polys = subspace_to_polys(profile, basis_monomials, matrix)
-            value = _subspace_multiplicity(profile, polys, convention)
-        if value is not None and (best is None or value > best):
-            best = value
-            best_index = index
+    for lo, hi, rows in it.pivot_blocks(start, stop):
+        pivots = tuple(basis_monomials[c] for c, _ in rows)
+        for index in range(max(start, lo), min(stop, hi)):
+            if bounded and best is not None and _footprint_bound(profile, pivots) <= best:
+                break
+            matrix = it.matrix_at(index)
+            if bounded and ell == 1:
+                value = _line_value(profile, t, basis_monomials, matrix.data[0])
+            elif bounded and any(
+                line is None or (best is not None and line <= best)
+                for line in (_line_value(profile, t, basis_monomials, row) for row in matrix.data)
+            ):
+                continue
+            else:
+                polys = subspace_to_polys(profile, basis_monomials, matrix)
+                value = _subspace_multiplicity(profile, polys, convention)
+            if value is not None and (best is None or value > best):
+                best = value
+                best_index = index
     if best is None:
         return None, None
     return profile.multiplicity - best, best_index
 
 
-# Largest number of subspaces one brute-force cell may scan.  On a
-# fixed-dim l >= 2 cell with certified primes the row bound skips most of
-# them, and a subspace costs about 6-15 us, so the largest allowed cell
-# takes one to two and a half minutes.  A subspace tested in full (lines,
-# own-dim, colon ideals) costs 20 us to 2.4 ms.
+# Largest number of subspaces one brute-force cell may scan.  Under
+# fixed-dim the footprint bound can leave whole pivot blocks unread at next
+# to no cost, but it need not.  On a certified l >= 2 cell a subspace the
+# scan reads costs about 8-17 us, so a cell at the limit whose blocks are
+# all read takes one and a half to three minutes.  A subspace tested in
+# full (lines, own-dim, colon ideals) costs 23 us to 2.2 ms.
 BRUTE_SUBSPACE_LIMIT = 10_000_000
 
 

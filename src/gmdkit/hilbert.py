@@ -154,6 +154,23 @@ class HilbertData:
         self.hf_poly_from = hf_poly_from
 
 
+def dim_and_multiplicity(series_numerator: IntPoly, n: int) -> tuple[int, int, IntPoly]:
+    """(d, e, Q) of a nonzero quotient with series N/(1-t)^n, N = series_numerator.
+
+    Cancelling the (1-t) factors of N gives Q/(1-t)^d with Q(1) != 0: d is
+    the Krull dimension and e = Q(1) the multiplicity.
+    """
+    q = series_numerator
+    d = n
+    while q and _poly_eval1(q) == 0:
+        q = _divide_by_one_minus_t(q)
+        d -= 1
+    e = _poly_eval1(q)
+    if e <= 0:
+        raise InvariantError(f"multiplicity {e} of a nonzero quotient is not positive")
+    return d, e, q
+
+
 def hilbert_data(ideal: IdealPresentation) -> HilbertData:
     """Series data of S/I from the grevlex leading exponents, cached on the ideal.
 
@@ -168,14 +185,7 @@ def hilbert_data(ideal: IdealPresentation) -> HilbertData:
     n = ideal.ring.n
     # a reduced basis's leading exponents minimally generate the leading ideal
     series_num = _numerator(tuple(sorted(gb.leading_exponents)), n)
-    q = series_num
-    d = n
-    while q and _poly_eval1(q) == 0:
-        q = _divide_by_one_minus_t(q)
-        d -= 1
-    e = _poly_eval1(q)
-    if e <= 0:
-        raise InvariantError(f"multiplicity {e} of a nonzero quotient is not positive")
+    d, e, q = dim_and_multiplicity(series_num, n)
     data = HilbertData(
         nvars=n,
         series_numerator=series_num,

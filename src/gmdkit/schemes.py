@@ -298,6 +298,9 @@ class RingProfile:
         # nonzerodivisor} memo of the brute scan's bound (gmd._line_value);
         # bounded by gmd.LINE_MEMO_LIMIT per degree
         self.line_values: dict[int, dict] = {}
+        # {pivot monomials: bound} memo of the brute scan's block skip
+        # (gmd._footprint_bound); bounded by gmd.LINE_MEMO_LIMIT
+        self.footprint_bounds: dict[tuple, int] = {}
 
     @property
     def ring(self):
@@ -369,9 +372,9 @@ class RingProfile:
         return intersect(prefix.ideal, self.primes[key[-1]].ideal)
 
     def __getstate__(self):
-        # the line-value memo is rebuilt on demand; pickles sent to brute-scan
-        # workers leave it out
-        return {**self.__dict__, "line_values": {}}
+        # the brute scan's memos are rebuilt on demand; pickles sent to
+        # brute-scan workers leave them out
+        return {**self.__dict__, "line_values": {}, "footprint_bounds": {}}
 
     def __repr__(self):
         return (

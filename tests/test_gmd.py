@@ -32,9 +32,8 @@ from gmdkit.gmd import (
     verify_theorems,
 )
 from gmdkit.groebner import IdealPresentation, groebner_basis
-from gmdkit.hilbert import graded_piece_of_quotient
-from gmdkit.polyring import Polynomial, RingSpec, parse_polynomial
-from gmdkit.hilbert import hilbert_function
+from gmdkit.hilbert import graded_piece_of_quotient, hilbert_function, multiplicity_at_dim
+from gmdkit.polyring import GREVLEX, Polynomial, RingSpec, degree_monomials, parse_polynomial
 from gmdkit.schemes import build_profile, build_profile_from_primes
 from gmdkit.simplicial import sr_context
 from gmdkit.suites import (
@@ -155,7 +154,8 @@ def _assert_matches_unpruned(profile, t, ell, convention, jobs=1):
 @pytest.mark.parametrize("name", BATTERY)
 def test_row_bound_matches_unpruned_scan(ring_cases, name, route):
     # every cell in the order the CLI asks them (l = 1 first at each t), so
-    # l >= 2 cells read line values the l = 1 cell left in the memo
+    # l >= 2 cells read the line values the l = 1 cell left in the memo and
+    # compute the lines its footprint skip left unread
     profile = _fresh_profile(ring_cases[name])
     if route == "colon":
         profile = _colon_twin(profile)
@@ -175,15 +175,26 @@ def test_own_dim_scan_is_not_pruned(ring_cases):
     _assert_matches_unpruned(profile, 2, 2, OWN_DIM)
 
 
+@pytest.mark.parametrize("route", ["prime", "colon"])
 @pytest.mark.parametrize(
     "name", ["f2-onedim-three-primes", "f3-plane-with-two-lines", "f2-points6-seed12"]
 )
-def test_row_bound_matches_unpruned_scan_over_two_workers(ring_cases, name):
-    # workers get the profile without its memo and prune against their own best
+def test_row_bound_matches_unpruned_scan_over_two_workers(ring_cases, name, route):
+    # workers get the profile without its memos and prune against their own
+    # best; some cell's two chunks meet inside a pivot block
     profile = _fresh_profile(ring_cases[name])
-    for t, ell in _affordable_cells(profile):
+    if route == "colon":
+        profile = _colon_twin(profile)
+    split_blocks = 0
+    for t, ell in _affordable_cells(profile, ORACLE_CELL_CAP[route]):
         _assert_matches_unpruned(profile, t, ell, FIXED_DIM, jobs=2)
-    assert pickle.loads(pickle.dumps(profile)).line_values == {}
+        it = SubspaceIterator(hilbert_function(profile.ideal, t), ell, profile.ring.field)
+        split_blocks += any(lo < it.count // 2 < hi for lo, hi, _ in it.pivot_blocks(0, it.count))
+    assert split_blocks
+    gmd.delta_bruteforce(GmdQuery(profile, 1, 1, method="brute"))
+    assert profile.line_values and profile.footprint_bounds
+    sent = pickle.loads(pickle.dumps(profile))
+    assert sent.line_values == {} and sent.footprint_bounds == {}
 
 
 @pytest.mark.parametrize("name", BATTERY)
@@ -203,6 +214,7 @@ def test_row_bound_under_a_tiny_line_memo(ring_cases, monkeypatch):
         for t, ell in _affordable_cells(profile):
             _assert_matches_unpruned(profile, t, ell, FIXED_DIM)
         assert all(0 < len(memo) <= 2 for memo in profile.line_values.values())
+        assert 0 < len(profile.footprint_bounds) <= 2
 
 
 @pytest.mark.parametrize("route", ["prime", "colon"])
@@ -217,9 +229,13 @@ def test_line_memo_keeps_nonzerodivisors_apart_from_multiplicity_zero(
         profile = _colon_twin(profile)
     t = 1
     basis = tuple(graded_piece_of_quotient(profile.ideal, t))
-    delta_bruteforce(GmdQuery(profile, t, 1, method="brute"))
+    # the footprint bound lets the l = 1 cell leave lines unread, so every
+    # line is read here
+    lines = SubspaceIterator(len(basis), 1, profile.ring.field)
+    for index in range(lines.count):
+        gmd._line_value(profile, t, basis, lines.matrix_at(index).data[0])
     memo = profile.line_values[t]
-    assert len(memo) == subspace_count(len(basis), 1, profile.ring.field)
+    assert len(memo) == lines.count
     for row, value in memo.items():
         polys = [gmd._row_to_poly(profile.ring, basis, row)]
         assert ann_nonzero(profile, polys) is (value is not None), row
@@ -338,6 +354,51 @@ def test_fixed_dim_multiplicity_is_bounded_by_each_row(ring_cases, data):
         assert value <= line
         if not ann_nonzero(twin, [f]):
             assert line == 0
+
+
+def _footprint_from_scratch(profile, pivots):
+    """Multiplicity at dim(S/I) of S/(in(I) + (pivots)), the monomial ideal
+    built as an ideal of its own and measured through its Groebner basis."""
+    ring = profile.ring
+    monomials = groebner_basis(profile.ideal).leading_exponents + pivots
+    ideal = IdealPresentation(ring, [Polynomial.monomial(ring, e) for e in monomials])
+    return multiplicity_at_dim(ideal, profile.dim)
+
+
+def _assert_footprint_bounds_every_block(profile, cap):
+    """The premise of the block skip, on every cell at t, l <= 2 of at most
+    cap subspaces: each row's leading monomial is the basis monomial at its
+    pivot, and each subspace with a nonzero annihilator measures at most its
+    block's footprint bound.  Returns how many subspaces qualified."""
+    qualified = 0
+    for t, ell in _affordable_cells(profile, cap):
+        if t > 2 or ell > 2:
+            continue
+        basis = tuple(graded_piece_of_quotient(profile.ideal, t))
+        it = SubspaceIterator(len(basis), ell, profile.ring.field)
+        for lo, hi, rows in it.pivot_blocks(0, it.count):
+            pivots = tuple(basis[c] for c, _ in rows)
+            bound = gmd._footprint_bound(profile, pivots)
+            assert bound == _footprint_from_scratch(profile, pivots), (t, pivots)
+            for index in range(lo, hi):
+                polys = subspace_to_polys(profile, basis, it.matrix_at(index))
+                assert tuple(f.leading(GREVLEX)[0] for f in polys) == pivots
+                if ann_nonzero(profile, polys):
+                    qualified += 1
+                    value = gmd._quotient_multiplicity(profile, polys, FIXED_DIM)
+                    assert value <= bound, (t, ell, index, value, bound)
+    return qualified
+
+
+@pytest.mark.parametrize("route", ["prime", "colon"])
+@pytest.mark.parametrize("name", BATTERY)
+def test_footprint_bound_holds_over_the_battery(ring_cases, name, route):
+    profile = _fresh_profile(ring_cases[name])
+    if route == "colon":
+        profile = _colon_twin(profile)
+    qualified = _assert_footprint_bounds_every_block(profile, ORACLE_CELL_CAP[route])
+    # in a domain every annihilator is zero
+    assert qualified or name == "f2-coordinate-plane"
 
 
 def test_annihilator_modes_agree(ex1_profile):
@@ -659,6 +720,35 @@ def _point_sets_and_line_arrangements(draw):
 def test_regularity_index_is_the_first_degree_at_the_limit(profile):
     for ell in (1, 2, 3):
         assert regularity_index(profile, ell).value == _regularity_by_definition(profile, ell), ell
+
+
+@st.composite
+def _homogeneous_ideal_profiles(draw):
+    """Uncertified profiles of up to three random forms of degree 1 or 2."""
+    field = FieldSpec(draw(st.sampled_from([2, 3]), label="p"))
+    ring = RingSpec(field, ("x", "y", "z")[: draw(st.integers(2, 3), label="n")])
+    gens = []
+    for _ in range(draw(st.integers(1, 3), label="count")):
+        monos = degree_monomials(ring.n, draw(st.integers(1, 2), label="degree"))
+        coeffs = draw(st.lists(st.integers(0, field.p - 1), min_size=len(monos), max_size=len(monos)))
+        assume(any(coeffs))
+        gens.append(Polynomial(ring, dict(zip(monos, coeffs))))
+    return build_profile(IdealPresentation(ring, gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_point_sets_and_line_arrangements(), st.sampled_from(["prime", "colon"])),
+        st.tuples(_homogeneous_ideal_profiles(), st.just("colon")),
+    )
+)
+def test_footprint_bound_holds_on_random_ideals(case):
+    profile, route = case
+    if route == "colon" and profile.reduced_certified:
+        profile = _colon_twin(profile)
+    assert profile.reduced_certified is (route == "prime")
+    _assert_footprint_bounds_every_block(profile, ORACLE_CELL_CAP[route])
 
 
 @settings(max_examples=60)

@@ -8,6 +8,7 @@ from gmdkit.errors import HypothesisError
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.groebner import IdealPresentation, groebner_basis, normal_form
 from gmdkit.hilbert import (
+    dim_and_multiplicity,
     graded_piece_of_quotient,
     hilbert_data,
     hilbert_function,
@@ -85,6 +86,32 @@ def test_random_monomial_ideals_match_span_oracle(ideal):
     p = ideal.ring.field.p
     for t in range(6):
         assert hilbert_function(ideal, t) == hilbert_function_by_spans(maps, n, p, t)
+
+
+@settings(max_examples=80)
+@given(monomial_ideals())
+def test_series_numerator_gives_the_oracle_dimension_and_multiplicity(ideal):
+    # the brute scan's footprint bound reads a monomial ideal's numerator
+    # through the same cancellation as hilbert_data
+    n, p, maps = ideal.ring.n, ideal.ring.field.p, as_maps(ideal)
+    exponents = [next(iter(g.terms)) for g in ideal.gens]
+    d, e, _ = dim_and_multiplicity(hilbert.monomial_ideal_numerator(exponents, n), n)
+    if hilbert_function_by_spans(maps, n, p, 8) == 0:
+        # Artinian: generators of degree <= 3 in <= 3 variables vanish by degree 7
+        assert (d, e) == (0, sum(hilbert_function_by_spans(maps, n, p, t) for t in range(8)))
+    else:
+        assert (d, e) == multiplicity_by_differences(maps, n, p)
+
+
+@pytest.mark.parametrize("char, names, gens", NAMED)
+def test_graded_piece_descends_strictly_in_grevlex(char, names, gens):
+    # the brute scan reads the basis monomial at row i's pivot column as the
+    # leading monomial of RREF row i, which needs this order
+    ideal = build(char, names, gens)
+    for t in range(5):
+        keys = [GREVLEX.key(e) for e in graded_piece_of_quotient(ideal, t)]
+        assert all(a > b for a, b in zip(keys, keys[1:])), t
+        assert len(keys) == hilbert_function(ideal, t)
 
 
 def test_known_hilbert_functions():
