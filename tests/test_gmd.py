@@ -175,9 +175,13 @@ def test_own_dim_scan_is_not_pruned(ring_cases):
     _assert_matches_unpruned(profile, 2, 2, OWN_DIM)
 
 
-@pytest.mark.parametrize("route", ["prime", "colon"])
+TWO_WORKER_CASES = ["f2-onedim-three-primes", "f3-plane-with-two-lines", "f2-points6-seed12"]
+
+
 @pytest.mark.parametrize(
-    "name", ["f2-onedim-three-primes", "f3-plane-with-two-lines", "f2-points6-seed12"]
+    "name, route",
+    [pytest.param(name, "prime", id=name) for name in TWO_WORKER_CASES]
+    + [pytest.param(name, "colon", id=f"{name}-colon") for name in TWO_WORKER_CASES],
 )
 def test_row_bound_matches_unpruned_scan_over_two_workers(ring_cases, name, route):
     # workers get the profile without its memos and prune against their own
