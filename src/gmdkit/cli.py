@@ -27,13 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    EnumerationLimitError,
-    ExponentOverflowError,
-    HypothesisError,
-    ParseError,
-    PrimeSubsetLimitError,
-)
+from .errors import ExponentOverflowError, HypothesisError, LimitError, ParseError
 from .gflinalg import FieldMatrix, FieldSpec
 from .gmd import (
     CONVENTIONS,
@@ -660,7 +654,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc.describe()}", file=sys.stderr)
         return 2
-    except (EnumerationLimitError, ExponentOverflowError, PrimeSubsetLimitError) as exc:
+    except (ExponentOverflowError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HypothesisError as exc:

@@ -44,18 +44,25 @@ class ExponentOverflowError(OverflowError):
     """
 
 
-class PrimeSubsetLimitError(Exception):
-    """A prime-subset table would need more entries than gmdkit allows.
+class LimitError(Exception):
+    """An input needs ``count`` of something that gmdkit caps at ``limit``.
 
-    The prime-subset route keeps a table of 2^a entries for a minimal
-    primes, so the prime count is capped at ``schemes.PRIME_SUBSET_LIMIT``.
-    The CLI exits 2, as for other inputs beyond a supported bound.
+    Each subclass names the count in its message.  The CLI exits 2, as for
+    other inputs beyond a supported bound.
     """
 
     def __init__(self, count: int, limit: int):
         super().__init__(count, limit)
         self.count = count
         self.limit = limit
+
+
+class PrimeSubsetLimitError(LimitError):
+    """A prime-subset table would need more entries than gmdkit allows.
+
+    The prime-subset route keeps a table of 2^a entries for a minimal
+    primes, so the prime count is capped at ``schemes.PRIME_SUBSET_LIMIT``.
+    """
 
     def __str__(self):
         return (
@@ -64,19 +71,13 @@ class PrimeSubsetLimitError(Exception):
         )
 
 
-class EnumerationLimitError(Exception):
+class EnumerationLimitError(LimitError):
     """A forced GHW enumeration would walk more subcodes than gmdkit allows.
 
     ``strategy="enumerate"`` visits every r-dimensional subcode, so its
     count is capped at ``codes.FORCED_ENUMERATE_LIMIT``; shortening has no
-    such count.  The CLI exits 2, as for other inputs beyond a supported
-    bound.
+    such count.
     """
-
-    def __init__(self, count: int, limit: int):
-        super().__init__(count, limit)
-        self.count = count
-        self.limit = limit
 
     def __str__(self):
         return (
@@ -85,13 +86,12 @@ class EnumerationLimitError(Exception):
         )
 
 
-class BruteLimitError(EnumerationLimitError):
+class BruteLimitError(LimitError):
     """A brute-force distance cell would scan more subspaces than gmdkit allows.
 
     ``gmd.delta_bruteforce`` visits every l-dimensional subspace of a
     degree-t piece, so its count is capped at ``gmd.BRUTE_SUBSPACE_LIMIT``;
-    the prime-subset route has no such count.  The CLI exits 2, as for a
-    forced GHW enumeration.
+    the prime-subset route has no such count.
     """
 
     def __str__(self):

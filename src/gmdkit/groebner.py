@@ -1,31 +1,33 @@
 """Buchberger's algorithm, normal forms, intersections and colon ideals.
 
-The engine keeps basis elements monic, computes each leading term once,
-keeps pending pairs in a heap and applies the two classical pair criteria
-(coprime leading terms, chain criterion) with normal selection, then
-interreduces, so the returned basis is the unique reduced Groebner
-basis for the (ideal, order) pair.  Elimination runs in an extended ring
-with one auxiliary variable in front under a two-block order.
+Every basis an ideal keeps is a grevlex Groebner basis.  The engine keeps
+basis records monic, computes each leading term once, keeps pending pairs
+in a heap and applies the two classical pair criteria (coprime leading
+terms, chain criterion) with normal selection.  A ``GroebnerBasis`` holds
+the records that computed it: ``groebner_basis`` keeps those of the unique
+reduced basis, ``groebner_basis_extending`` the completion's own.  Its
+leading exponents come from the records, and its elements are interreduced
+and unpacked only when read.  ``intersect`` eliminates one auxiliary
+variable put in front, under a private order of its own.
 
 Inside the engine a monomial is one int (Monagan and Pearce, "Sparse
 polynomial division using a heap", 2011).  Its low part packs the
 exponents, one 16-bit field per variable whose top bit is a guard bit;
-elimination orders add one field holding the degree of the second block.
-Its high part is the order key, a linear functional of the exponents with
-weights in base 2^16:
+the elimination order adds one field holding the degree of the variables
+after the first.  Its high part is the order key, a linear functional of
+the exponents with weights in base 2^16:
 
   grevlex  deg * B^n - sum e_i B^i
-  lex      sum e_i B^(n-1-i)
-  elim k   d1 * B^(n+1) - sum_{i<k} e_i B^(n-k+1+i) + d2 * B^(n-k) - sum_{i>=k} e_i B^(i-k)
+  elim     e_0 * (B^(n+1) - B^n) + d * B^(n-1) - sum_{i>=1} e_i B^(i-1)
 
-where B = 2^16 and d1, d2 are the block degrees, so comparing the ints
+where B = 2^16 and d is the degree of x_1..x_{n-1}, so comparing the ints
 compares the monomials, a product is a sum, ``max`` over a dict of
 terms finds the leading term, "a divides b" is
 ``((b | G) - a) & G == G`` on the low parts (G holds the guard bits) and
 an lcm is a field-wise max done with the same subtraction.  Polynomials are
 packed on entry and unpacked on exit, so callers keep exponent tuples.
 
-Every exponent and the second block degree must stay at or below
+Every exponent and the elimination order's degree d must stay at or below
 ``EXPONENT_LIMIT`` (2^15 - 1): inputs are checked when packed and each
 reduction step checks the guard bits of its largest product, so a
 computation that would need more raises ``ExponentOverflowError`` (CLI
@@ -42,10 +44,8 @@ from functools import cached_property, lru_cache
 from .errors import ExponentOverflowError
 from .polyring import (
     GREVLEX,
-    MonomialOrder,
     Polynomial,
     RingSpec,
-    elimination_order,
     minimal_monomial_generators,
     monomial_lcm,
     parse_polynomial,
@@ -62,36 +62,31 @@ def _overflow():
 
 
 class _Packing:
-    """Packed monomials of one (order, variable count) pair.
+    """Packed monomials in n variables under grevlex or, with ``eliminate``,
+    under the order ``intersect`` uses: the first variable's degree first,
+    then grevlex on the others.
 
-    Field i of the low part holds the exponent of variable i; an
-    elimination order adds field n, the degree of the variables from
-    ``second`` on, whose size the order key relies on.
+    Field i of the low part holds the exponent of variable i; the
+    elimination order adds field n, the degree of the other variables,
+    whose size its order key relies on.
     """
 
-    __slots__ = ("n", "second", "weights", "low", "guard", "var_low", "var_guard", "fields")
+    __slots__ = ("n", "eliminate", "weights", "low", "guard", "var_low", "var_guard", "fields")
 
-    def __init__(self, order: MonomialOrder, n: int):
+    def __init__(self, n: int, eliminate: bool):
         base = 1 << FIELD_BITS
-        second = None
-        if order.kind == "grevlex":
-            keys = [base**n - base**i for i in range(n)]
-        elif order.kind == "lex":
-            keys = [base ** (n - 1 - i) for i in range(n)]
-        elif order.kind == "elim":
-            second = k = min(order.block, n)
-            keys = [base ** (n + 1) - base ** (n - k + 1 + i) for i in range(k)]
-            keys += [base ** (n - k) - base ** (i - k) for i in range(k, n)]
-        else:
-            raise ValueError(f"unknown order kind {order.kind!r}")
         places = [base**i for i in range(n)]
-        fields = n
-        if second is not None:
-            places[second:] = [place + base**n for place in places[second:]]
-            fields += 1
+        if eliminate:
+            keys = [base ** (n + 1) - base**n]
+            keys += [base ** (n - 1) - base ** (i - 1) for i in range(1, n)]
+            places[1:] = [place + base**n for place in places[1:]]
+            fields = n + 1
+        else:
+            keys = [base**n - base**i for i in range(n)]
+            fields = n
         width = FIELD_BITS * fields
         self.n = n
-        self.second = second
+        self.eliminate = eliminate
         self.weights = tuple((key << width) + place for key, place in zip(keys, places))
         self.low = (1 << width) - 1
         self.guard = sum(base // 2 * base**f for f in range(fields))
@@ -102,7 +97,7 @@ class _Packing:
     def pack(self, e) -> int:
         if max(e) > EXPONENT_LIMIT:
             _overflow()
-        if self.second is not None and sum(e[self.second :]) > EXPONENT_LIMIT:
+        if self.eliminate and sum(e[1:]) > EXPONENT_LIMIT:
             _overflow()
         return sum(map(operator.mul, e, self.weights))
 
@@ -116,9 +111,8 @@ class _Packing:
         g = t & guard
         # b - a in the fields where b exceeds a, zero in the others
         rise = self.unpack((t ^ g) & (g - (g >> (FIELD_BITS - 1))))
-        second = self.second
-        if second is not None:
-            block_degree = (a >> (FIELD_BITS * self.n)) % (1 << FIELD_BITS) + sum(rise[second:])
+        if self.eliminate:
+            block_degree = (a >> (FIELD_BITS * self.n)) % (1 << FIELD_BITS) + sum(rise[1:])
             if block_degree > EXPONENT_LIMIT:
                 _overflow()
         return a + sum(map(operator.mul, rise, self.weights))
@@ -127,10 +121,17 @@ class _Packing:
         """Reducer record of the monic multiple of {exponent tuple: coefficient} terms."""
         return _record({self.pack(e): c for e, c in terms.items()}, field, self.low, self.guard)
 
+    def polynomial(self, rec, ring: RingSpec, start: int = 0) -> Polynomial:
+        """The polynomial of a record, on the exponent fields from ``start`` on."""
+        unpack = self.unpack
+        terms = {unpack(rec[1])[start:]: 1}
+        terms.update((unpack(m)[start:], c) for m, c in rec[2])
+        return Polynomial._raw(ring, terms)
+
 
 @lru_cache(maxsize=64)
-def _packing(order: MonomialOrder, n: int) -> _Packing:
-    return _Packing(order, n)
+def _packing(n: int, eliminate: bool = False) -> _Packing:
+    return _Packing(n, eliminate)
 
 
 def _record(packed, field, low, guard) -> tuple:
@@ -195,10 +196,11 @@ class IdealPresentation:
     """A homogeneous ideal given by generators in a fixed ring.
 
     Zero generators are dropped; inhomogeneous generators are rejected.
-    Groebner bases and Hilbert data are cached on the instance.
+    The grevlex Groebner basis and the Hilbert data are cached on the
+    instance.
     """
 
-    __slots__ = ("ring", "_gens", "_gb_cache", "_hilbert", "__weakref__")
+    __slots__ = ("ring", "_gens", "_gb", "_hilbert", "__weakref__")
 
     def __init__(self, ring: RingSpec, generators):
         gens = []
@@ -212,7 +214,7 @@ class IdealPresentation:
             gens.append(g)
         self.ring = ring
         self._gens = tuple(gens)
-        self._gb_cache = {}
+        self._gb = None
         self._hilbert = None
 
     @property
@@ -220,7 +222,7 @@ class IdealPresentation:
         gens = self._gens
         if gens is None:
             # an ideal made by from_basis takes its basis's elements on first read
-            gens = self._gens = next(iter(self._gb_cache.values())).elements
+            gens = self._gens = self._gb.elements
         return gens
 
     @classmethod
@@ -238,7 +240,7 @@ class IdealPresentation:
         ideal = cls.__new__(cls)
         ideal.ring = gb.ring
         ideal._gens = None
-        ideal._gb_cache = {gb.order.cache_token(): gb}
+        ideal._gb = gb
         ideal._hilbert = None
         return ideal
 
@@ -253,12 +255,25 @@ class IdealPresentation:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis; equal ring, order and elements compare and hash equal."""
+    """A grevlex Groebner basis, held as the monic records (see ``_record``)
+    that computed it.
 
-    def __init__(self, ring: RingSpec, order: MonomialOrder, elements: tuple[Polynomial, ...]):
+    ``groebner_basis`` keeps the records of the reduced basis, an extension
+    the completion's own, which are neither minimal nor reduced.  Either
+    serves ``normal_form`` as it is, since a remainder modulo a Groebner
+    basis does not depend on which basis of the ideal reduces it.  The
+    leading exponents are those of the records with minimal leading
+    monomials, which the reduced basis shares; the reduced records and the
+    ``elements`` are built only when read.  Bases of equal ring and
+    elements compare and hash equal.
+    """
+
+    def __init__(self, ring: RingSpec, records: list, reduced: bool = False):
         self.ring = ring
-        self.order = order
-        self.elements = elements
+        self.pk = _packing(ring.n)
+        self.records = records
+        if reduced:
+            self.reduced_records = records
 
     def __eq__(self, other):
         return isinstance(other, GroebnerBasis) and self._fields() == other._fields()
@@ -267,17 +282,27 @@ class GroebnerBasis:
         return hash(self._fields())
 
     def _fields(self):
-        return (self.ring, self.order, self.elements)
+        return (self.ring, self.elements)
+
+    @cached_property
+    def _minimal_records(self) -> list:
+        return _minimal(self.records, self.pk)
 
     @cached_property
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.leading(self.order)[0] for g in self.elements)
+        """Minimal generators of the leading ideal, descending."""
+        unpack = self.pk.unpack
+        return tuple(unpack(rec[1]) for rec in reversed(self._minimal_records))
 
     @cached_property
-    def packed(self) -> tuple:
-        """(packing, monic reducer records of the elements) for ``normal_form``."""
-        pk = _packing(self.order, self.ring.n)
-        return pk, [pk.record(g.terms, self.ring.field) for g in self.elements]
+    def reduced_records(self) -> list:
+        """Records of the reduced basis, descending by leading monomial."""
+        return _interreduce(self._minimal_records, self.pk, self.ring.field)
+
+    @cached_property
+    def elements(self) -> tuple[Polynomial, ...]:
+        """The reduced basis, descending by leading monomial."""
+        return tuple(self.pk.polynomial(rec, self.ring) for rec in self.reduced_records)
 
     @cached_property
     def monomial_normal_forms(self) -> dict:
@@ -288,41 +313,9 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return any(sum(e) == 0 for e in self.leading_exponents)
 
-    def __getstate__(self):
-        # memos are rebuilt on demand; pickles carry only the basis itself
-        return {"ring": self.ring, "order": self.order, "elements": self.elements}
-
-
-class _PackedBasis(GroebnerBasis):
-    """The reduced basis of an ideal, held as the monic records ``buchberger``
-    returned for it: a Groebner basis, neither minimal nor reduced.
-
-    Its leading exponents are those of the records with minimal leading
-    monomials, which the reduced basis shares; its ``elements`` are
-    interreduced from those records only when read.  The records serve
-    ``normal_form`` as they are, since a remainder modulo a Groebner basis
-    does not depend on which basis of the ideal reduces it.
-    """
-
-    def __init__(self, ring: RingSpec, order: MonomialOrder, pk: _Packing, records: list):
-        self.ring = ring
-        self.order = order
-        self.packed = (pk, records)
-
-    @cached_property
-    def _minimal_records(self) -> list:
-        """Records of the minimal leading monomials, smallest first."""
-        pk, records = self.packed
-        return [records[k] for k in _minimal(records, pk)]
-
-    @cached_property
-    def elements(self) -> tuple[Polynomial, ...]:
-        return tuple(_interreduce(self._minimal_records, self.packed[0], self.ring))
-
-    @cached_property
-    def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        unpack = self.packed[0].unpack
-        return tuple(unpack(rec[1]) for rec in reversed(self._minimal_records))
+    def __reduce__(self):
+        # memos are rebuilt on demand; pickles carry only the reduced records
+        return (GroebnerBasis, (self.ring, self.reduced_records, True))
 
 
 def _spoly(f, g, lcm, p, low, guard):
@@ -405,81 +398,56 @@ def buchberger(basis, pk: _Packing, field, groebner_prefix: int = 0) -> list:
     return basis
 
 
-def _minimal(basis, pk) -> list[int]:
-    """Indices of the records whose leading monomials minimally generate the
-    leading ideal, smallest leading monomial first; of equal ones the first stays."""
+def _minimal(basis, pk) -> list:
+    """The records whose leading monomials minimally generate the leading
+    ideal, smallest leading monomial first; of equal ones the first stays."""
     guard = pk.guard
     kept, lows = [], []
-    for _, idx in sorted([(rec[1], k) for k, rec in enumerate(basis)]):
-        probe = basis[idx][0] | guard
+    for _, k in sorted([(rec[1], k) for k, rec in enumerate(basis)]):
+        probe = basis[k][0] | guard
         for lt_low in lows:
             if (probe - lt_low) & guard == guard:
                 break
         else:
-            kept.append(idx)
-            lows.append(basis[idx][0])
+            kept.append(basis[k])
+            lows.append(basis[k][0])
     return kept
 
 
-def _interreduce(minimal, pk, ring, originals=None):
-    """Reduced basis, descending by leading monomial, from minimal monic records.
-
-    ``minimal`` lists records smallest leading monomial first, as
-    ``_minimal`` picks them.  ``originals[i]``, where not None, is the
-    monic polynomial that record i was packed from; it is returned as is
-    when interreduction leaves its tail alone.
-    """
-    p = ring.field.p
-    low, guard, unpack = pk.low, pk.guard, pk.unpack
+def _interreduce(minimal, pk, field) -> list:
+    """Records of the reduced basis, descending by leading monomial, from
+    minimal monic records listed smallest leading monomial first."""
+    p, low, guard = field.p, pk.low, pk.guard
     out = []
     for pos, (_, lt, tail, _) in enumerate(minimal):
-        others = minimal[:pos] + minimal[pos + 1 :]
         # no other leading term divides lt, so only the tail can change
-        terms = dict(tail)
-        reduced = _reduce(dict(terms), others, p, low, guard)
-        if reduced == terms and originals is not None and originals[pos] is not None:
-            out.append(originals[pos])
-            continue
-        poly = {unpack(lt): 1}
-        poly.update((unpack(m), c) for m, c in reduced.items())
-        out.append(Polynomial._raw(ring, poly))
+        terms = _reduce(dict(tail), minimal[:pos] + minimal[pos + 1 :], p, low, guard)
+        terms[lt] = 1
+        out.append(_record(terms, field, low, guard))
     out.reverse()
     return out
 
 
-def _reduced_basis(ring: RingSpec, generators, order: MonomialOrder) -> list[Polynomial]:
-    """Reduced Groebner basis of the generated ideal: pack, complete, interreduce."""
-    gens = [g for g in generators if not g.is_zero()]
-    pk = _packing(order, ring.n)
-    records = [pk.record(g.terms, ring.field) for g in gens]
-    basis = buchberger(records, pk, ring.field)
-    kept = _minimal(basis, pk)
-    # an input that was already monic is returned as is if interreduction keeps it
-    originals = [
-        gens[k] if k < len(gens) and gens[k].terms[pk.unpack(basis[k][1])] == 1 else None
-        for k in kept
-    ]
-    return _interreduce([basis[k] for k in kept], pk, ring, originals)
-
-
-def groebner_basis(ideal: IdealPresentation, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    token = order.cache_token()
-    cached = ideal._gb_cache.get(token)
-    if cached is not None:
-        return cached
-    gb = GroebnerBasis(ideal.ring, order, tuple(_reduced_basis(ideal.ring, ideal.gens, order)))
-    ideal._gb_cache[token] = gb
+def groebner_basis(ideal: IdealPresentation) -> GroebnerBasis:
+    """The reduced grevlex Groebner basis of the ideal, cached on it."""
+    gb = ideal._gb
+    if gb is None:
+        ring = ideal.ring
+        pk = _packing(ring.n)
+        records = buchberger([pk.record(g.terms, ring.field) for g in ideal.gens], pk, ring.field)
+        reduced = _interreduce(_minimal(records, pk), pk, ring.field)
+        gb = ideal._gb = GroebnerBasis(ring, reduced, reduced=True)
     return gb
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of f modulo the Groebner basis."""
-    if f.is_zero() or not gb.elements:
+    if f.is_zero() or not gb.records:
         return f
-    pk, reducers = gb.packed
+    pk = gb.pk
     pack, unpack = pk.pack, pk.unpack
     work = {pack(e): c for e, c in f.terms.items()}
-    reduced = _reduce(work, reducers, f.ring.field.p, pk.low, pk.guard)
+    reduced = _reduce(work, gb.records, f.ring.field.p, pk.low, pk.guard)
     return Polynomial._raw(f.ring, {unpack(m): c for m, c in reduced.items()})
 
 
@@ -493,10 +461,6 @@ def ideals_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
     return ideal_contains(a, b) and ideal_contains(b, a)
 
 
-def _lift(f: Polynomial, ext: RingSpec) -> Polynomial:
-    return Polynomial._raw(ext, {(0,) + e: c for e, c in f.terms.items()})
-
-
 def _monomial_generators(ideal: IdealPresentation):
     """Exponent tuples when every generator is a single term, else None."""
     monos = []
@@ -508,7 +472,7 @@ def _monomial_generators(ideal: IdealPresentation):
 
 
 def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
-    """Ideal intersection via a single auxiliary elimination variable.
+    """Ideal intersection as (w*a + (1 - w)*b) with the variable w eliminated.
 
     Two monomial ideals short-circuit to the pairwise lcm generators.
     """
@@ -526,17 +490,18 @@ def intersect(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
             for e in sorted(lcms, key=GREVLEX.key, reverse=True)
         ]
         return IdealPresentation(ring, gens)
-    ext = ring.prepend_variable("w")
-    w = Polynomial.variable(ext, 0)
-    one = Polynomial.one(ext)
-    mixed = [w * _lift(f, ext) for f in a.gens]
-    mixed += [(one - w) * _lift(g, ext) for g in b.gens]
-    basis = _reduced_basis(ext, mixed, elimination_order(1))
-    kept = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(Polynomial._raw(ring, {e[1:]: c for e, c in g.terms.items()}))
-    return IdealPresentation(ring, kept)
+    field = ring.field
+    pk = _packing(ring.n + 1, eliminate=True)
+    # w is the first exponent field
+    mixed = [{(1,) + e: c for e, c in f.terms.items()} for f in a.gens]
+    for g in b.gens:
+        terms = {(0,) + e: c for e, c in g.terms.items()}
+        terms.update(((1,) + e, field.p - c) for e, c in g.terms.items())
+        mixed.append(terms)
+    basis = buchberger([pk.record(terms, field) for terms in mixed], pk, field)
+    # the order puts w first, so a record whose leading term is free of w has no w at all
+    kept = [rec for rec in _interreduce(_minimal(basis, pk), pk, field) if not pk.unpack(rec[1])[0]]
+    return IdealPresentation(ring, [pk.polynomial(rec, ring, 1) for rec in kept])
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -544,7 +509,7 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     ring = g.ring
-    pk = _packing(GREVLEX, ring.n)
+    pk = _packing(ring.n)
     monic = pk.record(f.terms, ring.field)
     quotient = {}
     work = {pk.pack(e): c for e, c in g.terms.items()}
@@ -578,12 +543,13 @@ def colon(ideal: IdealPresentation, polys) -> IdealPresentation:
 
 
 def groebner_basis_extending(gb: GroebnerBasis, extra) -> GroebnerBasis:
-    """Groebner basis of (gb) + (extra) in gb's order, skipping pairs inside gb.
+    """Groebner basis of (gb) + (extra), completed from gb's records and
+    skipping the pairs inside them.
 
-    The completion starts from gb's packed records, and its records are
-    interreduced into ``elements`` only when something reads them.
+    The completion's records are interreduced into ``elements`` only when
+    something reads them.
     """
-    pk, seed = gb.packed
+    pk, seed = gb.pk, gb.records
     field = gb.ring.field
     records = seed + [pk.record(g.terms, field) for g in extra if not g.is_zero()]
-    return _PackedBasis(gb.ring, gb.order, pk, buchberger(records, pk, field, groebner_prefix=len(seed)))
+    return GroebnerBasis(gb.ring, buchberger(records, pk, field, groebner_prefix=len(seed)))

@@ -1,9 +1,10 @@
-"""Multivariate polynomials over prime fields with graded monomial orders.
+"""Multivariate polynomials over prime fields, ordered by grevlex.
 
 Monomials are plain exponent tuples.  A polynomial is a coefficient map
 {exponent tuple: residue in 1..p-1}; the zero polynomial has an empty map.
-Orders compare exponent tuples through sort keys, so ``max(terms, key=...)``
-picks leading terms and descending sorts give canonical term sequences.
+``GREVLEX.key`` is the sort key of the one monomial order on tuples, so
+descending sorts give canonical term sequences.  The Groebner engine
+compares its own packed monomials under the same order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .gflinalg import FieldSpec
 
 Monomial = tuple[int, ...]
 
-# Most variables of an input ring; a ring built inside a computation may have more.
+# Most variables of an input ring; the loader checks it, RingSpec does not.
 MAX_VARIABLES = 12
 
 
@@ -54,12 +55,6 @@ class RingSpec:
     @cached_property
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
-
-    def prepend_variable(self, name: str) -> "RingSpec":
-        """Ring with one auxiliary variable in front (for elimination)."""
-        while name in self.names:
-            name = name + "_"
-        return RingSpec(self.field, (name,) + self.names)
 
 
 _SHORT_NAMES = ("x", "y", "z", "w")
@@ -98,56 +93,17 @@ def minimal_monomial_generators(exponents) -> tuple[Monomial, ...]:
     return tuple(sorted(kept))
 
 
-def _grevlex_key(e: Monomial):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
 class MonomialOrder:
-    """grevlex, lex, or a two-block elimination order.
+    """Graded reverse lexicographic order: higher degree first, then the
+    smaller exponent in the last variable where two monomials differ."""
 
-    ``elim`` with block k compares the first k exponents by grevlex, then the
-    remaining ones by grevlex; monomials involving the first block dominate,
-    which is what variable elimination needs.  Equal orders compare and hash
-    equal, so they key caches.
-    """
-
-    __slots__ = ("kind", "block")
-
-    def __init__(self, kind: str, block: int = 0):
-        self.kind = kind
-        self.block = block
-
-    def __eq__(self, other):
-        return (
-            type(other) is MonomialOrder and self.kind == other.kind and self.block == other.block
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.block))
+    __slots__ = ()
 
     def key(self, e: Monomial):
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        if self.kind == "lex":
-            return tuple(e)
-        if self.kind == "elim":
-            return (_grevlex_key(e[: self.block]), _grevlex_key(e[self.block :]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-    def cache_token(self):
-        return (self.kind, self.block)
+        return (sum(e), tuple(-x for x in reversed(e)))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
-def elimination_order(block: int) -> MonomialOrder:
-    return MonomialOrder("elim", block)
+GREVLEX = MonomialOrder()
 
 
 class Polynomial:
@@ -211,12 +167,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms descending in grevlex."""

@@ -436,7 +436,8 @@ def build_profile(ideal: IdealPresentation, primes=None, _prefix_chain=None) -> 
             raise ValueError(f"prime #{k + 1} does not contain the ideal")
         gb = groebner_basis(p)  # the basis hilbert_data just built
         linear = all(sum(e) == 1 for e in gb.leading_exponents)
-        monomial = all(len(g.terms) == 1 for g in gb.elements)
+        # a reduced record with no tail is a monomial
+        monomial = not any(rec[2] for rec in gb.reduced_records)
         prime_data.append(
             MinimalPrimeData(p, pd.dim, pd.multiplicity, pd.dim == hd.dim, linear, monomial)
         )

@@ -198,11 +198,6 @@ def _homology_of_facets(facets, field: FieldSpec) -> dict[int, int]:
     return out
 
 
-def reduced_homology(complex_: SimplicialComplex, k: int, field: FieldSpec) -> int:
-    """dim of the k-th reduced homology over F_p (0 outside the face range)."""
-    return _homology_of_facets(complex_.facets, field).get(k, 0)
-
-
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of the face ring, nonzero entries only."""
 
@@ -211,9 +206,6 @@ class BettiTable:
     def __init__(self, nvars: int, entries: dict[tuple[int, int], int]):
         self.nvars = nvars
         self.entries = entries
-
-    def beta(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
     def projective_dimension(self) -> int:
         return max(i for i, _ in self.entries)

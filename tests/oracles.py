@@ -12,7 +12,7 @@ shortening before its branch and bound, on the package's matrices.  The
 unpruned brute scan is the package's subspace scan before its row bound,
 on the package's annihilator test and quotient multiplicity.  The tuple
 Buchberger is the package's Groebner engine before packed monomials, on
-exponent tuples and the package's order keys.  The family route is the
+exponent tuples and order keys of its own.  The family route is the
 package's prime-family dimensions before its rank tables, on the package's
 intersection and Hilbert series.  The colon annihilator test is the
 definition (I : (F)) != I, on the package's colon ideal and containment
@@ -303,7 +303,18 @@ def family_dims_by_intersection(profile, indices, degrees, chains=None):
 # Buchberger on exponent tuples
 
 
-def reduce_by_tuples(terms, reducers, order, p):
+def grevlex_key(e):
+    """Sort key of grevlex: degree first, then the smaller last differing exponent."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def elimination_key(e):
+    """Sort key of the order ``groebner.intersect`` eliminates its first
+    variable under: that variable's degree first, then grevlex on the rest."""
+    return (e[0], grevlex_key(e[1:]))
+
+
+def reduce_by_tuples(terms, reducers, key, p):
     """Full normal form of {exponent tuple: coefficient} against
     (leading exponent, inverse leading coefficient, terms) reducers, each
     term reduced by the first reducer whose leading exponent divides it."""
@@ -311,7 +322,7 @@ def reduce_by_tuples(terms, reducers, order, p):
 
     work = dict(terms)
     out = {}
-    key = functools.lru_cache(maxsize=None)(order.key)
+    key = functools.lru_cache(maxsize=None)(key)
     while work:
         mu = max(work, key=key)
         c = work.pop(mu)
@@ -338,16 +349,21 @@ def reduce_by_tuples(terms, reducers, order, p):
     return out
 
 
-def buchberger_by_tuples(generators, order, groebner_prefix=0):
+def buchberger_by_tuples(generators, key, groebner_prefix=0):
     """``groebner.buchberger`` as it was before packed monomials: the same
     pair heap, criteria, first-divisor reduction and interreduction on
-    exponent tuples compared through cached ``order.key`` values."""
+    exponent tuples compared through cached values of the sort ``key``."""
     import heapq
 
     from gmdkit.polyring import Polynomial, monomial_divides, monomial_lcm, monomial_mul
 
+    key = functools.lru_cache(maxsize=None)(key)
+
+    def leading(g):
+        return max(g.terms, key=key)
+
     def monic(g):
-        return Polynomial(g.ring, {(0,) * g.ring.n: g.ring.field.inv(g.leading(order)[1])}) * g
+        return Polynomial(g.ring, {(0,) * g.ring.n: g.ring.field.inv(g.terms[leading(g)])}) * g
 
     def shifted(g, lcm, lt):
         return Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, lt)): 1}) * g
@@ -357,8 +373,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
         return []
     ring = basis[0].ring
     p = ring.field.p
-    key = functools.lru_cache(maxsize=None)(order.key)
-    lts = [g.leading(order)[0] for g in basis]
+    lts = [leading(g) for g in basis]
     reducers = [(lt, 1, g.terms) for lt, g in zip(lts, basis)]
     pending = set()
     heap = []
@@ -388,11 +403,11 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
         ):
             continue
         s = shifted(basis[i], lcm, lt_i) - shifted(basis[j], lcm, lt_j)
-        reduced = reduce_by_tuples(s.terms, reducers, order, p)
+        reduced = reduce_by_tuples(s.terms, reducers, key, p)
         if not reduced:
             continue
         h = monic(Polynomial._raw(ring, reduced))
-        lt = h.leading(order)[0]
+        lt = leading(h)
         basis.append(h)
         lts.append(lt)
         reducers.append((lt, 1, h.terms))
@@ -408,7 +423,7 @@ def buchberger_by_tuples(generators, order, groebner_prefix=0):
     for idx, (lt, g) in enumerate(kept):
         others = [(k_lt, 1, k_g.terms) for k_lt, k_g in kept[:idx] + kept[idx + 1 :]]
         if others:
-            g = Polynomial._raw(ring, reduce_by_tuples(g.terms, others, order, p))
+            g = Polynomial._raw(ring, reduce_by_tuples(g.terms, others, key, p))
         out.append((lt, g))
     out.sort(key=lambda pair: key(pair[0]), reverse=True)
     return [g for _, g in out]

@@ -637,6 +637,24 @@ def test_counts_past_the_limit_are_exit_2(capsys, ex1_file, points_file, triangl
     capsys.readouterr()
 
 
+def test_the_module_docstring_quotes_every_limit():
+    # the exit-2 bounds the docstring lists, in its order, are the constants
+    import re
+
+    from gmdkit import codes, gmd, groebner, polyring, schemes
+
+    text = " ".join(cli.__doc__.split())
+    bounds = text.split("beyond a supported bound (", 1)[1].split(")", 1)[0]
+    assert [int(n) for n in re.findall(r"\d+", bounds)] == [
+        polyring.MAX_VARIABLES,
+        cli.COUNT_LIMIT,
+        groebner.EXPONENT_LIMIT,
+        schemes.PRIME_SUBSET_LIMIT,
+        codes.FORCED_ENUMERATE_LIMIT,
+        gmd.BRUTE_SUBSPACE_LIMIT,
+    ]
+
+
 def test_variable_limit_is_checked_at_load(capsys, tmp_path, monkeypatch):
     from gmdkit import simplicial
     from gmdkit.polyring import MAX_VARIABLES

@@ -386,7 +386,7 @@ def _assert_footprint_bounds_every_block(profile, cap):
             assert bound == _footprint_from_scratch(profile, pivots), (t, pivots)
             for index in range(lo, hi):
                 polys = subspace_to_polys(profile, basis, it.matrix_at(index))
-                assert tuple(f.leading(GREVLEX)[0] for f in polys) == pivots
+                assert tuple(max(f.terms, key=GREVLEX.key) for f in polys) == pivots
                 if ann_nonzero(profile, polys):
                     qualified += 1
                     value = gmd._quotient_multiplicity(profile, polys, FIXED_DIM)

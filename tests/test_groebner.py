@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmdkit.errors import ExponentOverflowError
+from gmdkit import groebner
 from gmdkit.gflinalg import FieldSpec
 from gmdkit.groebner import (
     EXPONENT_LIMIT,
@@ -21,21 +22,25 @@ from gmdkit.groebner import (
     ideals_equal,
     intersect,
     normal_form,
+    _interreduce,
+    _minimal,
     _packing,
-    _reduced_basis,
 )
 from gmdkit.polyring import (
-    GREVLEX,
-    LEX,
     Polynomial,
     RingSpec,
     degree_monomials,
-    elimination_order,
     monomial_lcm,
     parse_polynomial,
 )
 
-from oracles import EXAMPLE1, buchberger_by_tuples, reduce_by_tuples
+from oracles import (
+    EXAMPLE1,
+    buchberger_by_tuples,
+    elimination_key,
+    grevlex_key,
+    reduce_by_tuples,
+)
 
 R2 = RingSpec(FieldSpec(2), ("x", "y"))
 R3 = RingSpec(FieldSpec(2), ("x", "y", "z"))
@@ -47,10 +52,22 @@ def ideal(ring, *texts):
     return IdealPresentation.from_strings(ring, texts)
 
 
-def buchberger(gens, order=GREVLEX):
+def complete(gens, eliminate=False, groebner_prefix=0):
     """Reduced basis of polynomials as the Groebner entry points build it:
-    packed, completed by ``groebner.buchberger`` and interreduced."""
-    return _reduced_basis(gens[0].ring, gens, order) if gens else []
+    packed under grevlex or under the elimination order ``intersect`` uses,
+    completed by ``groebner.buchberger``, interreduced and unpacked."""
+    if not gens:
+        return []
+    ring = gens[0].ring
+    pk = _packing(ring.n, eliminate)
+    records = [pk.record(g.terms, ring.field) for g in gens]
+    basis = groebner.buchberger(records, pk, ring.field, groebner_prefix)
+    return [pk.polynomial(rec, ring) for rec in _interreduce(_minimal(basis, pk), pk, ring.field)]
+
+
+def leading(f, key=grevlex_key):
+    e = max(f.terms, key=key)
+    return e, f.terms[e]
 
 
 @st.composite
@@ -71,11 +88,11 @@ def homogeneous_ideals(draw):
     return IdealPresentation(ring, gens)
 
 
-def spoly(f, g, order):
-    lcm = monomial_lcm(f.leading(order)[0], g.leading(order)[0])
+def spoly(f, g):
+    lcm = monomial_lcm(leading(f)[0], leading(g)[0])
 
     def shifted(h):
-        lt, c = h.leading(order)
+        lt, c = leading(h)
         shift = tuple(a - b for a, b in zip(lcm, lt))
         return Polynomial(h.ring, {shift: h.ring.field.inv(c)}) * h
 
@@ -83,16 +100,16 @@ def spoly(f, g, order):
 
 
 @settings(max_examples=60)
-@given(homogeneous_ideals(), st.sampled_from([GREVLEX, LEX]))
-def test_basis_reduces_generators_and_s_polynomials(ideal_, order):
-    gb = groebner_basis(ideal_, order)
+@given(homogeneous_ideals())
+def test_basis_reduces_generators_and_s_polynomials(ideal_):
+    gb = groebner_basis(ideal_)
     for g in ideal_.gens:
         assert normal_form(g, gb).is_zero()
     # Buchberger criterion: a basis is confirmed by its own s-polynomials
     els = gb.elements
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
-            assert normal_form(spoly(els[i], els[j], order), gb).is_zero()
+            assert normal_form(spoly(els[i], els[j]), gb).is_zero()
 
 
 @settings(max_examples=60)
@@ -107,20 +124,18 @@ def test_normal_form_is_idempotent_and_compatible_with_sums(ideal_):
     assert normal_form(f + g, gb) == normal_form(normal_form(f, gb) + normal_form(g, gb), gb)
 
 
-QUEUE_ORDERS = [GREVLEX, LEX, elimination_order(1)]
-
-
 @settings(max_examples=60)
-@given(homogeneous_ideals(), st.sampled_from(QUEUE_ORDERS), st.data())
-def test_pair_queue_gives_one_reduced_basis(ideal_, order, data):
+@given(homogeneous_ideals(), st.booleans(), st.data())
+def test_pair_queue_gives_one_reduced_basis(ideal_, eliminate, data):
     gens = list(ideal_.gens)
-    reduced = buchberger(gens, order)
-    assert buchberger(data.draw(st.permutations(gens)), order) == reduced
+    reduced = complete(gens, eliminate)
+    assert complete(data.draw(st.permutations(gens)), eliminate) == reduced
     k = data.draw(st.integers(min_value=0, max_value=len(gens)))
-    seed = GroebnerBasis(ideal_.ring, order, tuple(buchberger(gens[:k], order)))
-    extended = groebner_basis_extending(seed, gens[k:])
-    assert extended.order == order
-    assert list(extended.elements) == reduced
+    seed = complete(gens[:k], eliminate)
+    assert complete(seed + gens[k:], eliminate, groebner_prefix=len(seed)) == reduced
+    if not eliminate:
+        seed_basis = groebner_basis(IdealPresentation(ideal_.ring, gens[:k]))
+        assert list(groebner_basis_extending(seed_basis, gens[k:]).elements) == reduced
 
 
 R4_F3 = RingSpec(FieldSpec(3), ("x", "y", "z", "w"))
@@ -142,40 +157,43 @@ def wider_ideals(draw):
 
 
 @settings(max_examples=150)
-@given(wider_ideals(), st.sampled_from(QUEUE_ORDERS), st.data())
-def test_packed_kernel_matches_the_tuple_oracle(gens, order, data):
-    # same elements in the same order, term for term
-    expected = buchberger_by_tuples(gens, order)
-    assert buchberger(gens, order) == expected
+@given(wider_ideals(), st.booleans(), st.data())
+def test_packed_kernel_matches_the_tuple_oracle(gens, eliminate, data):
+    # same elements in the same order, term for term, under grevlex and
+    # under the elimination order intersect uses
+    key = elimination_key if eliminate else grevlex_key
+    assert complete(gens, eliminate) == buchberger_by_tuples(gens, key)
     k = data.draw(st.integers(min_value=0, max_value=len(gens)))
-    seed = GroebnerBasis(gens[0].ring, order, tuple(buchberger_by_tuples(gens[:k], order)))
-    extended = groebner_basis_extending(seed, gens[k:])
-    prefixed = buchberger_by_tuples(list(seed.elements) + gens[k:], order, groebner_prefix=len(seed.elements))
+    seed = buchberger_by_tuples(gens[:k], key)
+    prefixed = buchberger_by_tuples(seed + gens[k:], key, groebner_prefix=len(seed))
+    assert complete(seed + gens[k:], eliminate, groebner_prefix=len(seed)) == prefixed
+    if eliminate:
+        return
+    ring = gens[0].ring
+    pk = _packing(ring.n)
+    seed_basis = GroebnerBasis(ring, [pk.record(g.terms, ring.field) for g in seed], reduced=True)
+    extended = groebner_basis_extending(seed_basis, gens[k:])
     assert list(extended.elements) == prefixed
     # normal forms against the same basis
-    ring = gens[0].ring
     inv = ring.field.inv
-    reducers = [(g.leading(order)[0], inv(g.leading(order)[1]), g.terms) for g in extended.elements]
+    reducers = [(leading(g)[0], inv(leading(g)[1]), g.terms) for g in extended.elements]
     monos = degree_monomials(ring.n, data.draw(st.integers(min_value=1, max_value=3)))
     f = Polynomial(ring, {e: data.draw(st.integers(min_value=0, max_value=4)) for e in monos})
-    assert normal_form(f, extended).terms == reduce_by_tuples(f.terms, reducers, order, ring.field.p)
-
-
-EXTENSION_ORDERS = [GREVLEX, LEX, elimination_order(1), elimination_order(2)]
+    assert normal_form(f, extended).terms == reduce_by_tuples(f.terms, reducers, key, ring.field.p)
 
 
 @settings(max_examples=150)
-@given(wider_ideals(), st.sampled_from(EXTENSION_ORDERS), st.data())
-def test_extension_takes_its_leading_exponents_from_the_records(gens, order, data):
+@given(wider_ideals(), st.data())
+def test_extension_takes_its_leading_exponents_from_the_records(gens, data):
     # the minimal leading monomials of the completion are those of the
     # reduced basis, in the same descending order, before any interreduction
-    expected = tuple(g.leading(order)[0] for g in buchberger_by_tuples(gens, order))
+    expected = tuple(leading(g)[0] for g in buchberger_by_tuples(gens, grevlex_key))
     k = data.draw(st.integers(min_value=0, max_value=len(gens)))
-    seed = groebner_basis(IdealPresentation(gens[0].ring, gens[:k]), order)
+    seed = groebner_basis(IdealPresentation(gens[0].ring, gens[:k]))
     extended = groebner_basis_extending(seed, gens[k:])
     assert extended.leading_exponents == expected
-    assert "elements" not in vars(extended)
-    assert tuple(g.leading(order)[0] for g in extended.elements) == expected
+    assert not {"reduced_records", "elements"} & set(vars(extended))
+    assert tuple(leading(g)[0] for g in extended.elements) == expected
 
 
 @settings(max_examples=100)
@@ -196,10 +214,11 @@ def test_extension_hilbert_data_matches_the_ideal_built_from_scratch(gens, data)
 
 @st.composite
 def exponent_pairs(draw):
-    """An order and two exponent vectors in range; often equal in degree, so that ties break late."""
+    """Whether to eliminate, and two exponent vectors in range; often equal
+    in degree, so that ties break late."""
     n = draw(st.integers(min_value=1, max_value=13))
-    order = draw(st.sampled_from([GREVLEX, LEX, elimination_order(1), elimination_order(2)]))
-    second = min(order.block, n) if order.kind == "elim" else n
+    eliminate = draw(st.booleans())
+    second = 1 if eliminate else n
     head = st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=EXPONENT_LIMIT))
     tail = st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=EXPONENT_LIMIT // 13))
     a = draw(st.lists(head, min_size=second, max_size=second))
@@ -210,17 +229,18 @@ def exponent_pairs(draw):
     else:
         b = draw(st.lists(head, min_size=second, max_size=second))
         b += draw(st.lists(tail, min_size=n - second, max_size=n - second))
-    return order, tuple(a), tuple(b)
+    return eliminate, tuple(a), tuple(b)
 
 
 @settings(max_examples=300)
 @given(exponent_pairs())
 def test_packed_monomials_follow_the_order(case):
-    order, a, b = case
-    pk = _packing(order, len(a))
+    eliminate, a, b = case
+    pk = _packing(len(a), eliminate)
     pa, pb = pk.pack(a), pk.pack(b)
     assert pk.unpack(pa) == a and pk.unpack(pb) == b
-    assert (pa > pb) - (pa < pb) == order.compare(a, b)
+    key = elimination_key if eliminate else grevlex_key
+    assert (pa > pb) - (pa < pb) == (key(a) > key(b)) - (key(a) < key(b))
     lcm = pk.lcm(pa, pb)
     assert pk.unpack(lcm) == monomial_lcm(a, b) and lcm == pk.pack(monomial_lcm(a, b))
     product = tuple(x + y for x, y in zip(a, b))
@@ -233,13 +253,13 @@ def test_packed_monomials_follow_the_order(case):
 
 def test_exponents_past_the_limit_raise_instead_of_wrapping():
     at_limit = parse_polynomial(f"x^{EXPONENT_LIMIT}", R3)
-    assert buchberger([at_limit]) == [at_limit]
+    assert complete([at_limit]) == [at_limit]
     with pytest.raises(ExponentOverflowError, match=str(EXPONENT_LIMIT)):
-        buchberger([parse_polynomial("x^40000", R3)])
+        complete([parse_polynomial("x^40000", R3)])
     # inputs in range whose S-polynomial needs x^34000*z
     gens = [parse_polynomial(t, R3) for t in ("x^17000*y", "x^17000*z+y^17001")]
     with pytest.raises(ExponentOverflowError):
-        buchberger(gens)
+        complete(gens)
     # a reduction step whose product would pass the limit
     gb = groebner_basis(ideal(R3, "x^20000+y^20000"))
     x = parse_polynomial("x", R3)
@@ -248,28 +268,34 @@ def test_exponents_past_the_limit_raise_instead_of_wrapping():
         normal_form(parse_polynomial("x^20000*y^20000", R3), gb)
     with pytest.raises(ExponentOverflowError):
         exact_divide(parse_polynomial("x^20000*y^20000", R3), parse_polynomial("x^20000+y^20000", R3))
-    # the second block's degree bounds the elimination order's key
+    # the degree after the first variable bounds the elimination order's key
     block = [parse_polynomial("y^20000*z^20000", R3)]
-    assert buchberger(block) == block
+    assert complete(block) == block
     with pytest.raises(ExponentOverflowError):
-        buchberger(block, elimination_order(1))
+        complete(block, eliminate=True)
     pair = [parse_polynomial(t, R3) for t in ("x*y^20000", "x*z^20000")]
     with pytest.raises(ExponentOverflowError):
-        buchberger(pair, elimination_order(1))
+        complete(pair, eliminate=True)
 
 
 def test_basis_pickles_without_its_memos():
-    gb = groebner_basis(ideal(R3, "x*y+z^2", "y^2"))
-    assert gb.packed and gb.leading_exponents
+    base = ideal(R3, "x*y+z^2", "y^2")
+    gb = groebner_basis(base)
+    assert gb.elements and gb.leading_exponents
     gb.monomial_normal_forms[(1, 2, 0)] = {}
-    memos = {"packed", "leading_exponents", "monomial_normal_forms"}
+    memos = {"_minimal_records", "leading_exponents", "elements", "monomial_normal_forms"}
     assert memos <= set(gb.__dict__)
     clone = pickle.loads(pickle.dumps(gb))
-    assert clone == gb
     assert not memos & set(clone.__dict__)
-    assert clone.packed[1] == gb.packed[1]
+    assert clone.records == gb.records and clone.reduced_records is clone.records
+    assert clone == gb
     # only the basis holds its packed reducer table, so the table goes with it
-    assert gc.get_referrers(gb.packed) == [gb.__dict__]
+    assert gc.get_referrers(gb.records) == [gb.__dict__]
+    # an extension pickles the reduced records it interreduces to
+    ext = groebner_basis_extending(gb, [parse_polynomial("x^2", R3)])
+    clone = pickle.loads(pickle.dumps(ext))
+    assert clone.records == ext.reduced_records != ext.records
+    assert clone == ext
 
 
 def test_known_basis_leading_exponents():
@@ -400,14 +426,12 @@ def test_exact_divide():
         exact_divide(f, Polynomial.zero(R3_F5))
 
 
-def test_groebner_cache_and_order_sensitivity():
+def test_groebner_basis_is_cached_on_the_ideal():
     i = ideal(R3, "x*y+z^2", "y^2")
-    assert groebner_basis(i) is groebner_basis(i)
-    lex_gb = groebner_basis(i, LEX)
-    assert lex_gb is groebner_basis(i, LEX)
-    assert lex_gb is not groebner_basis(i)
+    gb = groebner_basis(i)
+    assert gb is groebner_basis(i) is i._gb
     for g in i.gens:
-        assert normal_form(g, lex_gb).is_zero()
+        assert normal_form(g, gb).is_zero()
 
 
 def test_extending_a_cached_basis():

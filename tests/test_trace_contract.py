@@ -292,17 +292,21 @@ def test_points_stabilize_still_calls_the_point_backend_piece_dim(tracing, tmp_p
     assert metrics["codes.piece_dim.calls"] > 0
 
 
-def test_a_prime_scan_pass_reads_every_metric_the_benchmark_expects(
-    tracing, tmp_path, capsys, monkeypatch
-):
-    # run.py exits 1 when a metric EXPECTED assigns to prime-scan reads 0;
-    # one op of each prime-scan kind, in the benchmark's argument shapes
+@pytest.fixture
+def run(monkeypatch):
+    """perfbench/run.py, loaded as a module for its EXPECTED table."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)
-    spec.loader.exec_module(run)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_prime_scan_pass_reads_every_metric_the_benchmark_expects(tracing, run, tmp_path, capsys):
+    # run.py exits 1 when a metric EXPECTED assigns to prime-scan reads 0;
+    # one op of each prime-scan kind, in the benchmark's argument shapes
     grid = ("--t-max", "3", "--ell-max", "3")
     runs = [
         (POINTS_DOC, ("delta", "--method", "fast") + grid),
@@ -315,3 +319,21 @@ def test_a_prime_scan_pass_reads_every_metric_the_benchmark_expects(
     metrics = _traced_metrics(tracing, tmp_path, capsys, runs)
     missing = [name for name in run.EXPECTED["prime-scan"] if not metrics.get(name)]
     assert not missing, missing
+
+
+def test_a_brute_pass_reads_every_metric_the_benchmark_expects(tracing, run, tmp_path, capsys):
+    # the same for the two brute workloads: one op of each, in the
+    # benchmark's argument shapes, on a certified ideal and its uncertified twin
+    from oracles import EXAMPLE1
+
+    twin = {"char": EXAMPLE1["char"], "vars": list(EXAMPLE1["vars"]), "gens": list(EXAMPLE1["gens"])}
+    certified = dict(twin, minimal_primes=[list(ps) for ps in EXAMPLE1["primes"]])
+    tail = ("--t-max", "2", "--ell-max", "2", "--jobs", "1", "--format", "json")
+    runs = {
+        "brute-certified": (certified, ("delta", "--method", "both") + tail),
+        "brute-colon": (twin, ("delta",) + tail),
+    }
+    for workload, (doc, argv) in runs.items():
+        metrics = _traced_metrics(tracing, tmp_path, capsys, [(doc, argv)])
+        missing = [name for name in run.EXPECTED[workload] if not metrics.get(name)]
+        assert not missing, (workload, missing)
