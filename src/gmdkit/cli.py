@@ -15,9 +15,8 @@ codes: 0 ok, 1 verification failure (a failed internal invariant check
 included), 2 malformed input or input beyond a supported bound (more than
 12 variables, a count above 10000, a Groebner computation needing an
 exponent above 32767, a prime-subset table over more than 22 minimal
-primes, a forced GHW enumeration over more than 20000000 subcodes, a
-brute-force cell over more than 10000000 subspaces), 3 operation outside
-its mathematical hypotheses.
+primes, a brute-force cell over more than 10000000 subspaces), 3
+operation outside its mathematical hypotheses.
 """
 
 from __future__ import annotations
@@ -351,7 +350,7 @@ def cmd_ghw(args) -> tuple[dict, int]:
         for r in r_values:
             if r > code.dimension:
                 break
-            result = generalized_hamming_weight(code, r, strategy=args.strategy, jobs=args.jobs)
+            result = generalized_hamming_weight(code, r, jobs=args.jobs)
             row = {"r": r, "value": result.value, "strategy": result.strategy}
             if args.witnesses:
                 row["witness"] = result.witness
@@ -578,9 +577,6 @@ def _stabilize_arguments(parser):
 
 def _ghw_arguments(parser):
     parser.add_argument("input")
-    parser.add_argument(
-        "--strategy", choices=["auto", "enumerate", "shorten"], default="auto"
-    )
     parser.add_argument("--t-max", type=int, default=4, dest="t_max")
     _add_common(parser, witnesses=True)
 

@@ -71,21 +71,6 @@ class PrimeSubsetLimitError(LimitError):
         )
 
 
-class EnumerationLimitError(LimitError):
-    """A forced GHW enumeration would walk more subcodes than gmdkit allows.
-
-    ``strategy="enumerate"`` visits every r-dimensional subcode, so its
-    count is capped at ``codes.FORCED_ENUMERATE_LIMIT``; shortening has no
-    such count.
-    """
-
-    def __str__(self):
-        return (
-            f"forced enumeration supports at most {self.limit} subcodes, got {self.count}; "
-            "use --strategy shorten or --strategy auto"
-        )
-
-
 class BruteLimitError(LimitError):
     """A brute-force distance cell would scan more subspaces than gmdkit allows.
 

@@ -123,12 +123,12 @@ def test_ghw_on_points(capsys, points_file):
 
 
 def test_ghw_on_generator_matrix(capsys, code_file):
-    status, report = run_json(capsys, "ghw", code_file, "--strategy", "shorten")
+    status, report = run_json(capsys, "ghw", code_file)
     assert status == 0
     (entry,) = report["codes"]
     assert entry["t"] is None
     assert [w["value"] for w in entry["weights"]] == [2, 3]
-    assert all(w["strategy"] == "shorten" for w in entry["weights"])
+    assert all(w["strategy"] == "enumerate" for w in entry["weights"])
 
 
 def test_sr_info_on_triangle(capsys, triangle_file):
@@ -451,7 +451,7 @@ def test_jobs_are_clamped_before_any_pool_starts(capsys, ex1_file, points_file, 
     monkeypatch.setattr(gflinalg, "_run_task", recording_run_task)
     for argv in (
         ["delta", ex1_file, "--t-max", "2", "--ell-max", "2", "--witnesses"],
-        ["ghw", points_file, "--t-max", "2", "--strategy", "enumerate", "--witnesses"],
+        ["ghw", points_file, "--t-max", "2", "--witnesses"],
         ["verify", points_file, "--t-max", "2", "--ell-max", "2"],
         ["verify", "--suite", "rings"],
     ):
@@ -523,9 +523,7 @@ PINNED_OPTIONS = {
         ("--method", "method", None, None, ["brute", "fast", "both"], None),
     ] + _FORMAT + _WITNESSES + _SEED + _JOBS,
     "stabilize": _INPUT + _COUNTS + _FORMAT + _SEED + _JOBS,
-    "ghw": _INPUT + [
-        ("--strategy", "strategy", None, None, ["auto", "enumerate", "shorten"], "auto"),
-    ] + _T_MAX + _COUNTS + _FORMAT + _WITNESSES + _SEED + _JOBS,
+    "ghw": _INPUT + _T_MAX + _COUNTS + _FORMAT + _WITNESSES + _SEED + _JOBS,
     "sr-info": _INPUT + _T_MAX + _FORMAT + _SEED,
     "verify": [
         ("input", "input", None, "?", None, None),
@@ -641,7 +639,7 @@ def test_the_module_docstring_quotes_every_limit():
     # the exit-2 bounds the docstring lists, in its order, are the constants
     import re
 
-    from gmdkit import codes, gmd, groebner, polyring, schemes
+    from gmdkit import gmd, groebner, polyring, schemes
 
     text = " ".join(cli.__doc__.split())
     bounds = text.split("beyond a supported bound (", 1)[1].split(")", 1)[0]
@@ -650,7 +648,6 @@ def test_the_module_docstring_quotes_every_limit():
         cli.COUNT_LIMIT,
         groebner.EXPONENT_LIMIT,
         schemes.PRIME_SUBSET_LIMIT,
-        codes.FORCED_ENUMERATE_LIMIT,
         gmd.BRUTE_SUBSPACE_LIMIT,
     ]
 
@@ -785,43 +782,6 @@ def test_prime_count_past_the_subset_limit_is_exit_2(capsys, tmp_path, monkeypat
     for path in (points, lines):
         status, out, err = run(capsys, "delta", str(path), "--method", "fast", "--t-max", "2")
         assert (status, err) == (0, "")
-
-
-def test_forced_enumeration_past_its_limit_is_exit_2(capsys, tmp_path, monkeypatch):
-    # the subcode count is checked before any subcode is walked: the identity
-    # [10,10] code over F_3 has 72,636,421 planes and 29,524 lines
-    from gmdkit import codes
-
-    path = tmp_path / "code.json"
-    path.write_text(json.dumps({"char": 3, "generator": [
-        [int(i == j) for j in range(10)] for i in range(10)]}))
-    walked = []
-    enumerate_ = codes._ghw_enumerate
-
-    def counted(code, r, jobs):
-        walked.append(r)
-        return enumerate_(code, r, jobs)
-
-    monkeypatch.setattr(codes, "_ghw_enumerate", counted)
-    expected = (
-        "error: forced enumeration supports at most 20000000 subcodes, got 72636421; "
-        "use --strategy shorten or --strategy auto\n"
-    )
-    status, out, err = run(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "2")
-    assert (status, out, err) == (2, "", expected)
-    assert walked == []
-    # auto shortens there; the limit itself still enumerates
-    for argv in (("--ell", "2"), ("--strategy", "shorten", "--ell", "2")):
-        status, report = run_json(capsys, "ghw", str(path), *argv)
-        assert status == 0 and report["codes"][0]["weights"][0]["strategy"] == "shorten"
-    monkeypatch.setattr(codes, "FORCED_ENUMERATE_LIMIT", 29524)
-    status, report = run_json(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "1")
-    assert status == 0 and report["codes"][0]["weights"][0]["value"] == 1
-    assert walked == [1]
-    monkeypatch.setattr(codes, "FORCED_ENUMERATE_LIMIT", 29523)
-    status, out, err = run(capsys, "ghw", str(path), "--strategy", "enumerate", "--ell", "1")
-    assert (status, out) == (2, "") and "at most 29523 subcodes, got 29524" in err
-    assert walked == [1]
 
 
 def test_brute_cell_past_its_limit_is_exit_2(capsys, triangle_file, monkeypatch):

@@ -1,7 +1,9 @@
 """Evaluation codes, generalized weights, and the distance bridge."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -211,8 +213,8 @@ def test_ghw_strategies_agree_with_span_oracle(p, rows):
     code = LinearCode(field, FieldMatrix(field, rows))
     for r in range(1, code.dimension + 1):
         oracle = ghw_by_span_enumeration(rows, p, r)
-        enum = generalized_hamming_weight(code, r, strategy="enumerate")
-        short = generalized_hamming_weight(code, r, strategy="shorten")
+        enum = _ghw_enumerate(code, r, 1)
+        short = _ghw_shorten(code, r)
         assert enum.value == oracle, (p, rows, r)
         assert short.value == oracle, (p, rows, r)
         # witnesses really span r-dimensional subcodes of that weight
@@ -363,15 +365,15 @@ def test_shortening_raises_invariant_errors(monkeypatch):
     code = LinearCode(F2, FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
     monkeypatch.setattr(codes_mod, "_largest_low_rank_columns", lambda g, bound: None)
     with pytest.raises(InvariantError, match="empty"):
-        generalized_hamming_weight(code, 1, strategy="shorten")
+        _ghw_shorten(code, 1)
     # the empty set is not the largest one here: its witness, the first
     # generator row, has weight 2, not 3
     monkeypatch.setattr(codes_mod, "_largest_low_rank_columns", lambda g, bound: ())
     with pytest.raises(InvariantError, match="weight 2, expected 3"):
-        generalized_hamming_weight(code, 1, strategy="shorten")
+        _ghw_shorten(code, 1)
 
 
-SORENSEN = [(3, 2, [9, 6, 3, 2]), (2, 3, [8, 4, 2]), (5, 2, [25, 20])]
+SORENSEN = [(3, 2, [9, 6, 3, 2]), (2, 3, [8, 4, 2]), (5, 2, [25, 20]), (3, 3, [27, 18])]
 
 
 @pytest.mark.parametrize("p, n, expected", SORENSEN)
@@ -387,9 +389,10 @@ def test_ghw_route_gives_sorensen_minimum_distance(p, n, expected):
         q, s = divmod(t - 1, p - 1)
         assert (p - s) * p ** (n - q - 1) == want
         code = evaluation_code(points, t)
-        assert generalized_hamming_weight(code, 1, strategy="shorten").value == want, t
+        assert generalized_hamming_weight(code, 1).value == want, t
         if subspace_count(code.dimension, 1, field) <= ENUMERATE_LIMIT:
-            assert generalized_hamming_weight(code, 1, strategy="enumerate").value == want, t
+            # both routes are quick here, and each checks the other
+            assert _ghw_enumerate(code, 1, 1).value == _ghw_shorten(code, 1).value == want, t
 
 
 def test_ghw_argument_validation():
@@ -398,20 +401,40 @@ def test_ghw_argument_validation():
         generalized_hamming_weight(code, 0)
     with pytest.raises(ValueError):
         generalized_hamming_weight(code, 3)
-    with pytest.raises(ValueError):
-        generalized_hamming_weight(code, 1, strategy="guess")
 
 
-def test_ghw_auto_strategy_switches():
-    code = LinearCode(F2, FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
-    assert generalized_hamming_weight(code, 1).strategy == "enumerate"
-    # force the shorten branch through a tiny limit
-    old = codes_mod.ENUMERATE_LIMIT
-    codes_mod.ENUMERATE_LIMIT = 0
-    try:
-        assert generalized_hamming_weight(code, 1).strategy == "shorten"
-    finally:
-        codes_mod.ENUMERATE_LIMIT = old
+def test_ghw_picks_its_route_from_the_code(monkeypatch):
+    # every cell of the golden inputs and of a 12-point set over F_3 keeps
+    # the subcode-count rule's route: enumerate up to ENUMERATE_LIMIT,
+    # shorten above; wide codes enumerate up to the cap
+    monkeypatch.setattr(codes_mod, "_ghw_enumerate", lambda code, r, jobs: "enumerate")
+    monkeypatch.setattr(codes_mod, "_ghw_shorten", lambda code, r: "shorten")
+    golden = Path(__file__).parent / "golden"
+    points = json.loads((golden / "points.json").read_text())
+    generator = json.loads((golden / "generator.json").read_text())
+    field = FieldSpec(generator["char"])
+    cells = [(LinearCode(field, FieldMatrix(field, generator["generator"])), None)]
+    for pts, t_max, r_max in (
+        (ProjectivePointSet(F3, 3, points["points"]), 4, None),
+        (ProjectivePointSet(F3, 3, projective_points(F3, 3)[:12]), 3, 3),
+    ):
+        cells += [(evaluation_code(pts, t), r_max) for t in range(1, t_max + 1)]
+    labels = set()
+    for code, r_max in cells:
+        for r in range(1, min(code.dimension, r_max or code.dimension) + 1):
+            count = subspace_count(code.dimension, r, code.field)
+            label = "enumerate" if count <= ENUMERATE_LIMIT else "shorten"
+            assert generalized_hamming_weight(code, r) == label, (code.length, code.dimension, r)
+            labels.add(label)
+    assert labels == {"enumerate", "shorten"}
+    # the [40, 10] code of P^3(F_3): 29,524 lines, but C(40, <= 9) column sets;
+    # its 72,636,421 planes are past the cap
+    p3 = ProjectivePointSet(F3, 4, projective_points(F3, 4))
+    wide = evaluation_code(p3, 2)
+    assert (wide.length, wide.dimension) == (40, 10)
+    assert generalized_hamming_weight(wide, 1) == "enumerate"
+    assert subspace_count(10, 2, F3) > codes_mod.ENUMERATE_CAP
+    assert generalized_hamming_weight(wide, 2) == "shorten"
 
 
 def test_ghw_jobs_split_agrees():
@@ -419,8 +442,8 @@ def test_ghw_jobs_split_agrees():
     rows = [[1, 0, 0, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1]]
     code = LinearCode(field, FieldMatrix(field, rows))
     for r in (1, 2):
-        single = generalized_hamming_weight(code, r, strategy="enumerate", jobs=1)
-        multi = generalized_hamming_weight(code, r, strategy="enumerate", jobs=3)
+        single = _ghw_enumerate(code, r, 1)
+        multi = _ghw_enumerate(code, r, 3)
         assert single.value == multi.value
         assert single.witness == multi.witness
 
