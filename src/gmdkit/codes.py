@@ -409,8 +409,9 @@ def generalized_hamming_weight(code: LinearCode, r: int, jobs: int = 1) -> GhwRe
     if not 1 <= r <= code.dimension:
         raise ValueError(f"r must lie in 1..{code.dimension}")
     count = subspace_count(code.dimension, r, code.field)
-    if count <= ENUMERATE_LIMIT or count <= ENUMERATE_CAP and ENUMERATE_RATIO * count < sum(
-        math.comb(code.length, j) for j in range(code.dimension - r + 1)
+    column_sets = sum(math.comb(code.length, j) for j in range(code.dimension - r + 1))
+    if count <= ENUMERATE_LIMIT or (
+        count <= ENUMERATE_CAP and ENUMERATE_RATIO * count < column_sets
     ):
         return _ghw_enumerate(code, r, jobs)
     return _ghw_shorten(code, r)
