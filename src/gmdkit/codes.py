@@ -26,6 +26,7 @@ from .gflinalg import (
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import Polynomial, RingSpec, graded_piece_basis, standard_ring
+from .records import ValueRecord
 from .schemes import RankTableBackend, RingProfile, build_profile_from_primes, check_prime_count
 
 # Subcode counts up to which ``generalized_hamming_weight`` always
@@ -241,23 +242,13 @@ def support_size(matrix: FieldMatrix) -> int:
     return sum(1 for col in zip(*matrix.data) if any(col))
 
 
-class GhwResult:
+class GhwResult(ValueRecord):
     """The r-th weight, the strategy that found it, and the RREF basis of a
     minimum-support subcode as its witness; equal results compare equal.
     The witness is a list, so a result is not hashable."""
 
     __slots__ = ("value", "r", "strategy", "witness")
-
-    def __init__(self, value: int, r: int, strategy: str, witness: list[list[int]]):
-        self.value = value
-        self.r = r
-        self.strategy = strategy
-        self.witness = witness
-
-    def __eq__(self, other):
-        return type(other) is GhwResult and (
-            self.value, self.r, self.strategy, self.witness
-        ) == (other.value, other.r, other.strategy, other.witness)
+    __hash__ = None
 
 
 def _or_each(unions, masks):

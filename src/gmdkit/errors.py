@@ -47,14 +47,17 @@ class ExponentOverflowError(OverflowError):
 class LimitError(Exception):
     """An input needs ``count`` of something that gmdkit caps at ``limit``.
 
-    Each subclass names the count in its message.  The CLI exits 2, as for
-    other inputs beyond a supported bound.
+    Each subclass names the count in its message ``template``.  The CLI
+    exits 2, as for other inputs beyond a supported bound.
     """
 
     def __init__(self, count: int, limit: int):
         super().__init__(count, limit)
         self.count = count
         self.limit = limit
+
+    def __str__(self):
+        return self.template.format(count=self.count, limit=self.limit)
 
 
 class PrimeSubsetLimitError(LimitError):
@@ -64,11 +67,7 @@ class PrimeSubsetLimitError(LimitError):
     primes, so the prime count is capped at ``schemes.PRIME_SUBSET_LIMIT``.
     """
 
-    def __str__(self):
-        return (
-            f"the prime-subset route supports at most {self.limit} minimal primes, "
-            f"got {self.count}"
-        )
+    template = "the prime-subset route supports at most {limit} minimal primes, got {count}"
 
 
 class BruteLimitError(LimitError):
@@ -79,8 +78,7 @@ class BruteLimitError(LimitError):
     the prime-subset route has no such count.
     """
 
-    def __str__(self):
-        return (
-            f"brute force supports at most {self.limit} subspaces per cell, got {self.count}; "
-            "lower --t-max or --ell-max, or use --method fast"
-        )
+    template = (
+        "brute force supports at most {limit} subspaces per cell, got {count}; "
+        "lower --t-max or --ell-max, or use --method fast"
+    )

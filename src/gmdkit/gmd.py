@@ -42,6 +42,7 @@ from .hilbert import (
     multiplicity_at_dim,
 )
 from .polyring import Polynomial, monomial_to_str
+from .records import Record, ValueRecord
 from .schemes import RingProfile
 
 FIXED_DIM = "fixed-dim"
@@ -77,42 +78,13 @@ class GmdQuery:
         self.method = method
 
 
-class DeltaResult:
+class DeltaResult(ValueRecord):
     """One distance value; results with equal fields compare equal.
 
     ``status`` is "ok", or "empty" when no qualifying F exists.
     """
 
     __slots__ = ("value", "t", "ell", "convention", "method", "status", "witness")
-
-    def __init__(
-        self,
-        value: int,
-        t: int,
-        ell: int,
-        convention: str,
-        method: str,
-        status: str,
-        witness: dict | None,
-    ):
-        self.value = value
-        self.t = t
-        self.ell = ell
-        self.convention = convention
-        self.method = method
-        self.status = status
-        self.witness = witness
-
-    def __eq__(self, other):
-        return type(other) is DeltaResult and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def _fields(self):
-        return (
-            self.value, self.t, self.ell, self.convention, self.method, self.status, self.witness
-        )
 
 
 def subspace_to_polys(profile: RingProfile, basis_monomials, matrix: FieldMatrix):
@@ -457,25 +429,11 @@ def delta(query: GmdQuery, jobs: int = 1) -> DeltaResult:
     )
 
 
-class StabilizationResult:
+class StabilizationResult(ValueRecord):
     """A limit value, its case (1..7) in the case analysis, and the reason;
     equal results compare equal."""
 
     __slots__ = ("value", "case", "detail")
-
-    def __init__(self, value: int, case: int, detail: str):
-        self.value = value
-        self.case = case
-        self.detail = detail
-
-    def __eq__(self, other):
-        return type(other) is StabilizationResult and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def _fields(self):
-        return (self.value, self.case, self.detail)
 
 
 def _require_certified(profile: RingProfile):
@@ -540,25 +498,11 @@ def stabilization_value(profile: RingProfile, ell: int) -> StabilizationResult:
     raise HypothesisError(f"no stabilization rule for classification {cls!r}")
 
 
-class RegularityResult:
+class RegularityResult(ValueRecord):
     """A regularity index, its method label and the limit it reaches; equal
     results compare equal."""
 
     __slots__ = ("value", "method", "stable_value")
-
-    def __init__(self, value: int, method: str, stable_value: int):
-        self.value = value
-        self.method = method
-        self.stable_value = stable_value
-
-    def __eq__(self, other):
-        return type(other) is RegularityResult and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def _fields(self):
-        return (self.value, self.method, self.stable_value)
 
 
 def _first_degree_reaching(profile: RingProfile, family, ell: int) -> int | None:
@@ -637,7 +581,7 @@ def regularity_index(profile: RingProfile, ell: int) -> RegularityResult:
     return RegularityResult(min(degrees), label, s)
 
 
-class SRContext:
+class SRContext(Record):
     """Face-ring facts used by the bound verifiers.
 
     ``shellable`` is "shellable", "not_shellable" or "inconclusive".
@@ -645,22 +589,11 @@ class SRContext:
 
     __slots__ = ("depth", "regularity", "proj_connected", "shellable")
 
-    def __init__(self, depth: int, regularity: int, proj_connected: bool, shellable: str):
-        self.depth = depth
-        self.regularity = regularity
-        self.proj_connected = proj_connected
-        self.shellable = shellable
 
-
-class Verdict:
+class Verdict(Record):
     """One law's outcome: ``status`` is "pass", "fail" or "skipped"."""
 
     __slots__ = ("name", "status", "detail")
-
-    def __init__(self, name: str, status: str, detail: str):
-        self.name = name
-        self.status = status
-        self.detail = detail
 
 
 def _law(name: str, bad, passed: str, failed: str) -> Verdict:

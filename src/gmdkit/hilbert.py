@@ -19,6 +19,7 @@ from .polyring import (
     minimal_monomial_generators,
     monomial_divides,
 )
+from .records import Record
 
 IntPoly = tuple[int, ...]  # coefficient tuple, index = degree, trimmed
 
@@ -126,7 +127,7 @@ def _poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-class HilbertData:
+class HilbertData(Record):
     """Series data of a graded quotient S/I.
 
     ``series_numerator`` is N with series N/(1-t)^nvars; ``numerator`` is Q
@@ -136,22 +137,6 @@ class HilbertData:
     """
 
     __slots__ = ("nvars", "series_numerator", "numerator", "dim", "multiplicity", "hf_poly_from")
-
-    def __init__(
-        self,
-        nvars: int,
-        series_numerator: IntPoly,
-        numerator: IntPoly,
-        dim: int,
-        multiplicity: int,
-        hf_poly_from: int,
-    ):
-        self.nvars = nvars
-        self.series_numerator = series_numerator
-        self.numerator = numerator
-        self.dim = dim
-        self.multiplicity = multiplicity
-        self.hf_poly_from = hf_poly_from
 
 
 def dim_and_multiplicity(series_numerator: IntPoly, n: int) -> tuple[int, int, IntPoly]:

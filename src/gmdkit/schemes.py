@@ -25,6 +25,7 @@ from .groebner import (
 )
 from .hilbert import HilbertData, graded_piece_of_quotient, hilbert_data, hilbert_function
 from .polyring import Polynomial
+from .records import Record
 
 CLASSIFICATIONS = (
     "domain",
@@ -46,7 +47,7 @@ def check_prime_count(count: int) -> None:
         raise PrimeSubsetLimitError(count, PRIME_SUBSET_LIMIT)
 
 
-class MinimalPrimeData:
+class MinimalPrimeData(Record):
     """One minimal prime with its quotient dimension and multiplicity.
 
     ``mult`` is the multiplicity of S/P at its own dimension; ``is_top``
@@ -55,22 +56,6 @@ class MinimalPrimeData:
     """
 
     __slots__ = ("ideal", "dim", "mult", "is_top", "linear", "monomial")
-
-    def __init__(
-        self,
-        ideal: IdealPresentation,
-        dim: int,
-        mult: int,
-        is_top: bool,
-        linear: bool,
-        monomial: bool,
-    ):
-        self.ideal = ideal
-        self.dim = dim
-        self.mult = mult
-        self.is_top = is_top
-        self.linear = linear
-        self.monomial = monomial
 
 
 class FamilyIntersection:

@@ -18,6 +18,7 @@ from .gflinalg import FieldSpec, PackedVectors
 from .gmd import SRContext
 from .groebner import IdealPresentation
 from .polyring import Polynomial, RingSpec, standard_ring
+from .records import Record, ValueRecord
 from .schemes import RingProfile, build_profile
 
 SHELLING_FACET_BUDGET = 12
@@ -198,14 +199,10 @@ def _homology_of_facets(facets, field: FieldSpec) -> dict[int, int]:
     return out
 
 
-class BettiTable:
+class BettiTable(Record):
     """Graded Betti numbers beta_{i,j} of the face ring, nonzero entries only."""
 
     __slots__ = ("nvars", "entries")
-
-    def __init__(self, nvars: int, entries: dict[tuple[int, int], int]):
-        self.nvars = nvars
-        self.entries = entries
 
     def projective_dimension(self) -> int:
         return max(i for i, _ in self.entries)
@@ -250,26 +247,12 @@ def depth(complex_: SimplicialComplex, field: FieldSpec) -> int:
     return betti_table(complex_, field).depth()
 
 
-class ShellingResult:
+class ShellingResult(ValueRecord):
     """``status`` is "shellable", "not_shellable" or "inconclusive"; ``order``
     holds the facet indices of a shelling when there is one.  Equal results
     compare equal."""
 
     __slots__ = ("status", "order")
-
-    def __init__(self, status: str, order: tuple[int, ...] | None):
-        self.status = status
-        self.order = order
-
-    def __eq__(self, other):
-        return (
-            type(other) is ShellingResult
-            and self.status == other.status
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.status, self.order))
 
     @property
     def is_shellable(self) -> bool | None:

@@ -17,6 +17,7 @@ from .gmd import GmdQuery, delta_bruteforce, delta_fast
 from .groebner import IdealPresentation
 from .hilbert import hilbert_function
 from .polyring import RingSpec
+from .records import Record, ValueRecord
 from .schemes import RingProfile, build_profile
 from .simplicial import (
     SimplicialComplex,
@@ -41,19 +42,13 @@ def seeded_point_set(field: FieldSpec, ambient: int, size: int, seed: int) -> Pr
     return ProjectivePointSet(field, ambient, rng.sample(universe, size))
 
 
-class RingCase:
+class RingCase(Record):
     """One suite member; the profile is built lazily and memoized.
 
     ``kind`` is "ideal", "face-ring" or "points" and says how ``data`` reads.
     """
 
     __slots__ = ("name", "kind", "field", "data")
-
-    def __init__(self, name: str, kind: str, field: FieldSpec, data: tuple):
-        self.name = name
-        self.kind = kind
-        self.field = field
-        self.data = data
 
     @lru_cache(maxsize=None)
     def build(self) -> RingProfile:
@@ -175,12 +170,8 @@ def equivalence_cells(
     return checked, disagreements
 
 
-class ComplexCase:
+class ComplexCase(Record):
     __slots__ = ("name", "complex_")
-
-    def __init__(self, name: str, complex_: SimplicialComplex):
-        self.name = name
-        self.complex_ = complex_
 
 
 @lru_cache(maxsize=1)
@@ -236,26 +227,10 @@ def bound_suite_members() -> list[ComplexCase]:
     return out
 
 
-class BridgeCase:
+class BridgeCase(ValueRecord):
     """A seeded point set of the bridge battery; equal cases compare equal."""
 
     __slots__ = ("name", "field", "ambient", "size", "seed")
-
-    def __init__(self, name: str, field: FieldSpec, ambient: int, size: int, seed: int):
-        self.name = name
-        self.field = field
-        self.ambient = ambient
-        self.size = size
-        self.seed = seed
-
-    def __eq__(self, other):
-        return type(other) is BridgeCase and self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def _fields(self):
-        return (self.name, self.field, self.ambient, self.size, self.seed)
 
     def point_set(self) -> ProjectivePointSet:
         return seeded_point_set(self.field, self.ambient, self.size, self.seed)

@@ -1,10 +1,13 @@
 """Record classes: equality, hashing, constructor checks and pickling."""
 
+import importlib
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import gmdkit
 import gmdkit.cli as cli
 from gmdkit.codes import GhwResult, LinearCode
 from gmdkit.gflinalg import FieldMatrix, FieldSpec
@@ -19,6 +22,7 @@ from gmdkit.gmd import (
 from gmdkit.groebner import GroebnerBasis, IdealPresentation, groebner_basis
 from gmdkit.hilbert import hilbert_data
 from gmdkit.polyring import RingSpec
+from gmdkit.records import Record, ValueRecord
 from gmdkit.schemes import build_profile
 from gmdkit.simplicial import (
     ShellingResult,
@@ -225,6 +229,70 @@ def test_records_survive_a_pickle_round_trip(name):
     clone = pickle.loads(pickle.dumps(record))
     assert type(clone) is type(record)
     assert view(clone) == view(record)
+
+
+def _record_classes():
+    """Every subclass of ``Record`` that a gmdkit module defines."""
+    for module in pkgutil.iter_modules(gmdkit.__path__):
+        importlib.import_module(f"gmdkit.{module.name}")
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("gmdkit.") and cls is not ValueRecord:
+                found.append(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+RECORD_CLASSES = _record_classes()
+
+
+def test_records_cover_the_plain_field_classes():
+    assert len(RECORD_CLASSES) == 13
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_record_is_pickled_and_has_no_dict(cls):
+    assert cls.__name__ in PICKLED
+    if issubclass(cls, ValueRecord):
+        assert cls.__name__ in VALUE_RECORDS
+    record = PICKLED[cls.__name__][0]()
+    assert type(record) is cls
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_refuse_a_missing_an_extra_and_an_unknown_field(cls):
+    n = len(cls.__slots__)
+    with pytest.raises(TypeError, match=f"{cls.__name__} is missing fields {cls.__slots__[-1]}"):
+        cls(*range(n - 1))
+    with pytest.raises(TypeError, match=f"{cls.__name__} takes {n} fields, got {n + 1}"):
+        cls(*range(n + 1))
+    with pytest.raises(TypeError, match=f"{cls.__name__} got 'no_such_field' as an unknown"):
+        cls(*range(n), no_such_field=0)
+    with pytest.raises(TypeError, match=f"{cls.__name__} got '{cls.__slots__[0]}' twice"):
+        cls(*range(n), **{cls.__slots__[0]: 0})
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_take_fields_by_position_or_keyword(cls):
+    by_position = cls(*range(len(cls.__slots__)))
+    by_keyword = cls(**{name: i for i, name in reversed(list(enumerate(cls.__slots__)))})
+    for i, name in enumerate(cls.__slots__):
+        assert getattr(by_position, name) == getattr(by_keyword, name) == i
+    assert (by_position == by_keyword) is issubclass(cls, ValueRecord)
+
+
+def test_value_records_equal_only_records_of_their_own_type():
+    class Pair(ValueRecord):
+        __slots__ = ("a", "b")
+
+    class OtherPair(ValueRecord):
+        __slots__ = ("a", "b")
+
+    assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash(Pair(1, 2))
+    assert Pair(1, 2) != Pair(2, 1)
+    assert Pair(1, 2) != OtherPair(1, 2)
 
 
 @pytest.mark.parametrize(
